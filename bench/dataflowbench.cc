@@ -5,10 +5,12 @@
  *
  * Not a paper table — a harness health metric for the pooled-bitset
  * dataflow framework (src/dataflow) and the static FIFO depth analysis
- * built on it (src/verify/fifodepth.cc). The printed table pins the
- * deterministic shape of the analysis (block/register counts, inferred
- * depths, verdicts) so the benchdiff gate catches silent changes to
- * the solver or the occupancy model; "wall_ms" columns are
+ * built on it (src/verify/fifodepth.cc, which reads its depths off the
+ * fifolint queue walk). The printed table pins the deterministic shape
+ * of the analysis (block/register/bitset-word counts, inferred depth,
+ * verdict, queues with traffic): benchdiff gates those columns exactly
+ * (EXACT_METRICS), so any change to the solver or the queue walk's
+ * results fails the bench-smoke test. "wall_ms" columns are
  * host-dependent and excluded automatically (benchdiff's
  * HOST_METRIC_MARKERS).
  *

@@ -11,14 +11,16 @@
  * discovers streamed regions (loops fed by SCU streams primed in
  * their preheader).
  *
- * Both static queue analyses build on it: the per-pass FIFO
- * discipline linter (fifolint.cc) and the whole-program
- * deadlock/depth-requirement analysis (fifodepth.cc).
+ * The per-pass FIFO discipline linter (fifolint.cc) walks the queues
+ * with this model once per function; the whole-program
+ * deadlock/depth-requirement analysis (fifodepth.cc) reads its verdict
+ * off the QueueTraffic that walk records.
  */
 
 #ifndef WMSTREAM_VERIFY_FIFO_MODEL_H
 #define WMSTREAM_VERIFY_FIFO_MODEL_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -57,6 +59,29 @@ fifoSide(const rtl::Expr &e)
 {
     return e.regFile() == rtl::RegFile::Flt ? 1 : 0;
 }
+
+/**
+ * Where the walk's per-queue element count saturates: above twice the
+ * deepest configurable data FIFO (`--fifo-depth` is at most 4096), so
+ * every depth requirement that can matter is counted exactly. A
+ * saturated count stays saturated, pops included, so a deep burst is
+ * never mistaken for a starved queue.
+ */
+constexpr int kSaturatedDepth = 2 * 4096 + 1;
+
+/**
+ * Per-queue facts the discipline walk records (indexed by queue id)
+ * for the whole-program depth analysis. Claimed queues are exempt
+ * from the walk inside their streamed loop.
+ */
+struct QueueTraffic
+{
+    std::array<int, kQueues> highWater{};  ///< max count after a push
+    std::array<bool, kQueues> touched{};   ///< any unexempt traffic
+    std::array<bool, kQueues> saturated{}; ///< count hit the cap
+    std::array<bool, kQueues> starved{};   ///< a pop found count 0
+    std::array<bool, kQueues> claimed{};   ///< claimed by a stream
+};
 
 // ---- per-instruction transfer shape --------------------------------
 

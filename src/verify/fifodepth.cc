@@ -10,178 +10,38 @@
  *      a pop that can never be fed, or on a push into a queue the
  *      configured depth provably cannot absorb?
  *  (b) depth requirement: the minimal FIFO depth each queue needs so
- *      that no push ever blocks — the high-water mark of an
- *      occupancy-interval dataflow over the full CFG, loop
- *      boundaries included.
+ *      that no push ever blocks — the high-water count over the full
+ *      CFG, loop boundaries included.
  *
- * The lattice is per-queue occupancy intervals [lo, hi], saturating
- * at a cap (so the lattice is finite and the general worklist solver
- * from src/dataflow terminates); joins take [min lo, max hi].
- * Stream-claimed queues are hardware-throttled (the SCU stops
- * filling a full FIFO and resumes as the loop drains it), so they
- * require depth 1 and are otherwise exempt from the scalar walk —
- * exactly the exemption fifolint's depth walk uses.
+ * It walks nothing itself. The discipline check's depth walk keeps
+ * one exact count per queue and block (joins must agree), so on
+ * every discipline-clean function its counts are the occupancy, and
+ * it records the high-water mark, saturation and starved pops per
+ * queue (fifomodel::QueueTraffic). A function that is not clean is
+ * "not-proven" whatever its counts say. Stream-claimed queues are
+ * hardware-throttled (the SCU stops filling a full FIFO and resumes
+ * as the loop drains it), so they require depth 1 and are exempt from
+ * the walk inside their loop.
  *
  * The verdict is "deadlock-free" only when the structural and
- * queue-discipline checks pass, no pop targets a provably-never-fed
- * queue, and every inferred minimum fits the configured depth. A
- * clean verdict is the static half of the wmfuzz agreement oracle:
- * static deadlock-free must imply the simulator watchdog stays
- * silent.
+ * queue-discipline checks pass, no pop finds its queue empty, and
+ * every inferred minimum fits the configured depth. A clean verdict
+ * is the static half of the wmfuzz agreement oracle: static
+ * deadlock-free must imply the simulator watchdog stays silent.
  */
 
 #include "verify/verify.h"
 
 #include <algorithm>
 #include <array>
-#include <set>
 #include <utility>
 
-#include "cfg/dominators.h"
-#include "cfg/loops.h"
-#include "dataflow/cfg_index.h"
-#include "dataflow/solver.h"
 #include "support/str.h"
 #include "verify/fifo_model.h"
 
 namespace wmstream::verify {
 
-namespace {
-
-using rtl::Inst;
-using rtl::InstKind;
-
 using namespace fifomodel;
-
-/** Occupancy interval of one queue. */
-struct Interval
-{
-    int16_t lo = 0;
-    int16_t hi = 0;
-    bool operator==(const Interval &o) const
-    {
-        return lo == o.lo && hi == o.hi;
-    }
-};
-
-using OccState = std::array<Interval, kQueues>;
-
-struct FnOccupancy
-{
-    std::array<int, kQueues> highWater{};  ///< max hi after any push
-    std::array<bool, kQueues> touched{};   ///< any traffic seen
-    std::array<bool, kQueues> capped{};    ///< hi hit the cap
-    std::array<bool, kQueues> starved{};   ///< pop with hi == 0
-};
-
-/**
- * Run the occupancy-interval walk over one function. Assumes the CFG
- * is current (structure check passed). Emits static-starved-pop
- * findings into @p out; capacity findings are the caller's job (it
- * has the per-program maxima).
- */
-FnOccupancy
-occupancyWalk(rtl::Function &fn, const dataflow::CfgIndex &cfg,
-              const std::set<std::pair<const rtl::Block *, int>> &exempt,
-              int cap, VerifyReport &out)
-{
-    FnOccupancy occ;
-    if (!fn.entry())
-        return occ;
-
-    auto clamp = [&](int v) {
-        return static_cast<int16_t>(std::min(v, cap));
-    };
-    // note(highWater): called on the post-push hi, i.e. the number
-    // of elements the queue must be able to hold at that point.
-    auto transferInto = [&](size_t bi, OccState s,
-                            FnOccupancy *record) {
-        const rtl::Block *b = cfg.block(bi);
-        for (const Inst &inst : b->insts) {
-            InstQueueOps ops = queueOps(inst);
-            for (const QueueUse &p : ops.pops) {
-                if (p.q < kDataQueues && exempt.count({b, p.q}))
-                    continue;
-                if (record) {
-                    occ.touched[p.q] = true;
-                    if (s[p.q].hi == 0)
-                        occ.starved[p.q] = true;
-                }
-                s[p.q].lo = std::max<int>(s[p.q].lo - 1, 0);
-                s[p.q].hi = std::max<int>(s[p.q].hi - 1, 0);
-            }
-            for (int q : ops.pushes) {
-                if (q < kDataQueues && exempt.count({b, q}))
-                    continue;
-                s[q].lo = clamp(s[q].lo + 1);
-                s[q].hi = clamp(s[q].hi + 1);
-                if (record) {
-                    occ.touched[q] = true;
-                    occ.highWater[q] =
-                        std::max<int>(occ.highWater[q], s[q].hi);
-                    if (s[q].hi >= cap)
-                        occ.capped[q] = true;
-                }
-            }
-            // Discipline requires all queues empty across calls and
-            // at returns; force the interval to match so one
-            // violation does not cascade into spurious depth noise.
-            if (inst.kind == InstKind::Call ||
-                    inst.kind == InstKind::Return)
-                s.fill(Interval{});
-        }
-        return s;
-    };
-
-    OccState zero{};
-    std::vector<std::pair<size_t, OccState>> seeds{
-        {cfg.indexOf(fn.entry()), zero}};
-    auto solved = dataflow::solveGeneralSeeded(
-        cfg, dataflow::Direction::Forward, seeds,
-        [&](size_t bi, const OccState &s) {
-            return transferInto(bi, s, nullptr);
-        },
-        [&](OccState &accum, const OccState &incoming, size_t) {
-            bool changed = false;
-            for (int q = 0; q < kQueues; ++q) {
-                int16_t lo =
-                    std::min(accum[q].lo, incoming[q].lo);
-                int16_t hi =
-                    std::max(accum[q].hi, incoming[q].hi);
-                if (lo != accum[q].lo || hi != accum[q].hi) {
-                    accum[q] = {lo, hi};
-                    changed = true;
-                }
-            }
-            return changed;
-        },
-        [](size_t, size_t) { return true; });
-
-    // Recording pass over the stable states, RPO for determinism.
-    for (size_t bi : cfg.rpo()) {
-        if (!solved.reached[bi])
-            continue;
-        (void)transferInto(bi, solved.in[bi], &occ);
-    }
-
-    // A pop whose interval is provably [0,0] can never be fed:
-    // the unit blocks forever. (A merely-possibly-empty pop is
-    // path-dependent depth, which the discipline checks flag.)
-    for (int q = 0; q < kQueues; ++q) {
-        if (!occ.starved[q])
-            continue;
-        Violation &v =
-            detail::addViolation(out, "static-starved-pop", fn);
-        v.invariant = queueName(q);
-        v.detail = strFormat(
-            "pop of %s whose occupancy is provably zero on every "
-            "path: nothing ever feeds it, the unit blocks forever",
-            queueName(q).c_str());
-    }
-    return occ;
-}
-
-} // anonymous namespace
 
 FifoRequirements
 analyzeFifoRequirements(rtl::Program &prog,
@@ -200,15 +60,8 @@ analyzeFifoRequirements(rtl::Program &prog,
     opts.stage = Stage::PostLower;
     opts.pass = "fifo-depth";
 
-    // Saturation cap: far above any sensible configuration so the
-    // inferred minimum is exact whenever it matters, yet the lattice
-    // stays small.
-    int cap = std::max(configuredDepth * 2, 64);
-
-    std::array<int, kQueues> minDepth{};
+    std::array<QueueRequirement, kQueues> reqs{};
     std::array<bool, kQueues> touched{};
-    std::array<bool, kQueues> streamed{};
-    std::array<bool, kQueues> capped{};
     bool disciplineClean = true;
 
     for (auto &fnp : prog.functions()) {
@@ -219,11 +72,10 @@ analyzeFifoRequirements(rtl::Program &prog,
         VerifyReport discipline;
         discipline.pass = opts.pass;
         discipline.stage = opts.stage;
-        bool cfgOk = detail::checkStructure(fn, traits, opts, &prog,
-                                            discipline);
-        if (cfgOk)
-            detail::checkQueueDiscipline(fn, traits, opts,
-                                         discipline);
+        QueueTraffic traffic;
+        if (detail::checkStructure(fn, traits, opts, &prog, discipline))
+            detail::checkQueueDiscipline(fn, traits, opts, discipline,
+                                         &traffic);
         if (!discipline.ok()) {
             disciplineClean = false;
             Violation &v = detail::addViolation(
@@ -235,35 +87,30 @@ analyzeFifoRequirements(rtl::Program &prog,
                 discipline.violations.size(),
                 joinedSignature({discipline}).c_str());
         }
-        if (!cfgOk)
-            continue; // CFG unusable: skip the interval walk
 
-        cfg::DominatorTree dt(fn);
-        cfg::LoopInfo li(fn, dt);
-        dataflow::CfgIndex cfg(fn);
-        std::vector<StreamRegion> regions = collectStreamRegions(li);
-        std::set<std::pair<const rtl::Block *, int>> exempt;
-        for (const StreamRegion &r : regions)
-            for (rtl::Block *b : r.loop->blocks)
-                for (const auto &kv : r.slotOf) {
-                    exempt.insert({b, kv.first});
-                    // The SCU throttles on a full FIFO: any depth
-                    // >= 1 works, deeper only buffers further ahead.
-                    streamed[kv.first] = true;
-                    touched[kv.first] = true;
-                    minDepth[kv.first] =
-                        std::max(minDepth[kv.first], 1);
-                }
-
-        FnOccupancy occ =
-            occupancyWalk(fn, cfg, exempt, cap, result.findings);
         for (int q = 0; q < kQueues; ++q) {
-            if (!occ.touched[q])
+            QueueRequirement &req = reqs[q];
+            // The SCU throttles on a full FIFO: any depth >= 1 works
+            // for a claimed queue, deeper only buffers further ahead.
+            if (traffic.claimed[q]) {
+                req.streamed = true;
+                req.minDepth = std::max(req.minDepth, 1);
+            }
+            req.minDepth = std::max(req.minDepth, traffic.highWater[q]);
+            req.bounded = req.bounded && !traffic.saturated[q];
+            touched[q] = touched[q] || traffic.claimed[q] ||
+                         traffic.touched[q];
+            // A pop that finds its queue empty can never be fed: the
+            // unit blocks forever.
+            if (!traffic.starved[q])
                 continue;
-            touched[q] = true;
-            minDepth[q] = std::max(minDepth[q], occ.highWater[q]);
-            if (occ.capped[q])
-                capped[q] = true;
+            Violation &v = detail::addViolation(
+                result.findings, "static-starved-pop", fn);
+            v.invariant = queueName(q);
+            v.detail = strFormat(
+                "pop of %s whose occupancy is provably zero on every "
+                "path: nothing ever feeds it, the unit blocks forever",
+                queueName(q).c_str());
         }
     }
 
@@ -271,15 +118,11 @@ analyzeFifoRequirements(rtl::Program &prog,
     for (int q = 0; q < kQueues; ++q) {
         if (!touched[q])
             continue;
-        QueueRequirement req;
-        req.queue = q;
-        req.name = queueName(q);
-        req.minDepth = minDepth[q];
-        req.streamed = streamed[q];
-        req.bounded = !capped[q];
-        result.queues.push_back(std::move(req));
+        reqs[q].queue = q;
+        reqs[q].name = queueName(q);
+        result.queues.push_back(reqs[q]);
         if (q < kDataQueues)
-            result.minDepth = std::max(result.minDepth, minDepth[q]);
+            result.minDepth = std::max(result.minDepth, reqs[q].minDepth);
     }
 
     // Configured depth must absorb the high-water mark of every data
@@ -301,7 +144,7 @@ analyzeFifoRequirements(rtl::Program &prog,
                         configuredDepth)
             : strFormat("occupancy of %s is unbounded (grew past "
                         "the analysis cap of %d)",
-                        req.name.c_str(), cap);
+                        req.name.c_str(), kSaturatedDepth);
         result.findings.violations.push_back(std::move(v));
     }
 

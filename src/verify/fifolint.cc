@@ -3,8 +3,7 @@
  * The WM FIFO-discipline linter: abstract queue-depth dataflow.
  *
  * The queue model (identities, per-instruction push/pop shapes,
- * streamed-region discovery, count resolution) lives in fifo_model.h
- * and is shared with the whole-program depth analysis (fifodepth.cc).
+ * streamed-region discovery, count resolution) lives in fifo_model.h.
  * This file holds the per-pass checks:
  *
  *  - streamed-region balance: every iteration of a streamed loop pops
@@ -22,13 +21,17 @@
  *    one instruction is unspecified, so FIFO reads must never be
  *    reordered across a pop on the same unit).
  *
- * Both fixpoints run on the pooled-bitset dataflow engine's general
- * solver (src/dataflow): the old hand-rolled "grew" full-rescan loops
- * are gone.
+ * Both walks are one keep-first fixpoint (keepFirstWalk) on the
+ * dataflow engine's general solver (src/dataflow). The depth walk
+ * also records each queue's high-water mark, saturation and starved
+ * pops (QueueTraffic): the whole-program deadlock verdict and depth
+ * requirement (fifodepth.cc) are read off those records, not off a
+ * walk of their own.
  */
 
 #include "verify/verify.h"
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <set>
@@ -65,6 +68,44 @@ inLoop(Violation &v, const StreamRegion &r)
     v.loopHeader = r.header;
 }
 
+/**
+ * The one queue-state walk, shared by region balance and the
+ * whole-function depth walk: a forward fixpoint from @p seed at block
+ * @p start whose join keeps the first state to reach a block. Later
+ * arrivals are only compared slot by slot and the disagreeing slots
+ * noted for that block, so states never widen and the walk terminates
+ * without a cap. Then @p emit(block, in, badSlots) runs once per
+ * reached block in reverse post-order, for deterministic output.
+ * Returns the stable in-states.
+ */
+template <typename State, typename Transfer, typename Edge,
+          typename Emit>
+dataflow::GeneralResult<State>
+keepFirstWalk(const dataflow::CfgIndex &cfg, size_t start,
+              const State &seed, Transfer transfer, Edge edgeOk,
+              Emit emit)
+{
+    std::map<size_t, std::set<size_t>> bad;
+    auto join = [&](State &accum, const State &incoming, size_t to) {
+        for (size_t k = 0; k < accum.size(); ++k)
+            if (accum[k] != incoming[k])
+                bad[to].insert(k);
+        return false; // keep-first: state never widens
+    };
+    std::vector<std::pair<size_t, State>> seeds{{start, seed}};
+    auto solved = dataflow::solveGeneralSeeded(
+        cfg, dataflow::Direction::Forward, seeds, transfer, join,
+        edgeOk);
+    const std::set<size_t> none;
+    for (size_t bi : cfg.rpo()) {
+        if (!solved.reached[bi])
+            continue;
+        auto it = bad.find(bi);
+        emit(bi, solved.in[bi], it == bad.end() ? none : it->second);
+    }
+    return solved;
+}
+
 /** Per-iteration pop/push balance inside one streamed loop. */
 void
 checkRegionBalance(const StreamRegion &r, const rtl::Function &fn,
@@ -76,64 +117,47 @@ checkRegionBalance(const StreamRegion &r, const rtl::Function &fn,
         return;
     // State: per claimed stream, (pops, pushes) of its queue on the
     // path from the header to here, back edges excluded.
-    using State = std::vector<int8_t>;
-    State zero(2 * n, 0);
+    using State = std::vector<std::array<int16_t, 2>>;
 
     auto transfer = [&](size_t bi, State s) {
         for (const Inst &inst : cfg.block(bi)->insts) {
             InstQueueOps ops = queueOps(inst);
             for (const QueueUse &p : ops.pops) {
                 auto it = r.slotOf.find(p.q);
-                if (it != r.slotOf.end() && s[2 * it->second] < 100)
-                    ++s[2 * it->second];
+                if (it != r.slotOf.end() &&
+                        s[it->second][0] < kSaturatedDepth)
+                    ++s[it->second][0];
             }
             for (int q : ops.pushes) {
                 auto it = r.slotOf.find(q);
                 if (it != r.slotOf.end() &&
-                        s[2 * it->second + 1] < 100)
-                    ++s[2 * it->second + 1];
+                        s[it->second][1] < kSaturatedDepth)
+                    ++s[it->second][1];
             }
         }
         return s;
     };
-
-    // Forward walk from the header over loop blocks only, back edges
-    // excluded; join = must-be-equal, keep-first, mismatches noted.
-    std::map<const rtl::Block *, std::set<size_t>> joinBad;
-    auto join = [&](State &accum, const State &incoming, size_t to) {
-        if (accum != incoming)
-            for (size_t k = 0; k < n; ++k)
-                if (accum[2 * k] != incoming[2 * k] ||
-                        accum[2 * k + 1] != incoming[2 * k + 1])
-                    joinBad[cfg.block(to)].insert(k);
-        return false; // keep-first: state never widens
-    };
-    auto edgeOk = [&](size_t from, size_t to) {
-        (void)from;
+    // Walk the loop body from the header, back edges excluded;
+    // paths that disagree at a join are mismatches.
+    auto edgeOk = [&](size_t, size_t to) {
         rtl::Block *tb = cfg.block(to);
         return loop.contains(tb) && tb != loop.header;
     };
-    std::vector<std::pair<size_t, State>> seeds{
-        {cfg.indexOf(loop.header), zero}};
-    auto solved = dataflow::solveGeneralSeeded(
-        cfg, dataflow::Direction::Forward, seeds, transfer, join,
-        edgeOk);
-
-    for (const auto &bp : fn.blocks()) {
-        const rtl::Block *b = bp.get();
-        auto jb = joinBad.find(b);
-        if (jb == joinBad.end())
-            continue;
-        for (size_t k : jb->second) {
+    auto emit = [&](size_t bi, const State &,
+                    const std::set<size_t> &bad) {
+        for (size_t k : bad) {
             Violation &v =
                 addViolation(out, "fifo-join-mismatch", fn);
-            v.block = b->label();
+            v.block = cfg.block(bi)->label();
             inLoop(v, r);
             v.invariant = queueName(r.streams[k].q());
             v.detail = "streamed-loop paths disagree on elements "
                        "moved per iteration at this join";
         }
-    }
+    };
+    auto solved = keepFirstWalk(cfg, cfg.indexOf(loop.header),
+                                State(n, {0, 0}), transfer, edgeOk,
+                                emit);
 
     // Every latch must arrive with exactly one pop per claimed input
     // queue and one push per claimed output queue — the loop body
@@ -146,8 +170,8 @@ checkRegionBalance(const StreamRegion &r, const rtl::Function &fn,
         State s = transfer(li, solved.in[li]);
         for (size_t k = 0; k < n; ++k) {
             bool output = r.streams[k].output();
-            int pops = s[2 * k];
-            int pushes = s[2 * k + 1];
+            int pops = s[k][0];
+            int pushes = s[k][1];
             std::string qn = queueName(r.streams[k].q());
             int want = output ? pushes : pops;
             if (want != 1) {
@@ -193,12 +217,19 @@ struct WalkCtx
 {
     bool trackData = false; ///< PostLower: scalar FIFO traffic legal
     const std::set<std::pair<const rtl::Block *, int>> *exempt;
+    QueueTraffic *traffic = nullptr; ///< filled while emitting
 };
 
+/**
+ * Apply block @p b to @p s. With @p out set (the emission pass) also
+ * report violations into it and record queue traffic into
+ * ctx.traffic; during the fixpoint @p out is null.
+ */
 DepthState
 depthTransfer(const rtl::Block *b, DepthState s, const WalkCtx &ctx,
               const rtl::Function &fn, VerifyReport *out)
 {
+    QueueTraffic *rec = out ? ctx.traffic : nullptr;
     auto emit = [&](std::string reason, const Inst &inst,
                     int q) -> Violation & {
         Violation &v = addViolation(*out, std::move(reason), fn);
@@ -225,7 +256,11 @@ depthTransfer(const rtl::Block *b, DepthState s, const WalkCtx &ctx,
                     continue;
                 }
             }
+            if (rec)
+                rec->touched[p.q] = true;
             if (s[p.q] == 0) {
+                if (rec)
+                    rec->starved[p.q] = true;
                 if (out)
                     emit(cc ? "cc-underflow" : "fifo-underflow", inst,
                          p.q)
@@ -236,8 +271,8 @@ depthTransfer(const rtl::Block *b, DepthState s, const WalkCtx &ctx,
                         : std::string(
                               "dequeue from an empty queue on this "
                               "path");
-            } else {
-                --s[p.q];
+            } else if (s[p.q] < kSaturatedDepth) {
+                --s[p.q]; // a saturated count stays saturated
             }
         }
         for (int q : ops.pushes) {
@@ -253,8 +288,14 @@ depthTransfer(const rtl::Block *b, DepthState s, const WalkCtx &ctx,
                     continue;
                 }
             }
-            if (s[q] < 1000)
+            if (s[q] < kSaturatedDepth)
                 ++s[q];
+            if (rec) {
+                rec->touched[q] = true;
+                rec->highWater[q] = std::max<int>(rec->highWater[q], s[q]);
+                if (s[q] >= kSaturatedDepth)
+                    rec->saturated[q] = true;
+            }
         }
         if (inst.kind == InstKind::Call) {
             for (int q = 0; q < kQueues; ++q) {
@@ -295,36 +336,15 @@ depthWalk(rtl::Function &fn, const dataflow::CfgIndex &cfg,
 {
     if (!fn.entry())
         return;
-    DepthState zero{};
-    std::map<const rtl::Block *, std::set<int>> joinBad;
     auto transfer = [&](size_t bi, const DepthState &s) {
         return depthTransfer(cfg.block(bi), s, ctx, fn, nullptr);
     };
-    auto join = [&](DepthState &accum, const DepthState &incoming,
-                    size_t to) {
-        if (accum != incoming)
-            for (int q = 0; q < kQueues; ++q)
-                if (accum[q] != incoming[q])
-                    joinBad[cfg.block(to)].insert(q);
-        return false; // keep-first: depths never widen
-    };
-    std::vector<std::pair<size_t, DepthState>> seeds{
-        {cfg.indexOf(fn.entry()), zero}};
-    auto solved = dataflow::solveGeneralSeeded(
-        cfg, dataflow::Direction::Forward, seeds, transfer, join,
-        [](size_t, size_t) { return true; });
-
-    // Emission pass: every reachable block once, from its (stable)
-    // in-state, in reverse post-order for deterministic output.
-    for (size_t bi : cfg.rpo()) {
-        if (!solved.reached[bi])
-            continue;
+    auto emit = [&](size_t bi, const DepthState &in,
+                    const std::set<size_t> &bad) {
         rtl::Block *b = cfg.block(bi);
-        (void)depthTransfer(b, solved.in[bi], ctx, fn, &out);
-        auto jb = joinBad.find(b);
-        if (jb == joinBad.end())
-            continue;
-        for (int q : jb->second) {
+        (void)depthTransfer(b, in, ctx, fn, &out);
+        for (size_t slot : bad) {
+            int q = static_cast<int>(slot);
             Violation &v = addViolation(
                 out, q >= kDataQueues ? "cc-join-mismatch"
                                       : "fifo-join-mismatch",
@@ -334,8 +354,9 @@ depthWalk(rtl::Function &fn, const dataflow::CfgIndex &cfg,
             v.detail = "queue depth differs between predecessor "
                        "paths at this join";
         }
-        joinBad.erase(jb);
-    }
+    };
+    keepFirstWalk(cfg, cfg.indexOf(fn.entry()), DepthState{}, transfer,
+                  [](size_t, size_t) { return true; }, emit);
 }
 
 } // anonymous namespace
@@ -345,7 +366,8 @@ namespace detail {
 void
 checkQueueDiscipline(rtl::Function &fn,
                      const rtl::MachineTraits &traits,
-                     const VerifyOptions &opts, VerifyReport &out)
+                     const VerifyOptions &opts, VerifyReport &out,
+                     QueueTraffic *traffic)
 {
     cfg::DominatorTree dt(fn);
     cfg::LoopInfo li(fn, dt);
@@ -633,13 +655,17 @@ checkQueueDiscipline(rtl::Function &fn,
     // business (checked per region above); exempt them here.
     std::set<std::pair<const rtl::Block *, int>> exempt;
     for (const StreamRegion &r : regions)
-        for (rtl::Block *b : r.loop->blocks)
-            for (const auto &kv : r.slotOf)
+        for (const auto &kv : r.slotOf) {
+            if (traffic)
+                traffic->claimed[kv.first] = true;
+            for (rtl::Block *b : r.loop->blocks)
                 exempt.insert({b, kv.first});
+        }
 
     WalkCtx ctx;
     ctx.trackData = opts.stage == Stage::PostLower;
     ctx.exempt = &exempt;
+    ctx.traffic = traffic;
     depthWalk(fn, cfg, ctx, out);
 }
 

@@ -51,6 +51,10 @@
 
 namespace wmstream::verify {
 
+namespace fifomodel {
+struct QueueTraffic;
+}
+
 /** Where in the pipeline the check runs; selects which invariants
  *  apply (virtual registers legal? FIFO references legal? is scalar
  *  FIFO traffic fully lowered?). */
@@ -136,18 +140,18 @@ struct QueueRequirement
     std::string name;      ///< "in:f0", "out:r1", "cc0", ...
     int minDepth = 0;      ///< inferred minimal depth for this queue
     bool streamed = false; ///< SCU-claimed somewhere (HW-throttled)
-    bool bounded = true;   ///< false when occupancy hit the cap
+    bool bounded = true;   ///< false when the count saturated
 };
 
 /**
  * Whole-program static FIFO deadlock/depth verdict (fifodepth.cc).
  *
- * Produced by propagating per-queue occupancy intervals across the
- * full CFG — loop boundaries included — on top of a clean
- * queue-discipline report. `verdict` is "deadlock-free" only when
- * the structure and discipline checks pass, no pop targets a queue
- * that is provably never fed, and every inferred minimal depth fits
- * the configured depth; otherwise "not-proven" with the blocking
+ * Read off the queue-discipline walk over the full CFG — loop
+ * boundaries included — which keeps one exact count per queue and
+ * block. `verdict` is "deadlock-free" only when the structure and
+ * discipline checks pass, no pop finds its queue at depth 0, and
+ * every inferred minimal depth (the high-water count) fits the
+ * configured depth; otherwise "not-proven" with the blocking
  * findings (reason codes static-starved-pop, fifo-depth-exceeded,
  * static-unproven) in `findings`.
  */
@@ -171,7 +175,7 @@ struct FifoRequirements
  * Run the whole-program FIFO analysis over lowered WM code. Performs
  * its own structure + queue-discipline checks (so it is safe on
  * arbitrary programs, e.g. straight from the fuzzer with verification
- * off) and then the occupancy-interval walk. @p configuredDepth is
+ * off) and reads the depths off that walk. @p configuredDepth is
  * the data-FIFO depth the hardware model will run with.
  */
 FifoRequirements
@@ -207,10 +211,15 @@ bool checkStructure(rtl::Function &fn, const rtl::MachineTraits &traits,
                     const VerifyOptions &opts, const rtl::Program *prog,
                     VerifyReport &out);
 
-/** FIFO/CC discipline checks (fifolint.cc). CFG must be current. */
+/**
+ * FIFO/CC discipline checks (fifolint.cc). CFG must be current. With
+ * @p traffic set, the depth walk also records the per-queue facts
+ * the whole-program analysis needs (fifo_model.h).
+ */
 void checkQueueDiscipline(rtl::Function &fn,
                           const rtl::MachineTraits &traits,
-                          const VerifyOptions &opts, VerifyReport &out);
+                          const VerifyOptions &opts, VerifyReport &out,
+                          fifomodel::QueueTraffic *traffic = nullptr);
 
 } // namespace detail
 

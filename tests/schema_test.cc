@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,14 @@ struct SchemaCase
     std::string name; ///< emitter under audit (test parameter name)
     std::string json; ///< the document it produced
 };
+
+// Print the emitter name only: the default byte dump carries heap
+// pointers, which would make the listed test names differ per build.
+void
+PrintTo(const SchemaCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 /** Produce one document of every kind the toolchain can emit. */
 std::vector<SchemaCase>

@@ -591,6 +591,42 @@ TEST(FifoDepth, PushBurstBeyondConfiguredDepthIsFlagged)
     EXPECT_EQ(deep.minDepth, kPushes);
 }
 
+TEST(FifoDepth, DeepBurstIsDepthExceededNotStarved)
+{
+    // A burst deeper than any small analysis cap: every push is
+    // drained by a later store, so discipline is clean and the
+    // requirement is the burst length. A count that saturated and
+    // then kept decrementing would hit zero before the last stores
+    // and report them as starved pops (a compiler bug, exit 70).
+    for (int pushes : {65, 70}) {
+        Program prog;
+        Function *fn = prog.addFunction("f");
+        Block *b = fn->addBlock("entry");
+        ExprPtr outFifo = makeReg(RegFile::Int, 0, DataType::I64);
+        for (int i = 0; i < pushes; ++i)
+            b->insts.push_back(makeAssign(outFifo, makeConst(i)));
+        for (int i = 0; i < pushes; ++i)
+            b->insts.push_back(makeStore(makeConst(0x2000 + 8 * i),
+                                         outFifo, DataType::I64));
+        b->insts.push_back(makeReturn());
+        fn->recomputeCfg();
+
+        verify::VerifyOptions vo;
+        vo.stage = verify::Stage::PostLower;
+        EXPECT_TRUE(verify::verifyFunction(*fn, wmTraits(), vo).ok());
+
+        auto fr = verify::analyzeFifoRequirements(prog, wmTraits(), 8);
+        EXPECT_EQ(fr.verdict, "not-proven");
+        EXPECT_EQ(fr.minDepth, pushes);
+        EXPECT_TRUE(findingsHaveReason(fr, "fifo-depth-exceeded"))
+            << fr.findings.str();
+        EXPECT_FALSE(findingsHaveReason(fr, "static-starved-pop"))
+            << fr.findings.str();
+        ASSERT_EQ(fr.queues.size(), 1u);
+        EXPECT_TRUE(fr.queues[0].bounded);
+    }
+}
+
 TEST(FifoDepth, InjectedStreamUnderCountIsStaticallyNotProven)
 {
     // The wmfuzz agreement oracle's static half: the planted

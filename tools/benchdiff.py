@@ -21,9 +21,9 @@ Two modes:
             [--threshold-pct 5]
         Compare current documents (single reports or merged files)
         against the baseline. Exits 1 when any gated metric regressed
-        by more than the threshold, or when a baseline row/metric
-        disappeared (coverage loss); improvements and new rows are
-        reported but pass.
+        by more than the threshold, when an exact metric changed at
+        all, or when a baseline row/metric disappeared (coverage
+        loss); improvements and new rows are reported but pass.
 
 Only deterministic metrics are compared: cycle-like keys (equal to or
 ending in "cycles", or starting with "cycles") plus the explicit
@@ -32,6 +32,11 @@ demotions — pure functions of sources and options). Other numbers
 (percentages, counts of streams) are descriptive, and the simulator
 is deterministic, so a >5% growth in a gated metric is a real codegen,
 simulator, or retry-policy regression, not noise.
+
+The static-analysis shape columns (dataflowbench: CFG blocks, live
+registers, bitset words, inferred FIFO depth, verdict, queues with
+traffic) are gated exactly instead: a change in either direction is a
+changed analysis result, not a cost, and fails the diff.
 
 Host-dependent throughput metrics (wall-clock times, cycles/second —
 anything whose key mentions "wall" or "per_sec", as emitted by the
@@ -86,10 +91,18 @@ DETERMINISTIC_COUNTERS = frozenset({
 })
 
 
+# Analysis results (bench/dataflowbench.cc): any change, up or down,
+# fails — a shallower inferred depth is as wrong as a deeper one.
+EXACT_METRICS = frozenset({
+    "fifo_min_depth", "deadlock_free", "queues_analyzed", "blocks",
+    "regs", "bitset_words",
+})
+
+
 def is_gated_metric(key):
     if is_host_metric(key):
         return False
-    if key in DETERMINISTIC_COUNTERS:
+    if key in DETERMINISTIC_COUNTERS or key in EXACT_METRICS:
         return True
     return key == "cycles" or key.endswith("cycles") or \
         key.startswith("cycles")
@@ -152,10 +165,15 @@ def diff(args):
                     continue
                 cval = cmetrics[key]
                 compared += 1
+                tag = f"{name}/{label}/{key}"
+                if key in EXACT_METRICS:
+                    if cval != bval:
+                        failures.append(f"{tag}: {bval:g} -> {cval:g} "
+                                        f"(exact metric changed)")
+                    continue
                 if bval <= 0:
                     continue
                 delta = (cval - bval) / bval
-                tag = f"{name}/{label}/{key}"
                 if delta > threshold:
                     failures.append(
                         f"{tag}: {bval:g} -> {cval:g} "
