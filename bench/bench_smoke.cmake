@@ -1,7 +1,7 @@
 # Run one bench binary with --json-out, check the emitted file is
 # valid JSON, and (when BASELINE/BENCHDIFF are set) diff its cycle
-# metrics against the committed BENCH_baseline.json — more than 5%
-# growth fails the test. Invoked by the bench-smoke ctest; see
+# metrics against the committed BENCH_baseline.json — any change
+# fails the test. Invoked by the bench-smoke ctest; see
 # CMakeLists.txt.
 execute_process(
     COMMAND ${BENCH_BIN} --json-out=${OUT_JSON} "--benchmark_filter=^$"
@@ -31,7 +31,7 @@ if(DEFINED BASELINE AND DEFINED BENCHDIFF)
         ERROR_VARIABLE diff_err)
     if(NOT diff_rc EQUAL 0)
         message(FATAL_ERROR
-                "cycle regression vs ${BASELINE}:\n${diff_out}${diff_err}")
+                "gated metric changed vs ${BASELINE}:\n${diff_out}${diff_err}")
     endif()
     message(STATUS "${diff_out}")
 endif()

@@ -17,26 +17,24 @@ Two modes:
         Merge per-harness documents into a baseline (how the committed
         baseline is [re]generated).
 
-    benchdiff.py diff BENCH_baseline.json current1.json ... \
-            [--threshold-pct 5]
+    benchdiff.py diff BENCH_baseline.json current1.json ...
         Compare current documents (single reports or merged files)
-        against the baseline. Exits 1 when any gated metric regressed
-        by more than the threshold, when an exact metric changed at
-        all, or when a baseline row/metric disappeared (coverage
-        loss); improvements and new rows are reported but pass.
+        against the baseline. Exits 1 when any gated metric changed at
+        all, in either direction, or when a baseline row/metric
+        disappeared (coverage loss); new rows are reported but pass.
 
-Only deterministic metrics are compared: cycle-like keys (equal to or
-ending in "cycles", or starting with "cycles") plus the explicit
-batch-service counters below (TU outcomes, compile attempts, ladder
-demotions — pure functions of sources and options). Other numbers
-(percentages, counts of streams) are descriptive, and the simulator
-is deterministic, so a >5% growth in a gated metric is a real codegen,
-simulator, or retry-policy regression, not noise.
-
-The static-analysis shape columns (dataflowbench: CFG blocks, live
-registers, bitset words, inferred FIFO depth, verdict, queues with
-traffic) are gated exactly instead: a change in either direction is a
-changed analysis result, not a cost, and fails the diff.
+Only deterministic metrics are compared, and they are compared
+exactly: cycle-like keys (equal to or ending in "cycles", or starting
+with "cycles"), the batch-service counters (TU outcomes, compile
+attempts, ladder demotions) and the static-analysis shape columns of
+dataflowbench (CFG blocks, live registers, bitset words, inferred FIFO
+depth, verdict, queues with traffic). All of them are pure functions of
+the sources and options, and the simulator is deterministic, so any
+move is a real change to code generation, the simulator, the retry
+policy or an analysis. A lower cycle count is gated too: an
+unexplained improvement is as suspect as a regression. A change that
+moves a gated number ships with a regenerated baseline (merge mode)
+and says why in CHANGES.md.
 
 Host-dependent throughput metrics (wall-clock times, cycles/second —
 anything whose key mentions "wall" or "per_sec", as emitted by the
@@ -82,18 +80,12 @@ def is_host_metric(key):
     return any(m in k for m in HOST_METRIC_MARKERS)
 
 
-# Deterministic batch-service counters (bench/batchthroughput.cc):
-# pure functions of (TU sources, options), so any drift is a real
-# retry/demotion-policy change and gates exactly like a cycle count.
-DETERMINISTIC_COUNTERS = frozenset({
+# Deterministic counters gated alongside the cycle keys: the batch
+# service's TU outcomes (bench/batchthroughput.cc) and the analysis
+# shape columns (bench/dataflowbench.cc).
+COUNTERS = frozenset({
     "tus", "ok", "ok_degraded", "failed", "quarantined", "attempts",
     "demotions",
-})
-
-
-# Analysis results (bench/dataflowbench.cc): any change, up or down,
-# fails — a shallower inferred depth is as wrong as a deeper one.
-EXACT_METRICS = frozenset({
     "fifo_min_depth", "deadlock_free", "queues_analyzed", "blocks",
     "regs", "bitset_words",
 })
@@ -102,7 +94,7 @@ EXACT_METRICS = frozenset({
 def is_gated_metric(key):
     if is_host_metric(key):
         return False
-    if key in DETERMINISTIC_COUNTERS or key in EXACT_METRICS:
+    if key in COUNTERS:
         return True
     return key == "cycles" or key.endswith("cycles") or \
         key.startswith("cycles")
@@ -141,7 +133,6 @@ def diff(args):
     for path in args.current:
         current.update(as_benches(load(path), path))
 
-    threshold = args.threshold_pct / 100.0
     failures = []
     compared = 0
 
@@ -165,23 +156,9 @@ def diff(args):
                     continue
                 cval = cmetrics[key]
                 compared += 1
-                tag = f"{name}/{label}/{key}"
-                if key in EXACT_METRICS:
-                    if cval != bval:
-                        failures.append(f"{tag}: {bval:g} -> {cval:g} "
-                                        f"(exact metric changed)")
-                    continue
-                if bval <= 0:
-                    continue
-                delta = (cval - bval) / bval
-                if delta > threshold:
-                    failures.append(
-                        f"{tag}: {bval:g} -> {cval:g} "
-                        f"(+{100 * delta:.1f}% > "
-                        f"{args.threshold_pct:g}%)")
-                elif delta != 0:
-                    print(f"  {tag}: {bval:g} -> {cval:g} "
-                          f"({100 * delta:+.1f}%)")
+                if cval != bval:
+                    failures.append(f"{name}/{label}/{key}: "
+                                    f"{bval:g} -> {cval:g}")
         for label in cur_rows.keys() - base_rows.keys():
             print(f"  new row {name}/{label} (not in baseline)")
 
@@ -208,9 +185,6 @@ def main():
     dp = sub.add_parser("diff", help="compare current against baseline")
     dp.add_argument("baseline")
     dp.add_argument("current", nargs="+")
-    dp.add_argument("--threshold-pct", type=float, default=5.0,
-                    help="max allowed cycle growth in percent "
-                         "(default 5)")
     dp.set_defaults(func=diff)
 
     args = ap.parse_args()
