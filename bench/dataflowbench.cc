@@ -32,9 +32,10 @@ using namespace wmstream;
 namespace {
 
 /**
- * A TU with @p loops sequential streamable kernels over shared arrays:
- * every loop lowers to a streamed region, so the FIFO analysis has one
- * claimed queue set per loop to prove out.
+ * A TU with @p loops sequential kernels over shared local arrays. The
+ * arrays share one frame-pointer partition (`reg:r30`), so no loop
+ * streams (`memory-recurrence-remains`), and the FIFO analysis walks
+ * @p loops + 1 unstreamed loops.
  */
 std::string
 bigTuSource(int loops, int n)

@@ -10,17 +10,6 @@ using rtl::Block;
 using rtl::Inst;
 using rtl::InstKind;
 
-bool
-Loop::contains(const Loop &other) const
-{
-    if (other.blocks.size() >= blocks.size())
-        return false;
-    for (Block *b : other.blocks)
-        if (!blocks.count(b))
-            return false;
-    return true;
-}
-
 LoopInfo::LoopInfo(rtl::Function &fn, const DominatorTree &dt)
 {
     // Find back edges and build the natural loop of each.
@@ -71,14 +60,34 @@ LoopInfo::LoopInfo(rtl::Function &fn, const DominatorTree &dt)
         }
     }
 
-    // Innermost first: fewer blocks first, and containment as a tie
-    // breaker for robustness.
+    // Innermost first: fewer blocks first, and the header label as a
+    // tie breaker between disjoint loops of the same size.
     std::sort(loops_.begin(), loops_.end(),
               [](const Loop &a, const Loop &b) {
                   if (a.blocks.size() != b.blocks.size())
                       return a.blocks.size() < b.blocks.size();
                   return a.header->label() < b.header->label();
               });
+}
+
+Loop *
+LoopInfo::find(const Block *header)
+{
+    for (Loop &loop : loops_)
+        if (loop.header == header)
+            return &loop;
+    return nullptr;
+}
+
+bool
+LoopInfo::isInnermost(const Loop &loop) const
+{
+    // Natural loops with different headers are nested or disjoint, so
+    // another loop is inside @p loop exactly when its header is.
+    for (const Loop &other : loops_)
+        if (other.header != loop.header && loop.contains(other.header))
+            return false;
+    return true;
 }
 
 rtl::Block *
@@ -141,6 +150,31 @@ ensurePreheader(rtl::Function &fn, Loop &loop)
 
     fn.recomputeCfg();
     return pre;
+}
+
+void
+forEachLoop(rtl::Function &fn, bool innermostOnly, const LoopVisitor &visit)
+{
+    fn.recomputeCfg();
+    DominatorTree dt(fn);
+    LoopInfo li(fn, dt);
+    std::vector<Block *> order;
+    for (const Loop &loop : li.loops())
+        if (!innermostOnly || li.isInnermost(loop))
+            order.push_back(loop.header);
+    for (Block *header : order) {
+        for (bool again = true; again;) {
+            Loop *loop = li.find(header);
+            WS_ASSERT(loop, "loop sweep lost a loop header");
+            size_t blocks = fn.blocks().size();
+            again = visit(*loop, dt);
+            if (fn.blocks().size() != blocks) {
+                fn.recomputeCfg();
+                dt = DominatorTree(fn);
+                li = LoopInfo(fn, dt);
+            }
+        }
+    }
 }
 
 } // namespace wmstream::cfg

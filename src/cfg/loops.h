@@ -5,13 +5,14 @@
  * Finds back edges (tail -> header where the header dominates the
  * tail), builds the natural loop of each back edge, and merges loops
  * sharing a header. Provides the loop preheader (creating one when
- * needed), latch and exit sets — the scaffolding both the recurrence
- * and streaming passes operate on.
+ * needed), latch and exit sets, and the one sweep that drives the loop
+ * passes (LICM, strength reduction, recurrence, streaming) over them.
  */
 
 #ifndef WMSTREAM_CFG_LOOPS_H
 #define WMSTREAM_CFG_LOOPS_H
 
+#include <functional>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -77,8 +78,6 @@ struct Loop
     {
         return blocks.count(const_cast<rtl::Block *>(b)) != 0;
     }
-    /** Strict containment of another loop (for innermost-first order). */
-    bool contains(const Loop &other) const;
 };
 
 /** All natural loops of a function, innermost first. */
@@ -91,6 +90,12 @@ class LoopInfo
     std::vector<Loop> &loops() { return loops_; }
     const std::vector<Loop> &loops() const { return loops_; }
 
+    /** The loop headed by @p header, or null. */
+    Loop *find(const rtl::Block *header);
+
+    /** True if no other loop is nested inside @p loop. */
+    bool isInnermost(const Loop &loop) const;
+
   private:
     std::vector<Loop> loops_;
 };
@@ -101,6 +106,27 @@ class LoopInfo
  * fixes up CFG edges) when it does not exist.
  */
 rtl::Block *ensurePreheader(rtl::Function &fn, Loop &loop);
+
+/**
+ * Visit a loop; return true if it changed the loop and wants to visit
+ * it again.
+ */
+using LoopVisitor = std::function<bool(Loop &, const DominatorTree &)>;
+
+/**
+ * The loop-pass driver: one sweep over the loops of @p fn, innermost
+ * first (innermost loops only when @p innermostOnly), in the order of
+ * the LoopInfo built on entry. Each loop is visited until @p visit
+ * returns false.
+ *
+ * The analyses are built once and rebuilt only when a visit adds
+ * blocks (a new preheader or stub); the loop is then found again by
+ * its header. Reuse is sound because a visit deletes no block and
+ * keeps its loop's edges, and a new block only splits an edge, which
+ * leaves dominance between the existing blocks unchanged.
+ */
+void forEachLoop(rtl::Function &fn, bool innermostOnly,
+                 const LoopVisitor &visit);
 
 } // namespace wmstream::cfg
 

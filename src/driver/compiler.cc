@@ -1,6 +1,5 @@
 #include "driver/compiler.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -121,15 +120,11 @@ tagLoops(rtl::Program &program, obs::RemarkCollector &rc)
         fn->recomputeCfg();
         cfg::DominatorTree dt(*fn);
         cfg::LoopInfo li(*fn, dt);
-        // Outermost first so inner loops overwrite shared blocks.
-        std::vector<cfg::Loop *> order;
-        for (cfg::Loop &loop : li.loops())
-            order.push_back(&loop);
-        std::sort(order.begin(), order.end(),
-                  [](const cfg::Loop *a, const cfg::Loop *b) {
-                      return a->blocks.size() > b->blocks.size();
-                  });
-        for (cfg::Loop *loop : order) {
+        // Outermost first so inner loops overwrite shared blocks:
+        // LoopInfo lists innermost first, and loops of equal size are
+        // disjoint, so the reverse walk is enough.
+        for (auto loop = li.loops().rbegin(); loop != li.loops().rend();
+             ++loop) {
             int id = resolveLoopId(rc, *fn, *loop);
             for (rtl::Block *b : loop->blocks)
                 for (rtl::Inst &inst : b->insts)

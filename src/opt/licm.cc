@@ -92,6 +92,41 @@ collectBaseSyms(rtl::Function &fn, const ExprPtr &e,
 }
 
 /**
+ * Move the instructions at @p order out of @p loop into its preheader,
+ * in discovery order (dependencies first) and before any terminator
+ * the preheader may have. Returns how many moved.
+ */
+int
+moveToPreheader(rtl::Function &fn, cfg::Loop &loop,
+                const std::vector<std::pair<rtl::Block *, size_t>> &order)
+{
+    if (order.empty())
+        return 0;
+    rtl::Block *pre = cfg::ensurePreheader(fn, loop);
+    size_t at = pre->insts.size();
+    if (pre->terminator())
+        --at;
+    std::vector<Inst> moved;
+    for (auto &[b, i] : order)
+        moved.push_back(b->insts[i]);
+    // Delete from the loop blocks (per block, descending index).
+    for (auto &bp : fn.blocks()) {
+        rtl::Block *b = bp.get();
+        std::vector<size_t> del;
+        for (auto &[ob, oi] : order)
+            if (ob == b)
+                del.push_back(oi);
+        std::sort(del.rbegin(), del.rend());
+        for (size_t idx : del)
+            b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(idx));
+    }
+    pre->insts.insert(pre->insts.begin() + static_cast<ptrdiff_t>(at),
+                      moved.begin(), moved.end());
+    fn.recomputeCfg();
+    return static_cast<int>(moved.size());
+}
+
+/**
  * Hoist loop-invariant loads of read-only or unaliased globals out of
  * @p loop. Safe because an unaliased global can only change through a
  * direct symbol-addressed store, and we verify none targets it here.
@@ -165,33 +200,10 @@ hoistLoads(rtl::Function &fn, cfg::Loop &loop, const rtl::Program &prog)
             order.emplace_back(b, i);
         }
     }
-    if (order.empty())
-        return 0;
-
-    rtl::Block *pre = cfg::ensurePreheader(fn, loop);
-    size_t at = pre->insts.size();
-    if (pre->terminator())
-        --at;
-    std::vector<Inst> moved;
-    for (auto &[b, i] : order)
-        moved.push_back(b->insts[i]);
-    for (auto &bp : fn.blocks()) {
-        rtl::Block *b = bp.get();
-        std::vector<size_t> del;
-        for (auto &[ob, oi] : order)
-            if (ob == b)
-                del.push_back(oi);
-        std::sort(del.rbegin(), del.rend());
-        for (size_t idx : del)
-            b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(idx));
-    }
-    pre->insts.insert(pre->insts.begin() + static_cast<ptrdiff_t>(at),
-                      moved.begin(), moved.end());
-    fn.recomputeCfg();
-    return static_cast<int>(moved.size());
+    return moveToPreheader(fn, loop, order);
 }
 
-/** One round: hoist everything possible out of one loop. */
+/** Hoist every invariant computation out of @p loop. */
 int
 hoistLoop(rtl::Function &fn, cfg::Loop &loop)
 {
@@ -254,33 +266,7 @@ hoistLoop(rtl::Function &fn, cfg::Loop &loop)
             }
         }
     }
-    if (order.empty())
-        return 0;
-
-    rtl::Block *pre = cfg::ensurePreheader(fn, loop);
-    // Insert in discovery order (dependencies first), before any
-    // terminator the preheader may have.
-    size_t at = pre->insts.size();
-    if (pre->terminator())
-        --at;
-    std::vector<Inst> moved;
-    for (auto &[b, i] : order)
-        moved.push_back(b->insts[i]);
-    // Delete from the loop blocks (per block, descending index).
-    for (auto &bp : fn.blocks()) {
-        rtl::Block *b = bp.get();
-        std::vector<size_t> del;
-        for (auto &[ob, oi] : order)
-            if (ob == b)
-                del.push_back(oi);
-        std::sort(del.rbegin(), del.rend());
-        for (size_t idx : del)
-            b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(idx));
-    }
-    pre->insts.insert(pre->insts.begin() + static_cast<ptrdiff_t>(at),
-                      moved.begin(), moved.end());
-    fn.recomputeCfg();
-    return static_cast<int>(moved.size());
+    return moveToPreheader(fn, loop, order);
 }
 
 } // anonymous namespace
@@ -292,24 +278,16 @@ runLoopInvariantCodeMotion(rtl::Function &fn,
 {
     (void)traits;
     int total = 0;
-    // Loop structures change when preheaders are created, so reanalyze
-    // after every successful hoist.
-    for (int round = 0; round < 64; ++round) {
-        fn.recomputeCfg();
-        cfg::DominatorTree dt(fn);
-        cfg::LoopInfo li(fn, dt);
-        int moved = 0;
-        for (auto &loop : li.loops()) {
-            moved = hoistLoop(fn, loop);
-            if (!moved && prog)
-                moved = hoistLoads(fn, loop, *prog);
-            if (moved)
-                break; // structures stale; reanalyze
-        }
-        if (!moved)
-            break;
+    // A hoist out of a loop may make more of it invariant, so revisit
+    // the loop until nothing moves.
+    cfg::forEachLoop(fn, false, [&](cfg::Loop &loop,
+                                    const cfg::DominatorTree &) {
+        int moved = hoistLoop(fn, loop);
+        if (!moved && prog)
+            moved = hoistLoads(fn, loop, *prog);
         total += moved;
-    }
+        return moved != 0;
+    });
     return total;
 }
 

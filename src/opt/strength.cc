@@ -99,8 +99,8 @@ reduceLoop(rtl::Function &fn, cfg::Loop &loop,
     }
 
     // Process one group per invocation: preheader creation and bump
-    // insertion invalidate the collected indexes, so the driver loop
-    // reanalyzes between groups.
+    // insertion invalidate the collected indexes, so the loop sweep
+    // revisits the loop for the next group.
     int rewritten = 0;
     if (!groups.empty()) {
         const auto &key = groups.begin()->first;
@@ -198,27 +198,14 @@ int
 runStrengthReduce(rtl::Function &fn, const rtl::MachineTraits &traits)
 {
     int total = 0;
-    // One loop at a time: preheader creation invalidates the analyses.
-    for (int round = 0; round < 32; ++round) {
-        fn.recomputeCfg();
-        cfg::DominatorTree dt(fn);
-        cfg::LoopInfo li(fn, dt);
-        int changed = 0;
-        for (auto &loop : li.loops()) {
-            bool innermost = true;
-            for (auto &other : li.loops())
-                if (&other != &loop && loop.contains(other))
-                    innermost = false;
-            if (!innermost)
-                continue;
-            changed = reduceLoop(fn, loop, dt, traits);
-            if (changed)
-                break;
-        }
-        if (!changed)
-            break;
+    // reduceLoop rewrites one group per call, so revisit the loop
+    // until no group is left.
+    cfg::forEachLoop(fn, true, [&](cfg::Loop &loop,
+                                   const cfg::DominatorTree &dt) {
+        int changed = reduceLoop(fn, loop, dt, traits);
         total += changed;
-    }
+        return changed != 0;
+    });
     return total;
 }
 

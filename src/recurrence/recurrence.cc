@@ -440,71 +440,47 @@ runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
                  obs::RemarkCollector *remarks)
 {
     RecurrenceReport report;
-    // Loop structures change when preheaders appear; process one loop
-    // per analysis round.
-    std::vector<std::string> doneLoops;
-    for (int round = 0; round < 64; ++round) {
-        fn.recomputeCfg();
-        cfg::DominatorTree dt(fn);
-        cfg::LoopInfo li(fn, dt);
-        bool changed = false;
-        for (cfg::Loop &loop : li.loops()) {
-            bool innermost = true;
-            for (cfg::Loop &other : li.loops())
-                if (&other != &loop && loop.contains(other))
-                    innermost = false;
-            if (!innermost)
-                continue;
-            if (std::find(doneLoops.begin(), doneLoops.end(),
-                          loop.header->label()) != doneLoops.end()) {
-                continue;
-            }
-            ++report.loopsExamined;
+    // Rewrite one partition per visit: the rewrite invalidates the
+    // partition set, so the loop is examined again until none applies.
+    cfg::forEachLoop(fn, true, [&](cfg::Loop &loop,
+                                   const cfg::DominatorTree &dt) {
+        ++report.loopsExamined;
 
-            RemarkSite site;
-            site.remarks = remarks;
-            site.function = fn.name();
-            site.loopLoc = loopPos(loop);
-            if (remarks) {
-                site.loopId = remarks->loopId(
-                    fn.name(), loop.header->label(), site.loopLoc);
-                if (const obs::LoopRecord *lr =
-                        remarks->findLoop(site.loopId);
+        RemarkSite site;
+        site.remarks = remarks;
+        site.function = fn.name();
+        site.loopLoc = loopPos(loop);
+        if (remarks) {
+            site.loopId = remarks->loopId(fn.name(), loop.header->label(),
+                                          site.loopLoc);
+            if (const obs::LoopRecord *lr = remarks->findLoop(site.loopId);
                     lr && lr->loc.valid())
-                    site.loopLoc = lr->loc;
-            }
+                site.loopLoc = lr->loc;
+        }
 
-            opt::IndVarAnalysis ivs(fn, loop, dt, traits);
-            PartitionSet parts = buildPartitions(fn, loop, dt, ivs,
-                                                 traits);
-            report.partitionDumps.push_back(parts.str());
+        opt::IndVarAnalysis ivs(fn, loop, dt, traits);
+        PartitionSet parts = buildPartitions(fn, loop, dt, ivs, traits);
+        report.partitionDumps.push_back(parts.str());
 
-            // The paper's aliasing caveat: an unknown write may alias
-            // any partition, so no rewrite is safe.
-            if (parts.unknownWriteExists()) {
-                site.missed("unknown-memory-write");
+        // The paper's aliasing caveat: an unknown write may alias any
+        // partition, so no rewrite is safe.
+        if (parts.unknownWriteExists()) {
+            site.missed("unknown-memory-write");
+            return false;
+        }
+        for (Partition &p : parts.parts) {
+            // An unknown read may observe any write; rewriting a
+            // write-carrying partition would change what it sees.
+            if (parts.unknownReadExists() && p.hasWrite()) {
+                site.missed("unknown-memory-read", {}, p.key);
                 continue;
             }
-            for (Partition &p : parts.parts) {
-                // An unknown read may observe any write; rewriting a
-                // write-carrying partition would change what it sees.
-                if (parts.unknownReadExists() && p.hasWrite()) {
-                    site.missed("unknown-memory-read", {}, p.key);
-                    continue;
-                }
-                if (optimizePartition(fn, loop, dt, p, maxDegree,
-                                      skipDistanceCheck, report, site)) {
-                    changed = true;
-                    break; // structures stale
-                }
-            }
-            if (changed)
-                break; // revisit this loop with fresh analyses
-            doneLoops.push_back(loop.header->label());
+            if (optimizePartition(fn, loop, dt, p, maxDegree,
+                                  skipDistanceCheck, report, site))
+                return true;
         }
-        if (!changed)
-            break;
-    }
+        return false;
+    });
     fn.recomputeCfg();
     fn.renumber();
     return report;

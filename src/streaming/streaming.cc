@@ -899,35 +899,14 @@ runStreaming(rtl::Function &fn, const rtl::MachineTraits &traits,
     if (!traits.hasStreams)
         return report;
 
-    std::vector<std::string> doneLoops;
-    for (int round = 0; round < 64; ++round) {
-        fn.recomputeCfg();
-        cfg::DominatorTree dt(fn);
-        cfg::LoopInfo li(fn, dt);
-        bool changed = false;
-        for (cfg::Loop &loop : li.loops()) {
-            bool innermost = true;
-            for (cfg::Loop &other : li.loops())
-                if (&other != &loop && loop.contains(other))
-                    innermost = false;
-            if (!innermost)
-                continue;
-            if (std::find(doneLoops.begin(), doneLoops.end(),
-                          loop.header->label()) != doneLoops.end()) {
-                continue;
-            }
-            doneLoops.push_back(loop.header->label());
-            ++report.loopsExamined;
-            if (streamLoop(fn, loop, dt, traits, minTripCount, report,
-                           remarks, injectStreamCountBug,
-                           injectVerifierBug)) {
-                changed = true;
-                break; // structures stale
-            }
-        }
-        if (!changed)
-            break;
-    }
+    // Each loop is streamed at most once.
+    cfg::forEachLoop(fn, true, [&](cfg::Loop &loop,
+                                   const cfg::DominatorTree &dt) {
+        ++report.loopsExamined;
+        streamLoop(fn, loop, dt, traits, minTripCount, report, remarks,
+                   injectStreamCountBug, injectVerifierBug);
+        return false;
+    });
     fn.recomputeCfg();
     fn.renumber();
     return report;

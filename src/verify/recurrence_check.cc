@@ -26,6 +26,8 @@
 
 #include "verify/verify.h"
 
+#include <optional>
+
 #include "cfg/dominators.h"
 #include "rtl/inst.h"
 #include "support/str.h"
@@ -62,7 +64,7 @@ verifyRecurrenceChains(rtl::Function &fn,
     out.pass = pass;
     out.stage = Stage::PostOpt;
 
-    bool cfgReady = false;
+    std::optional<cfg::DominatorTree> dt; // built once, on first use
     for (const RecurrenceChain &c : chains) {
         if (c.function != fn.name())
             continue;
@@ -182,12 +184,11 @@ verifyRecurrenceChains(rtl::Function &fn,
                     c.chainRegs[k], k + 1);
             }
         }
-        if (!cfgReady) {
+        if (!dt) {
             fn.recomputeCfg();
-            cfgReady = true;
+            dt.emplace(fn);
         }
-        cfg::DominatorTree dt(fn);
-        if (!dt.dominates(pre, header)) {
+        if (!dt->dominates(pre, header)) {
             Violation &v = detail::addViolation(
                 out, "recurrence-prime-missing", fn);
             v.block = pre->label();

@@ -141,7 +141,11 @@ TEST(Loops, NestedLoopsOrderedInnermostFirst)
     ASSERT_EQ(li.loops().size(), 2u);
     EXPECT_EQ(li.loops()[0].header->label(), "inner");
     EXPECT_EQ(li.loops()[1].header->label(), "outer");
-    EXPECT_TRUE(li.loops()[1].contains(li.loops()[0]));
+    EXPECT_TRUE(li.loops()[1].contains(li.loops()[0].header));
+    EXPECT_TRUE(li.isInnermost(li.loops()[0]));
+    EXPECT_FALSE(li.isInnermost(li.loops()[1]));
+    EXPECT_EQ(li.find(inner), &li.loops()[0]);
+    EXPECT_EQ(li.find(latch), nullptr);
 }
 
 TEST(Liveness, StraightLine)

@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests for the loop-level passes: LICM (including the unaliased-global
- * load hoist), induction variables, strength reduction, and branch
- * anticipation. These are driven through compiled mini-C so the shapes
- * match what the passes actually see.
+ * load hoist), induction variables, strength reduction, branch
+ * anticipation, and the loop sweep that drives LICM, strength
+ * reduction, recurrence and streaming over every loop of a function.
+ * These are driven through compiled mini-C so the shapes match what the
+ * passes actually see.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +15,12 @@
 #include "driver/compiler.h"
 #include "expand/expander.h"
 #include "frontend/parser.h"
+#include "interp/interp.h"
 #include "opt/indvars.h"
 #include "opt/legal.h"
 #include "opt/passes.h"
+#include "timing/scalar_sim.h"
+#include "wmsim/sim.h"
 
 using namespace wmstream;
 using namespace wmstream::rtl;
@@ -47,6 +52,67 @@ int main(void) {
     return s;
 }
 )";
+
+/** Interpreter result of @p src. */
+int64_t
+oracle(const std::string &src)
+{
+    DiagEngine diag;
+    auto unit = frontend::parseAndCheck(src, diag);
+    EXPECT_TRUE(unit != nullptr) << diag.str();
+    auto res = interp::Interpreter(*unit).run();
+    EXPECT_TRUE(res.ok) << res.error;
+    return res.returnValue;
+}
+
+/**
+ * One function with an init loop and @p loops identical streamable
+ * kernel loops over global double arrays (the shape of perfbench's
+ * bigtu workload).
+ */
+std::string
+bigTuSource(int loops)
+{
+    std::string src = "double a[256];\ndouble b[256];\ndouble c[256];\n"
+                      "int main() {\n  int i;\n"
+                      "  for (i = 0; i < 256; i = i + 1) {\n"
+                      "    a[i] = i; b[i] = 0.5; c[i] = 1.0;\n  }\n";
+    for (int l = 0; l < loops; ++l)
+        src += "  for (i = 0; i < 256; i = i + 1) {\n"
+               "    c[i] = c[i] + a[i] * b[i];\n  }\n";
+    return src + "  return c[128] + c[255];\n}\n";
+}
+
+/** The loops of @p fn in layout order of their headers. */
+std::vector<const cfg::Loop *>
+loopsInLayoutOrder(const cfg::LoopInfo &li, const Function &fn)
+{
+    std::vector<const cfg::Loop *> out;
+    for (const auto &b : fn.blocks())
+        for (const cfg::Loop &loop : li.loops())
+            if (loop.header == b.get())
+                out.push_back(&loop);
+    return out;
+}
+
+/** True if every memory address in @p loop is in pointer form. */
+bool
+strengthReduced(const cfg::Loop &loop)
+{
+    for (Block *b : loop.blocks)
+        for (const Inst &inst : b->insts) {
+            if (inst.kind != InstKind::Load && inst.kind != InstKind::Store)
+                continue;
+            bool simple = inst.addr->isReg() ||
+                          (inst.addr->kind() == Expr::Kind::Bin &&
+                           inst.addr->op() == Op::Add &&
+                           inst.addr->lhs()->isReg() &&
+                           inst.addr->rhs()->isConst());
+            if (!simple)
+                return false;
+        }
+    return true;
+}
 
 } // namespace
 
@@ -265,4 +331,153 @@ TEST(Legalize, MaterializesSymbolOperands)
             }
         }
     }
+}
+
+TEST(Licm, HoistsThroughNewPreheaderOutOfNestedLoops)
+{
+    // The do-while header has two out-of-loop predecessors, the two
+    // arms of the if, so LICM must add its preheader inside the outer
+    // loop, find both loops again, and hoist the load of g on out of
+    // the outer loop.
+    const char *src = R"(
+int g = 3;
+int a[8];
+int main(void) {
+    int i, j, k, s;
+    s = 0;
+    for (j = 0; j < 8; j++)
+        a[j] = j - 3;
+    for (j = 0; j < 8; j++) {
+        i = 0;
+        if (a[j] > 0)
+            k = 1;
+        else
+            k = 2;
+        do {
+            s = s + g * 5 + k;
+            i++;
+        } while (i < 10);
+    }
+    return s;
+}
+)";
+    auto prog = expandOnly(src, MachineKind::WM);
+    auto traits = wmTraits();
+    Function *fn = prog->findFunction("main");
+    opt::runLegalize(*fn, traits);
+    // The cleanup rounds that run before LICM in the pipeline.
+    for (int round = 0; round < 4; ++round)
+        if (opt::runBranchOpt(*fn) + opt::runCombine(*fn, traits) +
+                opt::runCopyPropagate(*fn, traits) +
+                opt::runLocalCSE(*fn, traits) +
+                opt::runDeadCodeElim(*fn, traits) ==
+            0)
+            break;
+
+    // The number of loops holding the address of g or its load (the
+    // only load through a plain register).
+    auto loopsHoldingG = [&] {
+        fn->recomputeCfg();
+        cfg::DominatorTree dt(*fn);
+        cfg::LoopInfo li(*fn, dt);
+        int n = 0;
+        for (const cfg::Loop &loop : li.loops()) {
+            bool holds = false;
+            for (Block *b : loop.blocks)
+                for (const Inst &inst : b->insts)
+                    holds |= (inst.kind == InstKind::Assign &&
+                              inst.src->isSym() && inst.src->symbol() == "g") ||
+                             (inst.kind == InstKind::Load && inst.addr->isReg());
+            n += holds;
+        }
+        return n;
+    };
+    fn->recomputeCfg();
+    {
+        cfg::DominatorTree dt(*fn);
+        cfg::LoopInfo li(*fn, dt);
+        ASSERT_EQ(li.loops().size(), 3u);
+        const cfg::Loop &outer = li.loops()[2];
+        const cfg::Loop *inner = nullptr;
+        for (const cfg::Loop &loop : li.loops())
+            if (&loop != &outer && outer.contains(loop.header))
+                inner = &loop;
+        ASSERT_TRUE(inner && li.isInnermost(*inner));
+        ASSERT_FALSE(li.isInnermost(outer));
+        int outside = 0;
+        for (Block *p : inner->header->preds)
+            outside += !inner->contains(p);
+        ASSERT_EQ(outside, 2);
+    }
+    ASSERT_EQ(loopsHoldingG(), 2);
+
+    size_t blocks = fn->blocks().size();
+    EXPECT_GT(opt::runLoopInvariantCodeMotion(*fn, traits, prog.get()), 0);
+    EXPECT_EQ(fn->blocks().size(), blocks + 1); // the new preheader
+    EXPECT_EQ(loopsHoldingG(), 0);
+
+    int64_t expect = oracle(src);
+    EXPECT_EQ(expect, 1320);
+    driver::CompileOptions opts;
+    opts.verify = driver::VerifyMode::Each;
+    auto wm = driver::compileSource(src, opts);
+    ASSERT_TRUE(wm.ok && wm.verifyClean()) << wm.verifyText();
+    auto wres = wmsim::simulate(*wm.program, {});
+    ASSERT_TRUE(wres.ok) << wres.error;
+    EXPECT_EQ(wres.returnValue, expect);
+    opts.target = MachineKind::Scalar;
+    auto sc = driver::compileSource(src, opts);
+    ASSERT_TRUE(sc.ok && sc.verifyClean()) << sc.verifyText();
+    auto sres = timing::runScalar(*sc.program, timing::m88100Model(),
+                                  1'000'000'000ull);
+    ASSERT_TRUE(sres.ok) << sres.error;
+    EXPECT_EQ(sres.returnValue, expect);
+}
+
+TEST(LoopSweep, StreamsAndHoistsEveryLoopOfABigTu)
+{
+    // No pass stops after a fixed number of loops: every loop streams,
+    // and LICM leaves every kernel loop with the same body.
+    for (int k : {64, 96}) {
+        auto cr = driver::compileSource(bigTuSource(k), {});
+        ASSERT_TRUE(cr.ok) << cr.diagnostics;
+        int streamed = 0;
+        for (const auto &sr : cr.streamingReports)
+            streamed += sr.loopsStreamed;
+        EXPECT_EQ(streamed, k + 1) << "k=" << k;
+
+        Function *fn = cr.program->findFunction("main");
+        fn->recomputeCfg();
+        cfg::DominatorTree dt(*fn);
+        cfg::LoopInfo li(*fn, dt);
+        auto loops = loopsInLayoutOrder(li, *fn);
+        ASSERT_EQ(loops.size(), static_cast<size_t>(k + 1));
+        auto size = [](const cfg::Loop *loop) {
+            size_t n = 0;
+            for (Block *b : loop->blocks)
+                n += b->insts.size();
+            return n;
+        };
+        for (size_t l = 2; l < loops.size(); ++l)
+            EXPECT_EQ(size(loops[l]), size(loops[1]))
+                << "k=" << k << " kernel loop " << l;
+    }
+}
+
+TEST(LoopSweep, StrengthReducesEveryLoopOn68020)
+{
+    // 17 loops make 51 strength-reduction groups, one per array and
+    // loop, and every one is rewritten.
+    driver::CompileOptions opts;
+    opts.target = MachineKind::Scalar;
+    auto cr = driver::compileSource(bigTuSource(16), opts);
+    ASSERT_TRUE(cr.ok) << cr.diagnostics;
+    Function *fn = cr.program->findFunction("main");
+    fn->recomputeCfg();
+    cfg::DominatorTree dt(*fn);
+    cfg::LoopInfo li(*fn, dt);
+    auto loops = loopsInLayoutOrder(li, *fn);
+    ASSERT_EQ(loops.size(), 17u);
+    for (size_t l = 0; l < loops.size(); ++l)
+        EXPECT_TRUE(strengthReduced(*loops[l])) << "loop " << l;
 }

@@ -128,7 +128,8 @@
  *   1   user error (unreadable input, compile diagnostics, unwritable
  *       output file, unreadable manifest, aborted --fail-fast batch,
  *       --fifo-depth below the --infer-fifo-depth inferred minimum)
- *   2   usage error (unknown flag, bad value, no input)
+ *   2   usage error (unknown flag, bad value, no input, a "with
+ *       --run" flag without --run)
  *   3   simulation runtime fault (out-of-bounds access, bad PC, ...)
  *   4   deadlock or livelock (watchdog / cycle-limit classification)
  *   70  internal compiler error (panic/assert — see support/diag.h —
@@ -145,6 +146,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "driver/compiler.h"
 #include "m68k/printer.h"
@@ -523,6 +525,20 @@ wmcMain(int argc, char **argv)
             std::fprintf(stderr, "wmc: more than one input file "
                                  "(%s and %s)\n",
                          file.c_str(), a);
+            return usage();
+        }
+    }
+    // These flags report on a simulation; without --run there is none.
+    const std::pair<bool, const char *> runOnly[] = {
+        {stats, "--stats"},
+        {!statsJsonPath.empty(), "--stats-json"},
+        {!traceOutPath.empty(), "--trace-out"},
+        {faultFormat != FaultFormat::Off, "--fault-report"},
+        {critFormat != CritFormat::Off, "--critpath"},
+    };
+    for (const auto &[set, flag] : runOnly) {
+        if (set && !run) {
+            std::fprintf(stderr, "wmc: %s needs --run\n", flag);
             return usage();
         }
     }
