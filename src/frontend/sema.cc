@@ -351,7 +351,7 @@ evalConst(const Expr &e, CVal &out)
         if (out.isFloat)
             out.f = -out.f;
         else
-            out.i = -out.i;
+            out.i = static_cast<int64_t>(0 - static_cast<uint64_t>(out.i));
         return true;
       }
       case NodeKind::Cast: {
@@ -394,12 +394,14 @@ evalConst(const Expr &e, CVal &out)
           case BinOp::Div:
             if (c == 0)
                 return false;
-            out = {false, a / c, 0.0};
+            // INT64_MIN / -1 wraps, as on the machines (DESIGN §7.9).
+            out = {false, c == -1 ? static_cast<int64_t>(0 - u(a)) : a / c,
+                   0.0};
             return true;
           case BinOp::Rem:
             if (c == 0)
                 return false;
-            out = {false, a % c, 0.0};
+            out = {false, c == -1 ? 0 : a % c, 0.0};
             return true;
           case BinOp::Shl: out = {false, a << (c & 63), 0.0}; return true;
           case BinOp::Shr: out = {false, a >> (c & 63), 0.0}; return true;

@@ -31,6 +31,20 @@ wrapMul(int64_t a, int64_t b)
                                 static_cast<uint64_t>(b));
 }
 
+/** a / b for b != 0; INT64_MIN / -1 wraps to INT64_MIN. */
+int64_t
+wrapDiv(int64_t a, int64_t b)
+{
+    return b == -1 ? wrapSub(0, a) : a / b;
+}
+
+/** a % b for b != 0; INT64_MIN % -1 is 0. */
+int64_t
+wrapRem(int64_t a, int64_t b)
+{
+    return b == -1 ? 0 : a % b;
+}
+
 } // anonymous namespace
 
 Value
@@ -45,7 +59,8 @@ evalConstExpr(const Expr &e)
         const auto &u = static_cast<const UnaryExpr &>(e);
         WS_ASSERT(u.op == UnOp::Neg, "non-constant unary initializer");
         Value v = evalConstExpr(*u.operand);
-        return v.isFloat ? Value::ofFloat(-v.f) : Value::ofInt(-v.i);
+        return v.isFloat ? Value::ofFloat(-v.f)
+                         : Value::ofInt(wrapSub(0, v.i));
       }
       case NodeKind::Cast: {
         const auto &c = static_cast<const CastExpr &>(e);
@@ -88,10 +103,10 @@ evalConstExpr(const Expr &e)
           case BinOp::Div:
             // Sema rejects constant zero divisors before expansion.
             WS_ASSERT(r.i != 0, "constant division by zero");
-            return Value::ofInt(l.i / r.i);
+            return Value::ofInt(wrapDiv(l.i, r.i));
           case BinOp::Rem:
             WS_ASSERT(r.i != 0, "constant remainder by zero");
-            return Value::ofInt(l.i % r.i);
+            return Value::ofInt(wrapRem(l.i, r.i));
           case BinOp::Shl: return Value::ofInt(l.i << (r.i & 63));
           case BinOp::Shr: return Value::ofInt(l.i >> (r.i & 63));
           case BinOp::BitAnd: return Value::ofInt(l.i & r.i);
@@ -641,11 +656,11 @@ Interpreter::evalExpr(const Expr &e, Frame &frame)
           case BinOp::Div:
             if (r.i == 0)
                 throw RunError("integer division by zero");
-            return Value::ofInt(l.i / r.i);
+            return Value::ofInt(wrapDiv(l.i, r.i));
           case BinOp::Rem:
             if (r.i == 0)
                 throw RunError("integer remainder by zero");
-            return Value::ofInt(l.i % r.i);
+            return Value::ofInt(wrapRem(l.i, r.i));
           case BinOp::Shl: return Value::ofInt(l.i << (r.i & 63));
           case BinOp::Shr: return Value::ofInt(l.i >> (r.i & 63));
           case BinOp::BitAnd: return Value::ofInt(l.i & r.i);
@@ -698,12 +713,12 @@ Interpreter::evalExpr(const Expr &e, Frame &frame)
                   case BinOp::Div:
                     if (r.i == 0)
                         throw RunError("integer division by zero");
-                    r = Value::ofInt(l.i / r.i);
+                    r = Value::ofInt(wrapDiv(l.i, r.i));
                     break;
                   case BinOp::Rem:
                     if (r.i == 0)
                         throw RunError("integer remainder by zero");
-                    r = Value::ofInt(l.i % r.i);
+                    r = Value::ofInt(wrapRem(l.i, r.i));
                     break;
                   default:
                     throw RunError("invalid compound operator");

@@ -1,0 +1,331 @@
+/**
+ * @file
+ * The execution core that both machine models run.
+ *
+ * The WM cycle simulator (wmsim) and the scalar timing model (timing)
+ * execute the same compiled RTL. What they share lives here, once:
+ *  - Executable: the program decoded for execution (one flat
+ *    instruction array, every jump, branch and call target resolved to
+ *    an index at load time) plus the flat memory image with the globals
+ *    loaded and bounds-checked typed access;
+ *  - applyBin/applyUn: the RTL operator rules, which the constant
+ *    folder (makeBin) uses too, so a folded constant is the value the
+ *    machines would compute;
+ *  - Executable::eval: the expression evaluator, inline so that it
+ *    stays in the machines' run loops. Register cells are read through
+ *    a hook, which is where wmsim pops its FIFOs.
+ * Each machine keeps its own register writes, timing and
+ * instrumentation.
+ */
+
+#ifndef WMSTREAM_RTL_EXEC_H
+#define WMSTREAM_RTL_EXEC_H
+
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "rtl/program.h"
+
+namespace wmstream::rtl {
+
+/** A run-time value: a register, FIFO entry or memory datum. */
+struct Val
+{
+    bool isFloat = false;
+    int64_t i = 0;
+    double f = 0.0;
+};
+
+/** A fault of the executing program: bad address, divide by zero, ... */
+struct ExecError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * Apply binary operator @p op. A float operand makes the operation
+ * floating point; relational operators yield an integer 0 or 1.
+ * Integer arithmetic wraps (two's complement), INT64_MIN / -1 is
+ * INT64_MIN with remainder 0, and shift counts are taken mod 64.
+ * @return nullptr with the result in @p out, or the run-time error:
+ *         a zero divisor, or an operator with no rule for the operands.
+ */
+inline const char *
+applyBin(Op op, const Val &l, const Val &r, Val &out)
+{
+    if (l.isFloat || r.isFloat) {
+        double a = l.isFloat ? l.f : static_cast<double>(l.i);
+        double b = r.isFloat ? r.f : static_cast<double>(r.i);
+        switch (op) {
+          case Op::Add: out = Val{true, 0, a + b}; return nullptr;
+          case Op::Sub: out = Val{true, 0, a - b}; return nullptr;
+          case Op::Mul: out = Val{true, 0, a * b}; return nullptr;
+          case Op::Div:
+            if (b == 0.0)
+                return "floating divide by zero";
+            out = Val{true, 0, a / b};
+            return nullptr;
+          case Op::Eq: out = Val{false, a == b, 0.0}; return nullptr;
+          case Op::Ne: out = Val{false, a != b, 0.0}; return nullptr;
+          case Op::Lt: out = Val{false, a < b, 0.0}; return nullptr;
+          case Op::Le: out = Val{false, a <= b, 0.0}; return nullptr;
+          case Op::Gt: out = Val{false, a > b, 0.0}; return nullptr;
+          case Op::Ge: out = Val{false, a >= b, 0.0}; return nullptr;
+          default: return "bad float operator in RTL";
+        }
+    }
+    int64_t a = l.i, b = r.i;
+    uint64_t ua = static_cast<uint64_t>(a), ub = static_cast<uint64_t>(b);
+    out = Val{};
+    switch (op) {
+      case Op::Add: out.i = static_cast<int64_t>(ua + ub); break;
+      case Op::Sub: out.i = static_cast<int64_t>(ua - ub); break;
+      case Op::Mul: out.i = static_cast<int64_t>(ua * ub); break;
+      case Op::Div:
+        if (b == 0)
+            return "integer divide by zero";
+        out.i = b == -1 ? static_cast<int64_t>(0 - ua) : a / b;
+        break;
+      case Op::Rem:
+        if (b == 0)
+            return "integer remainder by zero";
+        out.i = b == -1 ? 0 : a % b;
+        break;
+      case Op::And: out.i = a & b; break;
+      case Op::Or: out.i = a | b; break;
+      case Op::Xor: out.i = a ^ b; break;
+      case Op::Shl: out.i = static_cast<int64_t>(ua << (b & 63)); break;
+      case Op::Shr: out.i = static_cast<int64_t>(ua >> (b & 63)); break;
+      case Op::Sar: out.i = a >> (b & 63); break;
+      case Op::Eq: out.i = a == b; break;
+      case Op::Ne: out.i = a != b; break;
+      case Op::Lt: out.i = a < b; break;
+      case Op::Le: out.i = a <= b; break;
+      case Op::Gt: out.i = a > b; break;
+      case Op::Ge: out.i = a >= b; break;
+      default: return "bad integer operator in RTL";
+    }
+    return nullptr;
+}
+
+/**
+ * Apply unary operator @p op (integer negation wraps).
+ * @return nullptr with the result in @p out, or the run-time error.
+ */
+inline const char *
+applyUn(Op op, const Val &x, Val &out)
+{
+    switch (op) {
+      case Op::Neg:
+        out = x.isFloat ? Val{true, 0, -x.f}
+                        : Val{false,
+                              static_cast<int64_t>(
+                                  0 - static_cast<uint64_t>(x.i)),
+                              0.0};
+        return nullptr;
+      case Op::Not: out = Val{false, ~x.i, 0.0}; return nullptr;
+      case Op::CvtIF:
+        out = Val{true, 0, static_cast<double>(x.i)};
+        return nullptr;
+      case Op::CvtFI:
+        out = Val{false, static_cast<int64_t>(x.f), 0.0};
+        return nullptr;
+      case Op::CvtWiden: out = x; return nullptr;
+      default: return "bad unary operator in RTL";
+    }
+}
+
+/** The value of a Const node. */
+inline Val
+constVal(const Expr &c)
+{
+    if (isFloatType(c.type()))
+        return Val{true, 0, c.fval()};
+    return Val{false, c.ival(), 0.0};
+}
+
+/** One instruction of the decoded program. */
+struct DecodedInst
+{
+    const Inst *inst;
+    /**
+     * Jump, CondJump, JumpStream: index of the target label's first
+     * instruction in the same function; Call: the callee's entry.
+     * -1 when there is no such target: the error is raised only if
+     * the instruction executes.
+     */
+    int64_t target = -1;
+};
+
+/**
+ * A laid-out program ready to run: decoded code plus memory image.
+ * The program must outlive it.
+ */
+class Executable
+{
+  public:
+    /**
+     * Decode @p prog, which must be laid out, and load its globals
+     * into a zeroed image of @p memBytes bytes.
+     */
+    Executable(const Program &prog, size_t memBytes);
+
+    std::vector<DecodedInst> code;
+    std::vector<uint8_t> mem;
+    /** Index of main's first instruction. */
+    int64_t mainEntry = -1;
+    /**
+     * Why the program cannot start (a global that does not fit the
+     * image, or no main), or empty. A machine's run reports it.
+     */
+    std::string startError;
+
+    /** Initial stack pointer (r30): just below the top of the image. */
+    int64_t initialSp() const
+    {
+        return static_cast<int64_t>(mem.size()) - 64;
+    }
+
+    /** The instruction at @p pc; throws ExecError if out of range. */
+    const DecodedInst &
+    fetch(int64_t pc) const
+    {
+        if (pc < 0 || pc >= static_cast<int64_t>(code.size()))
+            throw ExecError("PC out of range");
+        return code[pc];
+    }
+
+    /** Resolved target of the branch or call at @p pc, or throw. */
+    int64_t
+    target(int64_t pc) const
+    {
+        int64_t t = code[pc].target;
+        if (t < 0)
+            unknownTarget(*code[pc].inst);
+        return t;
+    }
+
+    /** Throw unless [addr, addr + size) lies inside the image. */
+    void
+    checkAddr(int64_t addr, int size) const
+    {
+        if (addr < 0 || addr + size > static_cast<int64_t>(mem.size()))
+            outOfBounds(addr);
+    }
+
+    /**
+     * Read a @p t at @p addr: exactly dataTypeSize(t) bytes. Narrow
+     * integers are zero-extended; F32 widens to double.
+     */
+    Val
+    read(int64_t addr, DataType t) const
+    {
+        Val v;
+        switch (t) {
+          case DataType::I8: v.i = load<uint8_t>(addr); break;
+          case DataType::I16: v.i = load<uint16_t>(addr); break;
+          case DataType::I32: v.i = load<uint32_t>(addr); break;
+          case DataType::I64: v.i = load<int64_t>(addr); break;
+          case DataType::F32:
+            v.isFloat = true;
+            v.f = load<float>(addr);
+            break;
+          case DataType::F64:
+            v.isFloat = true;
+            v.f = load<double>(addr);
+            break;
+        }
+        return v;
+    }
+
+    /**
+     * Write @p v as a @p t at @p addr: exactly dataTypeSize(t) bytes,
+     * converting between integer and float as the type demands.
+     */
+    void
+    write(int64_t addr, DataType t, const Val &v)
+    {
+        if (isFloatType(t)) {
+            double d = v.isFloat ? v.f : static_cast<double>(v.i);
+            if (t == DataType::F32)
+                store(addr, static_cast<float>(d));
+            else
+                store(addr, d);
+            return;
+        }
+        int64_t x = v.isFloat ? static_cast<int64_t>(v.f) : v.i;
+        switch (t) {
+          case DataType::I8: store(addr, static_cast<uint8_t>(x)); break;
+          case DataType::I16: store(addr, static_cast<uint16_t>(x)); break;
+          case DataType::I32: store(addr, static_cast<uint32_t>(x)); break;
+          default: store(addr, x); break;
+        }
+    }
+
+    /**
+     * Evaluate @p e, visiting subtrees left to right, depth first.
+     * Register cells are read through @p readReg(const Expr &reg) ->
+     * Val, so a machine with FIFO registers pops them in this order.
+     */
+    template <class ReadReg>
+    Val
+    eval(const ExprPtr &e, ReadReg &&readReg) const
+    {
+        Val v;
+        const char *err = nullptr;
+        switch (e->kind()) {
+          case Expr::Kind::Reg:
+            return readReg(*e);
+          case Expr::Kind::Const:
+            return constVal(*e);
+          case Expr::Kind::Sym:
+            v.i = prog_.globalAddress(e->symbol()) + e->symOffset();
+            return v;
+          case Expr::Kind::Mem:
+            return read(eval(e->addr(), readReg).i, e->type());
+          case Expr::Kind::Un:
+            err = applyUn(e->op(), eval(e->lhs(), readReg), v);
+            break;
+          case Expr::Kind::Bin: {
+            Val l = eval(e->lhs(), readReg);
+            Val r = eval(e->rhs(), readReg);
+            err = applyBin(e->op(), l, r, v);
+            break;
+          }
+        }
+        if (err)
+            throw ExecError(err);
+        return v;
+    }
+
+  private:
+    template <class T>
+    T
+    load(int64_t addr) const
+    {
+        checkAddr(addr, sizeof(T));
+        T x;
+        std::memcpy(&x, &mem[addr], sizeof(T));
+        return x;
+    }
+
+    template <class T>
+    void
+    store(int64_t addr, T x)
+    {
+        checkAddr(addr, sizeof(T));
+        std::memcpy(&mem[addr], &x, sizeof(T));
+    }
+
+    [[noreturn]] void outOfBounds(int64_t addr) const;
+    [[noreturn]] static void unknownTarget(const Inst &inst);
+
+    const Program &prog_;
+};
+
+} // namespace wmstream::rtl
+
+#endif // WMSTREAM_RTL_EXEC_H

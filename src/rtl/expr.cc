@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "rtl/exec.h"
 #include "support/diag.h"
 
 namespace wmstream::rtl {
@@ -219,45 +220,6 @@ makeUnRaw(Op op, ExprPtr x, DataType t)
 
 namespace {
 
-int64_t
-foldInt(Op op, int64_t a, int64_t b)
-{
-    switch (op) {
-      case Op::Add: return a + b;
-      case Op::Sub: return a - b;
-      case Op::Mul: return a * b;
-      case Op::Div: return b ? a / b : 0;
-      case Op::Rem: return b ? a % b : 0;
-      case Op::And: return a & b;
-      case Op::Or: return a | b;
-      case Op::Xor: return a ^ b;
-      case Op::Shl: return a << (b & 63);
-      case Op::Shr:
-        return static_cast<int64_t>(static_cast<uint64_t>(a) >> (b & 63));
-      case Op::Sar: return a >> (b & 63);
-      case Op::Eq: return a == b;
-      case Op::Ne: return a != b;
-      case Op::Lt: return a < b;
-      case Op::Le: return a <= b;
-      case Op::Gt: return a > b;
-      case Op::Ge: return a >= b;
-      default: WS_PANIC("foldInt: bad op");
-    }
-}
-
-double
-foldFlt(Op op, double a, double b, bool *ok)
-{
-    *ok = true;
-    switch (op) {
-      case Op::Add: return a + b;
-      case Op::Sub: return a - b;
-      case Op::Mul: return a * b;
-      case Op::Div: return b != 0.0 ? a / b : (*ok = false, 0.0);
-      default: *ok = false; return 0.0;
-    }
-}
-
 bool
 isCommutative(Op op)
 {
@@ -293,18 +255,14 @@ makeBin(Op op, ExprPtr l, ExprPtr r)
     DataType rt = binResultType(op, l, r);
 
     bool lfloat = isFloatType(l->type());
-    // Constant folding.
-    if (l->isConst() && r->isConst()) {
-        if (!lfloat && !isFloatType(r->type())) {
-            return makeConst(foldInt(op, l->ival(), r->ival()), rt);
-        }
-        if (lfloat && isFloatType(r->type()) && !isRelationalOp(op)) {
-            bool ok;
-            double v = foldFlt(op, l->fval(), r->fval(), &ok);
-            if (ok)
-                return makeFConst(v, rt);
-        }
-    }
+    // Constant folding, by the machines' own operator rules. An
+    // operation that would trap at run time (a zero divisor) is left
+    // for the machine to trap on.
+    Val v;
+    if (l->isConst() && r->isConst() && lfloat == isFloatType(r->type()) &&
+            !(lfloat && isRelationalOp(op)) &&
+            !applyBin(op, constVal(*l), constVal(*r), v))
+        return lfloat ? makeFConst(v.f, rt) : makeConst(v.i, rt);
 
     // Sym +/- const folds into the symbol's offset.
     if (l->isSym() && r->isConst() && !isFloatType(r->type())) {
@@ -345,10 +303,13 @@ makeBin(Op op, ExprPtr l, ExprPtr r)
                 l->kind() == Expr::Kind::Bin &&
                 (l->op() == Op::Add || l->op() == Op::Sub) &&
                 l->rhs()->isConst() && !isFloatType(l->rhs()->type())) {
-            int64_t c1 = l->op() == Op::Add ? l->rhs()->ival()
-                                            : -l->rhs()->ival();
-            int64_t c2 = op == Op::Add ? r->ival() : -r->ival();
-            return makeBin(Op::Add, l->lhs(), makeConst(c1 + c2, rt));
+            // Unsigned, so the sum wraps as the machines' Add does.
+            auto c1 = static_cast<uint64_t>(l->rhs()->ival());
+            auto c2 = static_cast<uint64_t>(r->ival());
+            uint64_t c = (l->op() == Op::Add ? c1 : 0 - c1) +
+                         (op == Op::Add ? c2 : 0 - c2);
+            return makeBin(Op::Add, l->lhs(),
+                           makeConst(static_cast<int64_t>(c), rt));
         }
     }
 
@@ -358,32 +319,13 @@ makeBin(Op op, ExprPtr l, ExprPtr r)
 ExprPtr
 makeUn(Op op, ExprPtr x, DataType result)
 {
-    if (x->isConst()) {
-        switch (op) {
-          case Op::Neg:
-            if (isFloatType(x->type()))
-                return makeFConst(-x->fval(), result);
-            return makeConst(-x->ival(), result);
-          case Op::Not:
-            if (!isFloatType(x->type()))
-                return makeConst(~x->ival(), result);
-            break;
-          case Op::CvtIF:
-            if (!isFloatType(x->type()))
-                return makeFConst(static_cast<double>(x->ival()), result);
-            break;
-          case Op::CvtFI:
-            if (isFloatType(x->type()))
-                return makeConst(static_cast<int64_t>(x->fval()), result);
-            break;
-          case Op::CvtWiden:
-            if (!isFloatType(x->type()))
-                return makeConst(x->ival(), result);
-            break;
-          default:
-            break;
-        }
-    }
+    // Fold by the machines' rules where the operand kind suits the
+    // operator: Neg takes either, CvtFI a float, the rest an integer.
+    bool flt = isFloatType(x->type());
+    Val v;
+    if (x->isConst() && (op == Op::Neg || flt == (op == Op::CvtFI)) &&
+            !applyUn(op, constVal(*x), v))
+        return v.isFloat ? makeFConst(v.f, result) : makeConst(v.i, result);
     return makeUnRaw(op, std::move(x), result);
 }
 

@@ -1,20 +1,17 @@
 #include "timing/scalar_sim.h"
 
-#include <cstring>
-#include <unordered_map>
-
-#include "support/diag.h"
-#include "support/str.h"
+#include "rtl/exec.h"
 
 namespace wmstream::timing {
 
-using rtl::DataType;
+using rtl::ExecError;
 using rtl::Expr;
 using rtl::ExprPtr;
 using rtl::Inst;
 using rtl::InstKind;
 using rtl::Op;
 using rtl::RegFile;
+using rtl::Val;
 
 CostModel
 sun3_280Model()
@@ -159,77 +156,30 @@ ScalarRunResult::exportCounters(obs::CounterRegistry &reg) const
 
 namespace {
 
-struct Val
-{
-    bool isFloat = false;
-    int64_t i = 0;
-    double f = 0.0;
-};
-
-struct RunError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
 class ScalarMachine
 {
   public:
     ScalarMachine(const rtl::Program &prog, const CostModel &model,
                   uint64_t maxInsts, size_t memBytes)
-        : prog_(prog), model_(model), maxInsts_(maxInsts)
+        : exe_(prog, memBytes), model_(model), maxInsts_(maxInsts)
     {
-        mem_.assign(memBytes, 0);
-        int fi = 0;
-        for (const auto &fp : prog.functions()) {
-            funcEntry_[fp->name()] = static_cast<int64_t>(code_.size());
-            labels_.emplace_back();
-            for (const auto &bp : fp->blocks()) {
-                labels_[fi][bp->label()] =
-                    static_cast<int64_t>(code_.size());
-                for (const Inst &inst : bp->insts)
-                    code_.push_back({&inst, fi});
-            }
-            ++fi;
-        }
-        for (const auto &g : prog.globals()) {
-            WS_ASSERT(g.address >= 0, "program not laid out");
-            if (g.address + g.size > static_cast<int64_t>(mem_.size())) {
-                loadError_ = strFormat(
-                    "global %s (%lld bytes at %lld) exceeds simulated "
-                    "memory (%zu bytes)",
-                    g.name.c_str(), static_cast<long long>(g.size),
-                    static_cast<long long>(g.address), mem_.size());
-                return;
-            }
-            if (!g.init.empty())
-                std::memcpy(&mem_[g.address], g.init.data(),
-                            g.init.size());
-        }
-        rreg_[30] = static_cast<int64_t>(mem_.size()) - 64;
+        rreg_[30] = exe_.initialSp();
     }
 
     ScalarRunResult
     run()
     {
         ScalarRunResult res;
-        if (!loadError_.empty()) {
-            res.error = loadError_;
+        if (!exe_.startError.empty()) {
+            res.error = exe_.startError;
             return res;
         }
-        auto it = funcEntry_.find("main");
-        if (it == funcEntry_.end()) {
-            res.error = "no main function";
-            return res;
-        }
-        int64_t pc = it->second;
+        int64_t pc = exe_.mainEntry;
         try {
             for (;;) {
                 if (res.instsExecuted++ > maxInsts_)
-                    throw RunError("instruction budget exceeded");
-                if (pc < 0 || pc >= static_cast<int64_t>(code_.size()))
-                    throw RunError("PC out of range");
-                const Inst &inst = *code_[pc].inst;
-                int func = code_[pc].func;
+                    throw ExecError("instruction budget exceeded");
+                const Inst &inst = *exe_.fetch(pc).inst;
                 switch (inst.kind) {
                   case InstKind::Assign: {
                     Val v = eval(inst.src);
@@ -246,7 +196,7 @@ class ScalarMachine
                   }
                   case InstKind::Load: {
                     Val a = eval(inst.addr);
-                    writeReg(inst.dst, memRead(a.i, inst.memType));
+                    writeReg(inst.dst, exe_.read(a.i, inst.memType));
                     charge(res, CostClass::Load);
                     ++res.memoryRefs;
                     ++pc;
@@ -255,29 +205,26 @@ class ScalarMachine
                   case InstKind::Store: {
                     Val a = eval(inst.addr);
                     Val v = eval(inst.src);
-                    memWrite(a.i, inst.memType, v);
+                    exe_.write(a.i, inst.memType, v);
                     charge(res, CostClass::Store);
                     ++res.memoryRefs;
                     ++pc;
                     break;
                   }
                   case InstKind::Jump:
-                    pc = label(func, inst.target);
+                    pc = exe_.target(pc);
                     charge(res, CostClass::Branch);
                     break;
                   case InstKind::CondJump: {
                     bool c = cc_[inst.side == rtl::UnitSide::Flt ? 1 : 0];
-                    pc = (c == inst.when) ? label(func, inst.target)
-                                          : pc + 1;
+                    pc = (c == inst.when) ? exe_.target(pc) : pc + 1;
                     charge(res, CostClass::Branch);
                     break;
                   }
                   case InstKind::Call: {
-                    auto fit = funcEntry_.find(inst.target);
-                    if (fit == funcEntry_.end())
-                        throw RunError("unknown function " + inst.target);
+                    int64_t callee = exe_.target(pc);
                     ra_.push_back(pc + 1);
-                    pc = fit->second;
+                    pc = callee;
                     charge(res, CostClass::Call);
                     break;
                   }
@@ -292,10 +239,10 @@ class ScalarMachine
                     ra_.pop_back();
                     break;
                   default:
-                    throw RunError("stream instruction on scalar target");
+                    throw ExecError("stream instruction on scalar target");
                 }
             }
-        } catch (const RunError &e) {
+        } catch (const ExecError &e) {
             res.error = e.what();
             res.ok = false;
             return res;
@@ -366,54 +313,6 @@ class ScalarMachine
         }
     }
 
-    int64_t
-    label(int func, const std::string &l)
-    {
-        auto it = labels_[func].find(l);
-        if (it == labels_[func].end())
-            throw RunError("unknown label " + l);
-        return it->second;
-    }
-
-    void
-    checkAddr(int64_t addr, int size)
-    {
-        if (addr < 0 || addr + size > static_cast<int64_t>(mem_.size()))
-            throw RunError(strFormat("memory access out of bounds: %lld",
-                                     static_cast<long long>(addr)));
-    }
-
-    Val
-    memRead(int64_t addr, DataType t)
-    {
-        int size = rtl::dataTypeSize(t);
-        checkAddr(addr, size);
-        Val v;
-        if (rtl::isFloatType(t)) {
-            v.isFloat = true;
-            std::memcpy(&v.f, &mem_[addr], 8);
-        } else if (size == 8) {
-            std::memcpy(&v.i, &mem_[addr], 8);
-        } else if (size == 1) {
-            v.i = mem_[addr];
-        }
-        return v;
-    }
-
-    void
-    memWrite(int64_t addr, DataType t, const Val &v)
-    {
-        int size = rtl::dataTypeSize(t);
-        checkAddr(addr, size);
-        if (rtl::isFloatType(t)) {
-            double d = v.isFloat ? v.f : static_cast<double>(v.i);
-            std::memcpy(&mem_[addr], &d, 8);
-        } else {
-            int64_t x = v.isFloat ? static_cast<int64_t>(v.f) : v.i;
-            std::memcpy(&mem_[addr], &x, size);
-        }
-    }
-
     void
     writeReg(const ExprPtr &dst, const Val &v)
     {
@@ -429,143 +328,22 @@ class ScalarMachine
     Val
     eval(const ExprPtr &e)
     {
-        switch (e->kind()) {
-          case Expr::Kind::Const: {
+        return exe_.eval(e, [this](const Expr &r) {
             Val v;
-            if (rtl::isFloatType(e->type())) {
-                v.isFloat = true;
-                v.f = e->fval();
-            } else {
-                v.i = e->ival();
-            }
-            return v;
-          }
-          case Expr::Kind::Sym: {
-            Val v;
-            v.i = prog_.globalAddress(e->symbol()) + e->symOffset();
-            return v;
-          }
-          case Expr::Kind::Reg: {
-            Val v;
-            int idx = e->regIndex();
-            if (e->regFile() == RegFile::Flt) {
+            int idx = r.regIndex();
+            if (r.regFile() == RegFile::Flt) {
                 v.isFloat = true;
                 v.f = idx == 31 ? 0.0 : freg_[idx];
             } else {
                 v.i = idx == 31 ? 0 : rreg_[idx];
             }
             return v;
-          }
-          case Expr::Kind::Mem: {
-            Val a = eval(e->addr());
-            return memRead(a.i, e->type());
-          }
-          case Expr::Kind::Un: {
-            Val x = eval(e->lhs());
-            Val v;
-            switch (e->op()) {
-              case Op::Neg:
-                if (x.isFloat) {
-                    v.isFloat = true;
-                    v.f = -x.f;
-                } else {
-                    v.i = -x.i;
-                }
-                return v;
-              case Op::Not: v.i = ~x.i; return v;
-              case Op::CvtIF:
-                v.isFloat = true;
-                v.f = static_cast<double>(x.i);
-                return v;
-              case Op::CvtFI:
-                v.i = static_cast<int64_t>(x.f);
-                return v;
-              default:
-                throw RunError("bad unary op");
-            }
-          }
-          case Expr::Kind::Bin: {
-            Val l = eval(e->lhs());
-            Val r = eval(e->rhs());
-            Val v;
-            if (l.isFloat || r.isFloat) {
-                double a = l.isFloat ? l.f : static_cast<double>(l.i);
-                double b = r.isFloat ? r.f : static_cast<double>(r.i);
-                switch (e->op()) {
-                  case Op::Add: v.isFloat = true; v.f = a + b; return v;
-                  case Op::Sub: v.isFloat = true; v.f = a - b; return v;
-                  case Op::Mul: v.isFloat = true; v.f = a * b; return v;
-                  case Op::Div:
-                    if (b == 0.0)
-                        throw RunError("floating divide by zero");
-                    v.isFloat = true;
-                    v.f = a / b;
-                    return v;
-                  case Op::Eq: v.i = a == b; return v;
-                  case Op::Ne: v.i = a != b; return v;
-                  case Op::Lt: v.i = a < b; return v;
-                  case Op::Le: v.i = a <= b; return v;
-                  case Op::Gt: v.i = a > b; return v;
-                  case Op::Ge: v.i = a >= b; return v;
-                  default:
-                    throw RunError("bad float op");
-                }
-            }
-            int64_t a = l.i, b = r.i;
-            auto u = [](int64_t x) { return static_cast<uint64_t>(x); };
-            switch (e->op()) {
-              case Op::Add: v.i = static_cast<int64_t>(u(a) + u(b));
-                return v;
-              case Op::Sub: v.i = static_cast<int64_t>(u(a) - u(b));
-                return v;
-              case Op::Mul: v.i = static_cast<int64_t>(u(a) * u(b));
-                return v;
-              case Op::Div:
-                if (!b)
-                    throw RunError("integer divide by zero");
-                v.i = a / b;
-                return v;
-              case Op::Rem:
-                if (!b)
-                    throw RunError("integer remainder by zero");
-                v.i = a % b;
-                return v;
-              case Op::And: v.i = a & b; return v;
-              case Op::Or: v.i = a | b; return v;
-              case Op::Xor: v.i = a ^ b; return v;
-              case Op::Shl: v.i = a << (b & 63); return v;
-              case Op::Shr:
-                v.i = static_cast<int64_t>(u(a) >> (b & 63));
-                return v;
-              case Op::Sar: v.i = a >> (b & 63); return v;
-              case Op::Eq: v.i = a == b; return v;
-              case Op::Ne: v.i = a != b; return v;
-              case Op::Lt: v.i = a < b; return v;
-              case Op::Le: v.i = a <= b; return v;
-              case Op::Gt: v.i = a > b; return v;
-              case Op::Ge: v.i = a >= b; return v;
-              default:
-                throw RunError("bad int op");
-            }
-          }
-        }
-        throw RunError("bad expression");
+        });
     }
 
-    struct FlatInst
-    {
-        const Inst *inst;
-        int func;
-    };
-
-    const rtl::Program &prog_;
+    rtl::Executable exe_;
     const CostModel &model_;
     uint64_t maxInsts_;
-    std::vector<uint8_t> mem_;
-    std::string loadError_; ///< image didn't fit; reported by run()
-    std::vector<FlatInst> code_;
-    std::unordered_map<std::string, int64_t> funcEntry_;
-    std::vector<std::unordered_map<std::string, int64_t>> labels_;
     int64_t rreg_[32] = {};
     double freg_[32] = {};
     bool cc_[2] = {false, false};

@@ -74,7 +74,7 @@ const char *stallCauseName(StallCause c);
 /** What kind of fault ended the run (SimResult::fault). */
 enum class SimFault : uint8_t {
     None,         ///< run completed (or failed before simulation)
-    RuntimeError, ///< program error: bad address, divide by zero, ...
+    RuntimeError, ///< program error: bad address, zero divisor, ...
     Deadlock,     ///< watchdog: no progress for a full window
     Livelock,     ///< cycle limit reached while still making progress
 };

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 
+#include "rtl/exec.h"
 #include "support/diag.h"
 #include "support/rng.h"
 #include "support/str.h"
@@ -13,6 +14,7 @@
 namespace wmstream::wmsim {
 
 using rtl::DataType;
+using rtl::ExecError;
 using rtl::Expr;
 using rtl::ExprPtr;
 using rtl::Inst;
@@ -20,16 +22,9 @@ using rtl::InstKind;
 using rtl::Op;
 using rtl::RegFile;
 using rtl::UnitSide;
+using rtl::Val;
 
 namespace {
-
-/** A runtime value moving through FIFOs. */
-struct Val
-{
-    bool isFloat = false;
-    int64_t i = 0;
-    double f = 0.0;
-};
 
 /** Which engine executes an instruction. */
 enum class Engine : uint8_t { IFU, IEU, FEU, SCU };
@@ -73,11 +68,6 @@ engineOf(const Inst &inst)
     }
     return Engine::IEU;
 }
-
-struct RunError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
 
 } // anonymous namespace
 
@@ -243,21 +233,11 @@ simTimeSeriesChannels()
 
 struct Simulator::Impl
 {
-    // ---- static program state ----
-    const rtl::Program &prog;
     SimConfig cfg;
-    struct FlatInst
-    {
-        const Inst *inst;
-        int func;
-        int64_t seqAtDispatch = 0; // scratch
-    };
-    std::vector<FlatInst> code;
-    std::unordered_map<std::string, int64_t> funcEntry;
-    std::vector<std::unordered_map<std::string, int64_t>> labelIdx;
+    /** Decoded code and the memory image. */
+    rtl::Executable exe;
 
     // ---- dynamic state ----
-    std::vector<uint8_t> mem;
     int64_t rreg[32] = {};
     double freg[32] = {};
 
@@ -281,7 +261,7 @@ struct Simulator::Impl
         uint64_t deliverAt;
         int64_t addr;
         int size;
-        bool isFloat;
+        DataType type;
         int64_t seq;
         int scu = -1; // owning stream, or -1 for a scalar load
         int32_t ev = -1;   ///< critpath issue event
@@ -294,6 +274,7 @@ struct Simulator::Impl
     {
         int64_t addr;
         int size;
+        DataType type;
         int64_t seq;
         int32_t ev = -1; ///< critpath address-generation event
         int loop = -1;
@@ -362,7 +343,6 @@ struct Simulator::Impl
     int64_t seqCounter = 0;
     int portsUsed = 0;
     SimStats stats;
-    std::string pendingError;
     bool trace = std::getenv("WS_TRACE") != nullptr;
 
     // ---- watchdog state ----
@@ -609,14 +589,11 @@ struct Simulator::Impl
     }
 
     Impl(const rtl::Program &p, SimConfig c)
-        : prog(p), cfg(c), chaos(c.chaosSeed != 0),
+        : cfg(c), exe(p, c.memBytes), chaos(c.chaosSeed != 0),
           chaosRng(c.chaosSeed)
     {
-        mem.assign(cfg.memBytes, 0);
         scus.resize(cfg.numSCUs);
-        flatten();
-        loadImage();
-        rreg[30] = static_cast<int64_t>(cfg.memBytes) - 64;
+        rreg[30] = exe.initialSp();
         for (double &v : traceLast)
             v = -1.0;
         if (cfg.trace) {
@@ -818,95 +795,6 @@ struct Simulator::Impl
                     std::max<uint64_t>(now - scuStartCycle[i], 1));
     }
 
-    void
-    flatten()
-    {
-        int fi = 0;
-        for (const auto &fp : prog.functions()) {
-            funcEntry[fp->name()] = static_cast<int64_t>(code.size());
-            labelIdx.emplace_back();
-            for (const auto &bp : fp->blocks()) {
-                labelIdx[fi][bp->label()] =
-                    static_cast<int64_t>(code.size());
-                for (const Inst &inst : bp->insts)
-                    code.push_back({&inst, fi, 0});
-                // A block that falls off the end of the function is a
-                // front-end bug; the expander always terminates.
-            }
-            ++fi;
-        }
-    }
-
-    void
-    loadImage()
-    {
-        for (const auto &g : prog.globals()) {
-            WS_ASSERT(g.address >= 0, "program not laid out");
-            // Globals that do not fit the configured memory are a
-            // property of the user's program (e.g. a huge array), not
-            // an internal invariant: fail the run gracefully.
-            if (g.address + g.size >
-                    static_cast<int64_t>(mem.size())) {
-                pendingError = strFormat(
-                    "global '%s' (%lld bytes at %lld) exceeds "
-                    "simulated memory (%zu bytes); raise "
-                    "SimConfig::memBytes or shrink the data",
-                    g.name.c_str(), static_cast<long long>(g.size),
-                    static_cast<long long>(g.address), mem.size());
-                return;
-            }
-            if (!g.init.empty())
-                std::memcpy(&mem[g.address], g.init.data(),
-                            g.init.size());
-        }
-    }
-
-    // ---- memory helpers ----
-    void
-    checkAddr(int64_t addr, int size)
-    {
-        if (addr < 0 || addr + size > static_cast<int64_t>(mem.size()))
-            throw RunError(strFormat("memory access out of bounds: %lld",
-                                     static_cast<long long>(addr)));
-    }
-
-    Val
-    memRead(int64_t addr, DataType t)
-    {
-        int size = rtl::dataTypeSize(t);
-        checkAddr(addr, size);
-        Val v;
-        if (rtl::isFloatType(t)) {
-            v.isFloat = true;
-            double d;
-            std::memcpy(&d, &mem[addr], 8);
-            v.f = d;
-        } else if (size == 8) {
-            std::memcpy(&v.i, &mem[addr], 8);
-        } else if (size == 1) {
-            v.i = mem[addr];
-        } else {
-            int64_t x = 0;
-            std::memcpy(&x, &mem[addr], size);
-            v.i = x;
-        }
-        return v;
-    }
-
-    void
-    memWrite(int64_t addr, DataType t, const Val &v)
-    {
-        int size = rtl::dataTypeSize(t);
-        checkAddr(addr, size);
-        if (rtl::isFloatType(t)) {
-            double d = v.isFloat ? v.f : static_cast<double>(v.i);
-            std::memcpy(&mem[addr], &d, 8);
-        } else {
-            int64_t x = v.isFloat ? static_cast<int64_t>(v.f) : v.i;
-            std::memcpy(&mem[addr], &x, size);
-        }
-    }
-
     // ---- register / FIFO access during evaluation ----
 
     /** Count FIFO reads per (side, fifo) required by @p e. */
@@ -933,155 +821,26 @@ struct Simulator::Impl
     Val
     eval(const ExprPtr &e)
     {
-        switch (e->kind()) {
-          case Expr::Kind::Const: {
+        return exe.eval(e, [this](const Expr &r) {
+            int s = r.regFile() == RegFile::Flt ? 1 : 0;
+            int idx = r.regIndex();
             Val v;
-            if (rtl::isFloatType(e->type())) {
+            if (idx == 0 || idx == 1) {
+                WS_ASSERT(!inFifo[s][idx].empty(),
+                          "FIFO underflow (availability pre-checked)");
+                v = inFifo[s][idx].front();
+                inFifo[s][idx].pop_front();
+                if (cp)
+                    cpPopIn(s, idx);
+                v.isFloat = s == 1;
+            } else if (s == 1) {
                 v.isFloat = true;
-                v.f = e->fval();
+                v.f = idx == 31 ? 0.0 : freg[idx];
             } else {
-                v.i = e->ival();
+                v.i = idx == 31 ? 0 : rreg[idx];
             }
             return v;
-          }
-          case Expr::Kind::Sym: {
-            Val v;
-            v.i = prog.globalAddress(e->symbol()) + e->symOffset();
-            return v;
-          }
-          case Expr::Kind::Reg: {
-            RegFile f = e->regFile();
-            int idx = e->regIndex();
-            Val v;
-            if (f == RegFile::Flt) {
-                v.isFloat = true;
-                if (idx == 31) {
-                    v.f = 0.0;
-                } else if (idx == 0 || idx == 1) {
-                    WS_ASSERT(!inFifo[1][idx].empty(),
-                              "FIFO underflow (availability pre-checked)");
-                    v = inFifo[1][idx].front();
-                    inFifo[1][idx].pop_front();
-                    if (cp)
-                        cpPopIn(1, idx);
-                    v.isFloat = true;
-                } else {
-                    v.f = freg[idx];
-                }
-            } else {
-                if (idx == 31) {
-                    v.i = 0;
-                } else if (idx == 0 || idx == 1) {
-                    WS_ASSERT(!inFifo[0][idx].empty(),
-                              "FIFO underflow (availability pre-checked)");
-                    v = inFifo[0][idx].front();
-                    inFifo[0][idx].pop_front();
-                    if (cp)
-                        cpPopIn(0, idx);
-                    v.isFloat = false;
-                } else {
-                    v.i = rreg[idx];
-                }
-            }
-            return v;
-          }
-          case Expr::Kind::Mem: {
-            Val a = eval(e->addr());
-            return memRead(a.i, e->type());
-          }
-          case Expr::Kind::Un: {
-            Val x = eval(e->lhs());
-            Val v;
-            switch (e->op()) {
-              case Op::Neg:
-                if (x.isFloat) {
-                    v.isFloat = true;
-                    v.f = -x.f;
-                } else {
-                    v.i = -x.i;
-                }
-                return v;
-              case Op::Not:
-                v.i = ~x.i;
-                return v;
-              case Op::CvtIF:
-                v.isFloat = true;
-                v.f = static_cast<double>(x.i);
-                return v;
-              case Op::CvtFI:
-                v.i = static_cast<int64_t>(x.f);
-                return v;
-              case Op::CvtWiden:
-                return x;
-              default:
-                throw RunError("bad unary operator in RTL");
-            }
-          }
-          case Expr::Kind::Bin: {
-            Val l = eval(e->lhs());
-            Val r = eval(e->rhs());
-            Val v;
-            bool flt = l.isFloat || r.isFloat;
-            if (flt) {
-                double a = l.isFloat ? l.f : static_cast<double>(l.i);
-                double b = r.isFloat ? r.f : static_cast<double>(r.i);
-                switch (e->op()) {
-                  case Op::Add: v.isFloat = true; v.f = a + b; return v;
-                  case Op::Sub: v.isFloat = true; v.f = a - b; return v;
-                  case Op::Mul: v.isFloat = true; v.f = a * b; return v;
-                  case Op::Div:
-                    if (b == 0.0)
-                        throw RunError("floating divide by zero");
-                    v.isFloat = true;
-                    v.f = a / b;
-                    return v;
-                  case Op::Eq: v.i = a == b; return v;
-                  case Op::Ne: v.i = a != b; return v;
-                  case Op::Lt: v.i = a < b; return v;
-                  case Op::Le: v.i = a <= b; return v;
-                  case Op::Gt: v.i = a > b; return v;
-                  case Op::Ge: v.i = a >= b; return v;
-                  default:
-                    throw RunError("bad float operator in RTL");
-                }
-            }
-            int64_t a = l.i, b = r.i;
-            auto u = [](int64_t x) { return static_cast<uint64_t>(x); };
-            switch (e->op()) {
-              case Op::Add: v.i = static_cast<int64_t>(u(a) + u(b)); break;
-              case Op::Sub: v.i = static_cast<int64_t>(u(a) - u(b)); break;
-              case Op::Mul: v.i = static_cast<int64_t>(u(a) * u(b)); break;
-              case Op::Div:
-                if (b == 0)
-                    throw RunError("integer divide by zero");
-                v.i = a / b;
-                break;
-              case Op::Rem:
-                if (b == 0)
-                    throw RunError("integer remainder by zero");
-                v.i = a % b;
-                break;
-              case Op::And: v.i = a & b; break;
-              case Op::Or: v.i = a | b; break;
-              case Op::Xor: v.i = a ^ b; break;
-              case Op::Shl: v.i = a << (b & 63); break;
-              case Op::Shr:
-                v.i = static_cast<int64_t>(u(a) >> (b & 63));
-                break;
-              case Op::Sar: v.i = a >> (b & 63); break;
-              case Op::Eq: v.i = a == b; break;
-              case Op::Ne: v.i = a != b; break;
-              case Op::Lt: v.i = a < b; break;
-              case Op::Le: v.i = a <= b; break;
-              case Op::Gt: v.i = a > b; break;
-              case Op::Ge: v.i = a >= b; break;
-              default:
-                throw RunError("bad integer operator in RTL");
-            }
-            return v;
-          }
-        }
-        throw RunError("bad expression in RTL");
+        });
     }
 
     void
@@ -1256,13 +1015,7 @@ struct Simulator::Impl
                             cfg.dataFifoDepth) {
                         break;
                     }
-                    Val v = memRead(req.addr,
-                                    req.isFloat
-                                        ? DataType::F64
-                                        : (req.size == 8 ? DataType::I64
-                                           : req.size == 1
-                                               ? DataType::I8
-                                               : DataType::I32));
+                    Val v = exe.read(req.addr, req.type);
                     inFifo[side][f].push_back(v);
                     if (cp) {
                         int32_t ev = cpEvent(
@@ -1328,13 +1081,7 @@ struct Simulator::Impl
             if (outFifo[side][0].empty())
                 continue;
             StoreReq st = storeQ[side].front();
-            Val v = outFifo[side][0].front();
-            DataType t = side == 1
-                             ? DataType::F64
-                             : (st.size == 8 ? DataType::I64
-                                : st.size == 1 ? DataType::I8
-                                               : DataType::I32);
-            memWrite(st.addr, t, v);
+            exe.write(st.addr, st.type, outFifo[side][0].front());
             if (cp) {
                 // Commit runs after stepUnit in the same cycle, so
                 // both the address generation and the data enqueue
@@ -1392,7 +1139,7 @@ struct Simulator::Impl
                                     chaosLatency();
                     req.addr = s.base + s.issued * s.stride;
                     req.size = rtl::dataTypeSize(s.type);
-                    req.isFloat = rtl::isFloatType(s.type);
+                    req.type = s.type;
                     req.seq = s.seq;
                     req.scu = static_cast<int>(i);
                     // Bounds are checked at delivery; unbounded streams
@@ -1400,7 +1147,7 @@ struct Simulator::Impl
                     // never deliver, so clamp errors here.
                     if (req.addr < 0 ||
                             req.addr + req.size >
-                                static_cast<int64_t>(mem.size())) {
+                                static_cast<int64_t>(exe.mem.size())) {
                         s.closed = true; // stop prefetching
                         break;
                     }
@@ -1460,7 +1207,7 @@ struct Simulator::Impl
                         s.lastIssueEv = ev;
                         s.lastElemEv = ev;
                     }
-                    memWrite(s.base + s.done * s.stride, s.type, v);
+                    exe.write(s.base + s.done * s.stride, s.type, v);
                     ++s.done;
                     if (!s.enqSeqs.empty())
                         s.enqSeqs.pop_front();
@@ -1474,54 +1221,6 @@ struct Simulator::Impl
                         cpRetire(s, s.lastElemEv);
                 }
             }
-        }
-    }
-
-    /** One element-wise vector operation on runtime values. */
-    Val
-    vecApply(Op op, const Val &a, const Val &b)
-    {
-        Val r;
-        if (a.isFloat || b.isFloat) {
-            double x = a.isFloat ? a.f : static_cast<double>(a.i);
-            double y = b.isFloat ? b.f : static_cast<double>(b.i);
-            r.isFloat = true;
-            switch (op) {
-              case Op::Add: r.f = x + y; return r;
-              case Op::Sub: r.f = x - y; return r;
-              case Op::Mul: r.f = x * y; return r;
-              case Op::Div:
-                if (y == 0.0)
-                    throw RunError("vector floating divide by zero");
-                r.f = x / y;
-                return r;
-              default:
-                throw RunError("bad float vector operator");
-            }
-        }
-        auto u = [](int64_t v) { return static_cast<uint64_t>(v); };
-        switch (op) {
-          case Op::Add: r.i = static_cast<int64_t>(u(a.i) + u(b.i));
-            return r;
-          case Op::Sub: r.i = static_cast<int64_t>(u(a.i) - u(b.i));
-            return r;
-          case Op::Mul: r.i = static_cast<int64_t>(u(a.i) * u(b.i));
-            return r;
-          case Op::Div:
-            if (!b.i)
-                throw RunError("vector integer divide by zero");
-            r.i = a.i / b.i;
-            return r;
-          case Op::And: r.i = a.i & b.i; return r;
-          case Op::Or: r.i = a.i | b.i; return r;
-          case Op::Xor: r.i = a.i ^ b.i; return r;
-          case Op::Shl: r.i = a.i << (b.i & 63); return r;
-          case Op::Shr:
-            r.i = static_cast<int64_t>(u(a.i) >> (b.i & 63));
-            return r;
-          case Op::Sar: r.i = a.i >> (b.i & 63); return r;
-          default:
-            throw RunError("bad vector operator");
         }
     }
 
@@ -1577,7 +1276,8 @@ struct Simulator::Impl
                     if (cp)
                         cpPopIn(veu.s2Side, veu.s2Fifo);
                 }
-                r = vecApply(veu.op, a, b);
+                if (const char *err = rtl::applyBin(veu.op, a, b, r))
+                    throw ExecError(err);
             }
             if (veu.dstSide == 1 && !r.isFloat) {
                 r.f = static_cast<double>(r.i);
@@ -1707,11 +1407,11 @@ struct Simulator::Impl
             req.deliverAt = now + cfg.memLatency + chaosLatency();
             req.addr = a.i;
             req.size = rtl::dataTypeSize(inst.memType);
-            req.isFloat = flt;
+            req.type = inst.memType;
             req.seq = seq;
             req.ev = ev;
             req.loop = inst.loopId;
-            checkAddr(req.addr, req.size);
+            exe.checkAddr(req.addr, req.size);
             inflight[side][0].push_back(req);
             ++portsUsed;
             ++stats.loadsIssued;
@@ -1728,10 +1428,10 @@ struct Simulator::Impl
             if (cp)
                 ev = cpUnitExecEvent(u, inst);
             Val a = eval(inst.addr);
-            checkAddr(a.i, rtl::dataTypeSize(inst.memType));
-            storeQ[side].push_back({a.i,
-                                    rtl::dataTypeSize(inst.memType),
-                                    seq, ev, inst.loopId});
+            int size = rtl::dataTypeSize(inst.memType);
+            exe.checkAddr(a.i, size);
+            storeQ[side].push_back(
+                {a.i, size, inst.memType, seq, ev, inst.loopId});
             if (cp)
                 // Commit (the freeing pop) is a later phase: a pop at
                 // cycle t admits the next store address at t+1.
@@ -1743,7 +1443,7 @@ struct Simulator::Impl
             break;
           }
           default:
-            throw RunError("non-unit instruction in unit queue");
+            throw ExecError("non-unit instruction in unit queue");
         }
         unitQ[u].pop_front();
         if (u == 0)
@@ -1791,15 +1491,6 @@ struct Simulator::Impl
         return loopBuckets.back();
     }
 
-    int64_t
-    resolveLabel(int func, const std::string &label)
-    {
-        auto it = labelIdx[func].find(label);
-        if (it == labelIdx[func].end())
-            throw RunError("jump to unknown label " + label);
-        return it->second;
-    }
-
     void
     fetchAndDispatch()
     {
@@ -1815,17 +1506,14 @@ struct Simulator::Impl
         for (int budget = width; budget > 0; --budget) {
             if (returned)
                 return;
-            if (pc < 0 || pc >= static_cast<int64_t>(code.size()))
-                throw RunError("PC out of range");
-            FlatInst &fi = code[pc];
-            const Inst &inst = *fi.inst;
+            const Inst &inst = *exe.fetch(pc).inst;
             switch (engineOf(inst)) {
               case Engine::IFU: {
                 switch (inst.kind) {
                   case InstKind::Jump:
                     if (cp)
                         cpIfuEvent(inst);
-                    pc = resolveLabel(fi.func, inst.target);
+                    pc = exe.target(pc);
                     break;
                   case InstKind::CondJump: {
                     int side = inst.side == UnitSide::Flt ? 1 : 0;
@@ -1851,7 +1539,7 @@ struct Simulator::Impl
                         cp->pop(cpQCc(side), ev);
                     }
                     if (cc == inst.when)
-                        pc = resolveLabel(fi.func, inst.target);
+                        pc = exe.target(pc);
                     else
                         ++pc;
                     break;
@@ -1862,10 +1550,10 @@ struct Simulator::Impl
                     int side = inst.side == UnitSide::Flt ? 1 : 0;
                     int64_t &m = mirror[side][inst.fifo];
                     if (m < 0)
-                        throw RunError("jump on unknown stream state");
+                        throw ExecError("jump on unknown stream state");
                     if (m > 1) {
                         --m;
-                        pc = resolveLabel(fi.func, inst.target);
+                        pc = exe.target(pc);
                     } else {
                         m = 0;
                         ++pc;
@@ -1873,14 +1561,11 @@ struct Simulator::Impl
                     break;
                   }
                   case InstKind::Call: {
-                    auto it = funcEntry.find(inst.target);
-                    if (it == funcEntry.end())
-                        throw RunError("call to unknown function " +
-                                       inst.target);
+                    int64_t callee = exe.target(pc);
                     if (cp)
                         cpIfuEvent(inst);
                     raStack.push_back(pc + 1);
-                    pc = it->second;
+                    pc = callee;
                     break;
                   }
                   case InstKind::Return:
@@ -1960,7 +1645,7 @@ struct Simulator::Impl
                     break;
                   }
                   default:
-                    throw RunError("bad IFU instruction");
+                    throw ExecError("bad IFU instruction");
                 }
                 ++stats.ifuExecuted;
                 break;
@@ -2102,7 +1787,7 @@ struct Simulator::Impl
                     s.active = false;
                 }
                 if (findStream(side, inst.fifo, s.input))
-                    throw RunError("stream already active on FIFO");
+                    throw ExecError("stream already active on FIFO");
                 if (trace)
                     std::fprintf(stderr,
                                  "[%llu] stream %s side=%d fifo=%d "
@@ -2457,9 +2142,9 @@ struct Simulator::Impl
     void
     addIfuEdges(std::vector<WaitForEdge> &edges, StallCause c)
     {
-        if (returned || pc < 0 || pc >= static_cast<int64_t>(code.size()))
+        if (returned || pc < 0 || pc >= static_cast<int64_t>(exe.code.size()))
             return;
-        const Inst &inst = *code[pc].inst;
+        const Inst &inst = *exe.code[pc].inst;
         const std::string why = stallCauseName(c);
         switch (c) {
           case StallCause::CcFifoEmpty: {
@@ -2531,9 +2216,9 @@ struct Simulator::Impl
             u.unit = "ifu";
             u.pc = pc;
             if (!returned && pc >= 0 &&
-                    pc < static_cast<int64_t>(code.size())) {
-                u.inst = code[pc].inst->str();
-                u.loopId = code[pc].inst->loopId;
+                    pc < static_cast<int64_t>(exe.code.size())) {
+                u.inst = exe.code[pc].inst->str();
+                u.loopId = exe.code[pc].inst->loopId;
             }
             u.blocked = !returned && lastIfuCause != StallCause::None;
             u.cause = u.blocked ? lastIfuCause : StallCause::None;
@@ -2740,18 +2425,12 @@ struct Simulator::Impl
     run()
     {
         SimResult res;
-        if (!pendingError.empty()) {
-            res.error = pendingError;
+        if (!exe.startError.empty()) {
+            res.error = exe.startError;
             res.fault = SimFault::RuntimeError;
             return res;
         }
-        auto it = funcEntry.find("main");
-        if (it == funcEntry.end()) {
-            res.error = "no main function";
-            res.fault = SimFault::RuntimeError;
-            return res;
-        }
-        pc = it->second;
+        pc = exe.mainEntry;
         // Instrumentation branches are hoisted out of the common path:
         // with both knobs off the per-cycle cost is two predictable
         // untaken branches.
@@ -2775,8 +2454,8 @@ struct Simulator::Impl
                 // makes the buckets sum exactly to total cycles.
                 curBucket = &loopBucket(
                     !returned && pc >= 0 &&
-                            pc < static_cast<int64_t>(code.size())
-                        ? code[pc].inst->loopId
+                            pc < static_cast<int64_t>(exe.code.size())
+                        ? exe.code[pc].inst->loopId
                         : -1);
                 ++curBucket->cycles;
                 uint64_t dispatched0 = stats.instsDispatched +
@@ -2865,7 +2544,7 @@ struct Simulator::Impl
                 res.stats = stats;
                 return res;
             }
-        } catch (const RunError &e) {
+        } catch (const ExecError &e) {
             res.error = e.what();
             res.fault = SimFault::RuntimeError;
             traceFinish();
@@ -2899,7 +2578,7 @@ int64_t
 Simulator::readInt(int64_t addr) const
 {
     int64_t v;
-    std::memcpy(&v, &impl_->mem[addr], 8);
+    std::memcpy(&v, &impl_->exe.mem[addr], 8);
     return v;
 }
 
@@ -2907,14 +2586,14 @@ double
 Simulator::readDouble(int64_t addr) const
 {
     double v;
-    std::memcpy(&v, &impl_->mem[addr], 8);
+    std::memcpy(&v, &impl_->exe.mem[addr], 8);
     return v;
 }
 
 uint8_t
 Simulator::readByte(int64_t addr) const
 {
-    return impl_->mem[addr];
+    return impl_->exe.mem[addr];
 }
 
 SimResult

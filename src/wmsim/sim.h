@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/counters.h"

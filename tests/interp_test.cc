@@ -294,6 +294,27 @@ TEST(Interp, DivisionByZeroIsRuntimeError)
               "");
 }
 
+TEST(Interp, MinIntDividedByMinusOneWraps)
+{
+    // Run time, compound assignment, and a constant initializer whose
+    // divisor sema evaluates: each wraps instead of trapping the host.
+    EXPECT_EQ(run(R"(
+int a[2];
+int main(void) {
+    int q;
+    a[0] = -9223372036854775807 - 1;
+    a[1] = -1;
+    q = a[0];
+    q /= a[1];
+    return (a[0] / a[1] == a[0]) + (a[0] % a[1] == 0) + (q == a[0]);
+})"),
+              3);
+    EXPECT_EQ(run("int g = 1 / ((-9223372036854775807 - 1) / -1);\n"
+                  "int h = (-9223372036854775807 - 1) % -1;\n"
+                  "int main(void) { return g + h; }"),
+              0);
+}
+
 TEST(Interp, InfiniteLoopHitsStepBudget)
 {
     DiagEngine diag;

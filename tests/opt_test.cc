@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "cfg/liveness.h"
+#include "driver/compiler.h"
 #include "opt/legal.h"
 #include "opt/passes.h"
 #include "rtl/machine.h"
+#include "timing/scalar_sim.h"
+#include "wmsim/sim.h"
 
 using namespace wmstream;
 using namespace wmstream::rtl;
@@ -205,6 +208,25 @@ TEST(CopyProp, PropagatesRegisterCopies)
     EXPECT_GT(opt::runCopyPropagate(fn, traits), 0);
     // the add now reads `a` (or the constant), not `c`
     EXPECT_FALSE(usesReg(b->insts[2].src, c->regFile(), c->regIndex()));
+}
+
+TEST(CopyProp, PropagatedZeroDivisorStillTraps)
+{
+    // Copy propagation makes the divisor a constant 0. Folding it to a
+    // value would turn the run-time trap into a wrong result.
+    const char *src = "int main(void) { int y; y = 0; return 7 / y; }";
+    for (MachineKind target : {MachineKind::WM, MachineKind::Scalar}) {
+        driver::CompileOptions opts;
+        opts.target = target;
+        auto cr = driver::compileSource(src, opts);
+        ASSERT_TRUE(cr.ok) << cr.diagnostics;
+        std::string error =
+            target == MachineKind::WM
+                ? wmsim::simulate(*cr.program).error
+                : timing::runScalar(*cr.program, timing::sun3_280Model())
+                      .error;
+        EXPECT_EQ(error, "integer divide by zero");
+    }
 }
 
 TEST(CopyProp, InvalidatedByRedefinition)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "rtl/expr.h"
 #include "rtl/inst.h"
 #include "rtl/program.h"
@@ -31,10 +33,35 @@ TEST(RtlExpr, ConstantFoldingFloat)
 
 TEST(RtlExpr, DivisionByZeroNotFolded)
 {
-    auto e = makeBin(Op::Div, makeConst(1), makeConst(0));
-    // folded to 0 by our total-function fold (documented); check it is
-    // at least not a crash and produces a Const
-    EXPECT_TRUE(e->isConst());
+    // The machines trap on a zero divisor, so the folder must leave
+    // the operation for them instead of inventing a value.
+    for (Op op : {Op::Div, Op::Rem}) {
+        auto e = makeBin(op, makeConst(7), makeConst(0));
+        ASSERT_EQ(e->kind(), Expr::Kind::Bin) << e->str();
+        EXPECT_EQ(e->op(), op);
+    }
+    EXPECT_FALSE(
+        makeBin(Op::Div, makeFConst(1.0), makeFConst(0.0))->isConst());
+}
+
+TEST(RtlExpr, FoldedIntegerArithmeticWraps)
+{
+    const int64_t min = INT64_MIN, max = INT64_MAX;
+    auto fold = [](Op op, int64_t a, int64_t b) {
+        auto e = makeBin(op, makeConst(a), makeConst(b));
+        EXPECT_TRUE(e->isConst()) << e->str();
+        return e->ival();
+    };
+    EXPECT_EQ(fold(Op::Div, min, -1), min);
+    EXPECT_EQ(fold(Op::Rem, min, -1), 0);
+    EXPECT_EQ(fold(Op::Add, max, 1), min);
+    EXPECT_EQ(fold(Op::Sub, min, 1), max);
+    EXPECT_EQ(fold(Op::Mul, max, 2), -2);
+    EXPECT_EQ(fold(Op::Div, -7, 2), -3);
+    EXPECT_EQ(fold(Op::Rem, -7, 2), -1);
+    auto neg = makeUn(Op::Neg, makeConst(min), DataType::I64);
+    ASSERT_TRUE(neg->isConst());
+    EXPECT_EQ(neg->ival(), min);
 }
 
 TEST(RtlExpr, SymbolOffsetFolding)

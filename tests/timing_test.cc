@@ -10,6 +10,7 @@
 #include "timing/scalar_sim.h"
 
 using namespace wmstream;
+using namespace wmstream::rtl;
 
 namespace {
 
@@ -169,4 +170,65 @@ int main(void) { return 0; }
     EXPECT_NE(res.error.find("exceeds simulated memory"),
               std::string::npos)
         << res.error;
+}
+
+TEST(ScalarSim, TypedAccessTouchesExactlyTheTypeSize)
+{
+    // The same stores, loads and expected values as
+    // WmSim.TypedAccessTouchesExactlyTheTypeSize: both machines share
+    // one memory image, so they must agree byte for byte.
+    struct Case
+    {
+        DataType type;
+        int64_t ival;
+        double fval;
+        int64_t want;
+    };
+    const Case cases[] = {
+        {DataType::I8, 0x1AB, 0, 0xAB},
+        {DataType::I16, 0x1BEEF, 0, 0xBEEF},
+        {DataType::I32, 0x1DEADBEEF, 0, 0xDEADBEEF},
+        {DataType::I64, -5, 0, -5},
+        {DataType::F32, 0, 0.1, 100000001},
+        {DataType::F64, 0, 0.1, 100000000},
+    };
+    const size_t memBytes = 1 << 16;
+    for (const Case &c : cases)
+        for (int64_t past : {0, 1}) {
+            int64_t addr = static_cast<int64_t>(memBytes) -
+                           dataTypeSize(c.type) + past;
+            bool flt = isFloatType(c.type);
+            Program prog;
+            Function *fn = prog.addFunction("main");
+            Block *b = fn->addBlock("entry");
+            auto r2 = makeReg(RegFile::Int, 2, DataType::I64);
+            auto r4 = makeReg(RegFile::Int, 4, DataType::I64);
+            auto val = flt ? makeReg(RegFile::Flt, 5, DataType::F64)
+                           : makeReg(RegFile::Int, 5, DataType::I64);
+            b->insts.push_back(makeAssign(r4, makeConst(addr)));
+            b->insts.push_back(makeAssign(
+                val, flt ? makeFConst(c.fval) : makeConst(c.ival)));
+            b->insts.push_back(makeStore(r4, val, c.type));
+            b->insts.push_back(makeLoad(flt ? val : r2, r4, c.type));
+            if (flt)
+                b->insts.push_back(makeAssign(
+                    r2, makeUnRaw(Op::CvtFI,
+                                  makeBinRaw(Op::Mul, val, makeFConst(1e9),
+                                             DataType::F64),
+                                  DataType::I64)));
+            b->insts.push_back(makeReturn());
+            fn->recomputeCfg();
+            prog.layout();
+            auto res = timing::runScalar(prog, timing::m88100Model(), 100,
+                                         memBytes);
+            if (past) {
+                EXPECT_NE(res.error.find("out of bounds"),
+                          std::string::npos)
+                    << dataTypeName(c.type) << ": " << res.error;
+                continue;
+            }
+            ASSERT_TRUE(res.ok) << dataTypeName(c.type) << ": "
+                                << res.error;
+            EXPECT_EQ(res.returnValue, c.want) << dataTypeName(c.type);
+        }
 }

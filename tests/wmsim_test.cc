@@ -409,3 +409,64 @@ int main(void) { return 0; }
               std::string::npos)
         << res.error;
 }
+
+TEST(WmSim, TypedAccessTouchesExactlyTheTypeSize)
+{
+    // Each DataType is stored and loaded back at the last in-bounds
+    // address; one byte further is out of bounds. The scalar timing
+    // model must read the same values (timing_test.cc).
+    // Narrow integers keep their low bytes and load zero-extended;
+    // F32 rounds 0.1 to float, which shows after scaling by 1e9.
+    struct Case
+    {
+        DataType type;
+        int64_t ival;
+        double fval;
+        int64_t want;
+    };
+    const Case cases[] = {
+        {DataType::I8, 0x1AB, 0, 0xAB},
+        {DataType::I16, 0x1BEEF, 0, 0xBEEF},
+        {DataType::I32, 0x1DEADBEEF, 0, 0xDEADBEEF},
+        {DataType::I64, -5, 0, -5},
+        {DataType::F32, 0, 0.1, 100000001},
+        {DataType::F64, 0, 0.1, 100000000},
+    };
+    wmsim::SimConfig cfg;
+    cfg.memBytes = 1 << 16;
+    for (const Case &c : cases)
+        for (int64_t past : {0, 1}) {
+            int64_t addr = static_cast<int64_t>(cfg.memBytes) -
+                           dataTypeSize(c.type) + past;
+            bool flt = isFloatType(c.type);
+            auto prog = handProgram([&](Function &, Block *b) {
+                auto r4 = makeReg(RegFile::Int, 4, DataType::I64);
+                auto fifo = flt ? makeReg(RegFile::Flt, 0, DataType::F64)
+                                : makeReg(RegFile::Int, 0, DataType::I64);
+                b->insts.push_back(makeAssign(r4, makeConst(addr)));
+                b->insts.push_back(makeAssign(
+                    fifo, flt ? makeFConst(c.fval) : makeConst(c.ival)));
+                b->insts.push_back(makeStore(r4, fifo, c.type));
+                b->insts.push_back(makeLoad(fifo, r4, c.type));
+                b->insts.push_back(makeAssign(
+                    makeReg(RegFile::Int, 2, DataType::I64),
+                    flt ? makeUnRaw(Op::CvtFI,
+                                    makeBinRaw(Op::Mul, fifo,
+                                               makeFConst(1e9),
+                                               DataType::F64),
+                                    DataType::I64)
+                        : fifo));
+                b->insts.push_back(makeReturn());
+            });
+            auto res = wmsim::simulate(*prog, cfg);
+            if (past) {
+                EXPECT_NE(res.error.find("out of bounds"),
+                          std::string::npos)
+                    << dataTypeName(c.type) << ": " << res.error;
+                continue;
+            }
+            ASSERT_TRUE(res.ok) << dataTypeName(c.type) << ": "
+                                << res.error;
+            EXPECT_EQ(res.returnValue, c.want) << dataTypeName(c.type);
+        }
+}
