@@ -3,47 +3,6 @@
 namespace wmstream::cfg {
 
 using rtl::Inst;
-using rtl::InstKind;
-using rtl::RegFile;
-using rtl::UnitSide;
-
-std::vector<RegKey>
-instUseKeys(const Inst &inst)
-{
-    std::vector<RegKey> keys;
-    for (const auto &r : rtl::instUses(inst))
-        keys.push_back({r->regFile(), r->regIndex()});
-    if (inst.kind == InstKind::CondJump)
-        keys.push_back({RegFile::CC,
-                        inst.side == UnitSide::Int ? 0 : 1});
-    return keys;
-}
-
-std::vector<RegKey>
-instDefKeys(const Inst &inst, const rtl::MachineTraits &traits)
-{
-    std::vector<RegKey> keys;
-    if (auto d = rtl::instDef(inst))
-        keys.push_back({d->regFile(), d->regIndex()});
-    if (inst.kind == InstKind::Call) {
-        // Calls clobber every caller-saved register and both CC cells.
-        for (int i = traits.firstAllocatable; i < traits.firstCalleeSaved;
-                 ++i) {
-            keys.push_back({RegFile::Int, i});
-            keys.push_back({RegFile::Flt, i});
-        }
-        keys.push_back({RegFile::CC, 0});
-        keys.push_back({RegFile::CC, 1});
-    }
-    return keys;
-}
-
-bool
-isZeroReg(const RegKey &key, const rtl::MachineTraits &traits)
-{
-    return (key.file == RegFile::Int || key.file == RegFile::Flt) &&
-           key.index == traits.zeroReg;
-}
 
 Liveness::Liveness(rtl::Function &fn, const rtl::MachineTraits &traits)
     : traits_(traits)
@@ -51,19 +10,20 @@ Liveness::Liveness(rtl::Function &fn, const rtl::MachineTraits &traits)
     // Number every register key in first-encounter order (a pure
     // function of the RTL, so results are deterministic).
     auto intern = [&](const RegKey &k) {
-        auto [it, inserted] =
-            keyIndex_.emplace(k, static_cast<int>(keys_.size()));
-        if (inserted)
+        int &slot = keyIndex_.at(k);
+        if (slot < 0) {
+            slot = static_cast<int>(keys_.size());
             keys_.push_back(k);
-        return static_cast<size_t>(it->second);
+        }
+        return static_cast<size_t>(slot);
     };
     for (auto &b : fn.blocks())
         for (const Inst &inst : b->insts) {
-            for (const RegKey &k : instUseKeys(inst))
+            forEachUse(inst, [&](const RegKey &k) {
                 if (!isZeroReg(k, traits_))
                     intern(k);
-            for (const RegKey &k : instDefKeys(inst, traits_))
-                intern(k);
+            });
+            forEachDef(inst, traits_, intern);
         }
 
     cfg_ = std::make_unique<dataflow::CfgIndex>(fn);
@@ -78,37 +38,33 @@ Liveness::Liveness(rtl::Function &fn, const rtl::MachineTraits &traits)
         dataflow::BitsetWord *gen = solver_->gen(bi);
         dataflow::BitsetWord *kill = solver_->kill(bi);
         for (const Inst &inst : b->insts) {
-            for (const RegKey &k : instUseKeys(inst)) {
+            forEachUse(inst, [&](const RegKey &k) {
                 if (isZeroReg(k, traits_))
-                    continue;
-                size_t i = intern(k);
+                    return;
+                size_t i = static_cast<size_t>(keyIndex(k));
                 if (!dataflow::bitsetTest(kill, i))
                     dataflow::bitsetSet(gen, i);
-            }
-            for (const RegKey &k : instDefKeys(inst, traits_))
-                dataflow::bitsetSet(kill, intern(k));
+            });
+            forEachDef(inst, traits_, [&](const RegKey &k) {
+                dataflow::bitsetSet(kill,
+                                    static_cast<size_t>(keyIndex(k)));
+            });
         }
     }
 
     solver_->solve();
 }
 
-const RegSet &
-Liveness::materialize(
-    std::unordered_map<const rtl::Block *, RegSet> &cache,
-    const rtl::Block *b, bool wantIn) const
+void
+Liveness::transferBack(const Inst &inst, dataflow::BitsetWord *live) const
 {
-    auto it = cache.find(b);
-    if (it != cache.end())
-        return it->second;
-    RegSet &set = cache[b];
-    size_t bi = cfg_->indexOf(b);
-    const dataflow::BitsetWord *bits =
-        wantIn ? solver_->in(bi) : solver_->out(bi);
-    dataflow::bitsetForEach(solver_->words(), bits, [&](size_t i) {
-        set.insert(keys_[i]);
+    forEachDef(inst, traits_, [&](const RegKey &k) {
+        dataflow::bitsetReset(live, static_cast<size_t>(keyIndex(k)));
     });
-    return set;
+    forEachUse(inst, [&](const RegKey &k) {
+        if (!isZeroReg(k, traits_))
+            dataflow::bitsetSet(live, static_cast<size_t>(keyIndex(k)));
+    });
 }
 
 bool
@@ -117,18 +73,12 @@ Liveness::liveAfter(const rtl::Block *b, size_t idx, const RegKey &key) const
     // Scan forward from idx+1 within the block.
     for (size_t i = idx + 1; i < b->insts.size(); ++i) {
         const Inst &inst = b->insts[i];
-        for (const RegKey &k : instUseKeys(inst))
-            if (k == key)
-                return true;
-        for (const RegKey &k : instDefKeys(inst, traits_))
-            if (k == key)
-                return false;
+        if (readsKey(inst, key))
+            return true;
+        if (writesKey(inst, traits_, key))
+            return false;
     }
-    int ki = keyIndex(key);
-    if (ki < 0)
-        return false;
-    return dataflow::bitsetTest(solver_->out(cfg_->indexOf(b)),
-                                static_cast<size_t>(ki));
+    return liveOut(b, key);
 }
 
 } // namespace wmstream::cfg

@@ -7,11 +7,11 @@
  * and register assignment.
  *
  * Internally this runs on the pooled-bitset worklist engine
- * (src/dataflow): registers are numbered densely per function, block
- * gen/kill sets are bit vectors, and the backward union solve is
- * word-parallel. The RegSet accessors materialize lazily so existing
- * clients keep their set-based view while the hot fixpoint never
- * touches a hash table.
+ * (src/dataflow): registers are numbered densely per function through
+ * a RegKeyTable, block gen/kill sets are bit vectors, and the backward
+ * union solve is word-parallel. Clients read the solved bits directly
+ * (liveIn/liveOut/forEachLiveIn, or the raw vectors); nothing is
+ * materialized into a hash set.
  */
 
 #ifndef WMSTREAM_CFG_LIVENESS_H
@@ -19,10 +19,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "cfg/regkey.h"
+#include "dataflow/bitset.h"
 #include "dataflow/cfg_index.h"
 #include "dataflow/pool.h"
 #include "dataflow/solver.h"
@@ -31,55 +31,45 @@
 
 namespace wmstream::cfg {
 
-/** A register identity: file plus index, hashable. */
-struct RegKey
-{
-    rtl::RegFile file;
-    int index;
-
-    bool operator==(const RegKey &o) const
-    {
-        return file == o.file && index == o.index;
-    }
-};
-
-struct RegKeyHash
-{
-    size_t operator()(const RegKey &k) const
-    {
-        return static_cast<size_t>(k.file) * 1000003u +
-               static_cast<size_t>(k.index);
-    }
-};
-
-using RegSet = std::unordered_set<RegKey, RegKeyHash>;
-
-/** Register keys read by @p inst (includes CC for conditional jumps). */
-std::vector<RegKey> instUseKeys(const rtl::Inst &inst);
-
-/**
- * Register keys written by @p inst. A Call clobbers all caller-saved
- * registers of both files plus both CC cells per @p traits.
- */
-std::vector<RegKey> instDefKeys(const rtl::Inst &inst,
-                                const rtl::MachineTraits &traits);
-
-/** True if @p key is a hardwired zero register per @p traits. */
-bool isZeroReg(const RegKey &key, const rtl::MachineTraits &traits);
-
 /** Per-block liveness sets for one function. */
 class Liveness
 {
   public:
     Liveness(rtl::Function &fn, const rtl::MachineTraits &traits);
 
-    const RegSet &liveIn(const rtl::Block *b) const
+    /** True if @p key is live on entry to / exit from @p b. */
+    bool liveIn(const rtl::Block *b, const RegKey &key) const
     {
-        return materialize(inCache_, b, /*wantIn=*/true);
+        return test(liveInBits(b), key);
     }
-    const RegSet &liveOut(const rtl::Block *b) const
+    bool liveOut(const rtl::Block *b, const RegKey &key) const
     {
-        return materialize(outCache_, b, /*wantIn=*/false);
+        return test(liveOutBits(b), key);
+    }
+
+    /** True if @p key's bit is set in @p bits (bitsetWords() words). */
+    bool test(const dataflow::BitsetWord *bits, const RegKey &key) const
+    {
+        int i = keyIndex(key);
+        return i >= 0 && dataflow::bitsetTest(bits, static_cast<size_t>(i));
+    }
+
+    /**
+     * Step the live set @p live (bitsetWords() words) backward over
+     * @p inst: clear what it writes, then set what it reads (the zero
+     * register excepted). Starting from a block's live-out bits and
+     * stepping over its instructions last to first gives the live set
+     * before each one. Every key of @p inst must be in the function.
+     */
+    void transferBack(const rtl::Inst &inst,
+                      dataflow::BitsetWord *live) const;
+
+    /** Apply @p fn to every key live on entry to @p b, in key order. */
+    template <class F>
+    void forEachLiveIn(const rtl::Block *b, F &&fn) const
+    {
+        dataflow::bitsetForEach(solver_->words(), liveInBits(b),
+                                [&](size_t i) { fn(keys_[i]); });
     }
 
     /**
@@ -90,11 +80,7 @@ class Liveness
 
     /** Dense index of @p key, or -1 when the key never appears in the
      *  function (such a key is trivially dead everywhere). */
-    int keyIndex(const RegKey &key) const
-    {
-        auto it = keyIndex_.find(key);
-        return it == keyIndex_.end() ? -1 : it->second;
-    }
+    int keyIndex(const RegKey &key) const { return keyIndex_.get(key); }
     size_t numKeys() const { return keys_.size(); }
     const RegKey &key(size_t i) const { return keys_[i]; }
 
@@ -110,18 +96,12 @@ class Liveness
     size_t bitsetWords() const { return solver_->words(); }
 
   private:
-    const RegSet &materialize(
-        std::unordered_map<const rtl::Block *, RegSet> &cache,
-        const rtl::Block *b, bool wantIn) const;
-
     const rtl::MachineTraits traits_;
     std::vector<RegKey> keys_;
-    std::unordered_map<RegKey, int, RegKeyHash> keyIndex_;
+    RegKeyTable<int> keyIndex_{-1};
     dataflow::BitsetPool pool_;
     std::unique_ptr<dataflow::CfgIndex> cfg_;
     std::unique_ptr<dataflow::BitsetSolver> solver_;
-    mutable std::unordered_map<const rtl::Block *, RegSet> inCache_;
-    mutable std::unordered_map<const rtl::Block *, RegSet> outCache_;
 };
 
 } // namespace wmstream::cfg

@@ -13,6 +13,7 @@
 #ifndef WMSTREAM_DATAFLOW_BITSET_H
 #define WMSTREAM_DATAFLOW_BITSET_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -70,7 +71,7 @@ bitsetSetAll(size_t words, BitsetWord *p, size_t bits)
 inline void
 bitsetCopy(size_t words, BitsetWord *dst, const BitsetWord *src)
 {
-    std::memcpy(dst, src, words * sizeof(BitsetWord));
+    std::copy_n(src, words, dst); // defined for empty null vectors
 }
 
 /** dst |= src; returns true when dst changed. */

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "interp/interp.h"
+#include "support/convert.h"
 #include "support/str.h"
 
 namespace wmstream::expand {
@@ -188,7 +189,7 @@ Expander::initBytes(const VarDecl &v)
             double d = val.isFloat ? val.f : static_cast<double>(val.i);
             std::memcpy(&bytes[at], &d, 8);
         } else {
-            int64_t i = val.isFloat ? static_cast<int64_t>(val.f) : val.i;
+            int64_t i = val.isFloat ? truncToInt64(val.f) : val.i;
             std::memcpy(&bytes[at], &i, 8);
         }
     };

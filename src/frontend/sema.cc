@@ -1,5 +1,6 @@
 #include "frontend/sema.h"
 
+#include "support/convert.h"
 #include "support/str.h"
 
 namespace wmstream::frontend {
@@ -361,7 +362,7 @@ evalConst(const Expr &e, CVal &out)
         if (c.type->isDouble() && !out.isFloat)
             out = {true, 0, static_cast<double>(out.i)};
         else if (!c.type->isDouble() && out.isFloat)
-            out = {false, static_cast<int64_t>(out.f), 0.0};
+            out = {false, truncToInt64(out.f), 0.0};
         return true;
       }
       case NodeKind::Binary: {

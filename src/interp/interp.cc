@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "support/convert.h"
 #include "support/str.h"
 
 namespace wmstream::interp {
@@ -68,7 +69,7 @@ evalConstExpr(const Expr &e)
         if (c.type->isDouble() && !v.isFloat)
             return Value::ofFloat(static_cast<double>(v.i));
         if (!c.type->isDouble() && v.isFloat)
-            return Value::ofInt(static_cast<int64_t>(v.f));
+            return Value::ofInt(truncToInt64(v.f));
         return v;
       }
       case NodeKind::Binary: {
@@ -247,7 +248,7 @@ Interpreter::storeScalar(int64_t addr, const TypePtr &ty, Value v)
         double d = v.isFloat ? v.f : static_cast<double>(v.i);
         std::memcpy(&mem_[addr], &d, 8);
     } else {
-        int64_t i = v.isFloat ? static_cast<int64_t>(v.f) : v.i;
+        int64_t i = v.isFloat ? truncToInt64(v.f) : v.i;
         std::memcpy(&mem_[addr], &i, 8);
     }
 }
@@ -284,7 +285,7 @@ Interpreter::run(uint64_t stepBudget)
     try {
         Value v = callFunction(*mainFn, {});
         res.ok = true;
-        res.returnValue = v.isFloat ? static_cast<int64_t>(v.f) : v.i;
+        res.returnValue = v.isFloat ? truncToInt64(v.f) : v.i;
     } catch (const RunError &e) {
         res.error = e.what();
     }
@@ -506,7 +507,7 @@ Interpreter::storeLValue(const LValue &lv, Value v, Frame &frame)
         if (lv.type->isDouble() && !v.isFloat)
             v = Value::ofFloat(static_cast<double>(v.i));
         else if (!lv.type->isDouble() && v.isFloat)
-            v = Value::ofInt(static_cast<int64_t>(v.f));
+            v = Value::ofInt(truncToInt64(v.f));
         if (lv.type->isChar())
             v.i = static_cast<uint8_t>(v.i);
         frame.regs[lv.reg] = v;
@@ -553,7 +554,7 @@ Interpreter::evalExpr(const Expr &e, Frame &frame)
         if (c.type->isDouble() && !v.isFloat)
             return Value::ofFloat(static_cast<double>(v.i));
         if (!c.type->isDouble() && v.isFloat)
-            return Value::ofInt(static_cast<int64_t>(v.f));
+            return Value::ofInt(truncToInt64(v.f));
         if (c.type->isChar())
             return Value::ofInt(static_cast<uint8_t>(v.i));
         return v;

@@ -216,9 +216,9 @@ printFunction(const rtl::Function &fn)
             for (size_t j = i + 1; j < insts.size(); ++j) {
                 const Inst &b = insts[j];
                 bool usesP = false;
-                for (const auto &u : rtl::instUses(b))
-                    if (u->isReg(RegFile::Int, p))
-                        usesP = true;
+                rtl::forEachUseReg(b, [&](const Expr &u) {
+                    usesP = usesP || u.isReg(RegFile::Int, p);
+                });
                 bool defsP = b.dst && b.dst->isReg(RegFile::Int, p);
                 if (defsP && b.kind == InstKind::Assign &&
                         b.src->kind() == Expr::Kind::Bin &&

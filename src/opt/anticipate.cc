@@ -67,10 +67,8 @@ runBranchAnticipate(rtl::Function &fn, const rtl::MachineTraits &traits)
         auto lastDefBefore = [&](const RegKey &key, size_t before) {
             size_t last = 0;
             for (size_t i = 0; i < before; ++i)
-                for (const RegKey &d :
-                         cfg::instDefKeys(b->insts[i], traits))
-                    if (d == key)
-                        last = std::max(last, i + 1);
+                if (cfg::writesKey(b->insts[i], traits, key))
+                    last = i + 1;
             return last;
         };
 
@@ -83,21 +81,20 @@ runBranchAnticipate(rtl::Function &fn, const rtl::MachineTraits &traits)
         for (size_t i = 0; i < cmpIdx; ++i)
             if (b->insts[i].kind == InstKind::Call)
                 earliest = std::max(earliest, i + 1);
-        for (const auto &r : rtl::collectRegs(cmp.src)) {
-            RegKey key{r->regFile(), r->regIndex()};
+        rtl::forEachReg(cmp.src, [&](const Expr &r) {
+            RegKey key{r.regFile(), r.regIndex()};
             int defs = 0;
             size_t defIdx = 0;
             for (size_t i = 0; i < cmpIdx; ++i) {
-                for (const RegKey &d :
-                         cfg::instDefKeys(b->insts[i], traits)) {
+                cfg::forEachDef(b->insts[i], traits, [&](const RegKey &d) {
                     if (d == key) {
                         ++defs;
                         defIdx = i;
                     }
-                }
+                });
             }
             if (defs == 0)
-                continue; // loop-carried or preheader value: free
+                return; // loop-carried or preheader value: free
             bool fused = false;
             if (defs == 1) {
                 const Inst &def = b->insts[defIdx];
@@ -124,7 +121,7 @@ runBranchAnticipate(rtl::Function &fn, const rtl::MachineTraits &traits)
             if (!fused)
                 earliest = std::max(earliest,
                                     lastDefBefore(key, cmpIdx));
-        }
+        });
         if (earliest > positionCap)
             continue; // conflicting constraints: leave it alone
         size_t target = earliest;

@@ -1,6 +1,4 @@
-#include <unordered_map>
-
-#include "cfg/liveness.h"
+#include "cfg/regkey.h"
 #include "opt/legal.h"
 #include "opt/passes.h"
 #include "support/diag.h"
@@ -8,7 +6,6 @@
 namespace wmstream::opt {
 
 using cfg::RegKey;
-using cfg::RegKeyHash;
 using rtl::Expr;
 using rtl::ExprPtr;
 using rtl::Inst;
@@ -33,30 +30,35 @@ readsFifo(const ExprPtr &e)
     return found;
 }
 
+/**
+ * Use and def counts of the virtual registers. Counted once per
+ * runCombine call and kept equal to a full recount at every fold: the
+ * fold subtracts the old use instruction and the deleted def, then adds
+ * the rewritten use. Only the destination's use is known to go away;
+ * folding can drop other registers too (`r2 := 0` into `r1*r2` leaves
+ * `0`), so the whole instruction is recounted.
+ */
 struct UseDefCounts
 {
-    std::unordered_map<RegKey, int, RegKeyHash> uses;
-    std::unordered_map<RegKey, int, RegKeyHash> defs;
-};
+    cfg::RegKeyTable<int> uses;
+    cfg::RegKeyTable<int> defs;
 
-UseDefCounts
-countUseDefs(rtl::Function &fn, const rtl::MachineTraits &traits)
-{
-    UseDefCounts c;
-    for (auto &bp : fn.blocks()) {
-        for (auto &inst : bp->insts) {
-            for (const RegKey &k : cfg::instUseKeys(inst))
-                ++c.uses[k];
-            for (const RegKey &k : cfg::instDefKeys(inst, traits))
-                ++c.defs[k];
-        }
+    void add(const Inst &inst, const rtl::MachineTraits &traits, int delta)
+    {
+        cfg::forEachUse(inst, [&](const RegKey &k) {
+            if (rtl::isVirtualFile(k.file))
+                uses.at(k) += delta;
+        });
+        cfg::forEachDef(inst, traits, [&](const RegKey &k) {
+            if (rtl::isVirtualFile(k.file))
+                defs.at(k) += delta;
+        });
     }
-    return c;
-}
+};
 
 /** Try to fold the definition at @p defIdx into a later use in @p b. */
 bool
-tryCombineAt(rtl::Block *b, size_t defIdx, const UseDefCounts &counts,
+tryCombineAt(rtl::Block *b, size_t defIdx, UseDefCounts &counts,
              const rtl::MachineTraits &traits)
 {
     Inst &def = b->insts[defIdx];
@@ -66,12 +68,8 @@ tryCombineAt(rtl::Block *b, size_t defIdx, const UseDefCounts &counts,
     if (!rtl::isVirtualFile(dst->regFile()))
         return false;
     RegKey dkey{dst->regFile(), dst->regIndex()};
-    auto dit = counts.defs.find(dkey);
-    auto uit = counts.uses.find(dkey);
-    if (!dit->second || dit->second != 1 || uit == counts.uses.end() ||
-            uit->second != 1) {
+    if (counts.defs.get(dkey) != 1 || counts.uses.get(dkey) != 1)
         return false;
-    }
     // A source that dequeues a data FIFO may only move to the
     // immediately following instruction, and only when that instruction
     // reads none of the same queues (so no per-queue read reorders).
@@ -79,33 +77,31 @@ tryCombineAt(rtl::Block *b, size_t defIdx, const UseDefCounts &counts,
 
     // Registers the source depends on; the fold is blocked if any is
     // redefined between the definition and the use.
-    std::vector<RegKey> srcRegs;
-    for (const auto &r : rtl::collectRegs(def.src))
-        srcRegs.push_back({r->regFile(), r->regIndex()});
+    auto srcReads = [&](const RegKey &k) {
+        return rtl::usesReg(def.src, k.file, k.index);
+    };
 
     for (size_t j = defIdx + 1; j < b->insts.size(); ++j) {
         Inst &use = b->insts[j];
-        bool usesD = false;
-        for (const RegKey &k : cfg::instUseKeys(use))
-            if (k == dkey)
-                usesD = true;
-
-        if (usesD) {
+        if (cfg::readsKey(use, dkey)) {
             if (fifoSrc) {
                 if (j != defIdx + 1)
                     return false;
                 // The use must not touch any queue the source reads.
-                for (const auto &r : rtl::instUses(use)) {
-                    if ((r->regFile() == RegFile::Int ||
-                         r->regFile() == RegFile::Flt) &&
-                            (r->regIndex() == 0 || r->regIndex() == 1) &&
-                            rtl::usesReg(def.src, r->regFile(),
-                                         r->regIndex())) {
-                        return false;
+                bool sharesQueue = false;
+                rtl::forEachUseReg(use, [&](const Expr &r) {
+                    if ((r.regFile() == RegFile::Int ||
+                         r.regFile() == RegFile::Flt) &&
+                            (r.regIndex() == 0 || r.regIndex() == 1) &&
+                            srcReads({r.regFile(), r.regIndex()})) {
+                        sharesQueue = true;
                     }
-                }
+                });
+                if (sharesQueue)
+                    return false;
             }
             ExprPtr merged;
+            ExprPtr *field = nullptr;
             switch (use.kind) {
               case InstKind::Assign: {
                 merged = rtl::substReg(use.src, dkey.file, dkey.index,
@@ -115,7 +111,7 @@ tryCombineAt(rtl::Block *b, size_t defIdx, const UseDefCounts &counts,
                                  : fitsAssignSrc(merged, traits);
                 if (!legal)
                     return false;
-                use.src = merged;
+                field = &use.src;
                 break;
               }
               case InstKind::Load:
@@ -129,12 +125,16 @@ tryCombineAt(rtl::Block *b, size_t defIdx, const UseDefCounts &counts,
                                        def.src);
                 if (!fitsAddr(merged, traits))
                     return false;
-                use.addr = merged;
+                field = &use.addr;
                 break;
               }
               default:
                 return false;
             }
+            counts.add(use, traits, -1);
+            counts.add(def, traits, -1);
+            *field = std::move(merged);
+            counts.add(use, traits, +1);
             b->insts.erase(b->insts.begin() +
                            static_cast<ptrdiff_t>(defIdx));
             return true;
@@ -145,13 +145,12 @@ tryCombineAt(rtl::Block *b, size_t defIdx, const UseDefCounts &counts,
 
         // Stop when an instruction between the def and the use
         // redefines an input of the source (or the destination).
-        for (const RegKey &k : cfg::instDefKeys(use, traits)) {
-            if (k == dkey)
-                return false;
-            for (const RegKey &s : srcRegs)
-                if (k == s)
-                    return false;
-        }
+        bool clobbers = false;
+        cfg::forEachDef(use, traits, [&](const RegKey &k) {
+            clobbers = clobbers || k == dkey || srcReads(k);
+        });
+        if (clobbers)
+            return false;
     }
     return false;
 }
@@ -161,19 +160,21 @@ tryCombineAt(rtl::Block *b, size_t defIdx, const UseDefCounts &counts,
 int
 runCombine(rtl::Function &fn, const rtl::MachineTraits &traits)
 {
+    UseDefCounts counts;
+    for (auto &bp : fn.blocks())
+        for (const Inst &inst : bp->insts)
+            counts.add(inst, traits, +1);
+
     int total = 0;
     bool changed = true;
     while (changed) {
         changed = false;
-        UseDefCounts counts = countUseDefs(fn, traits);
         for (auto &bp : fn.blocks()) {
             rtl::Block *b = bp.get();
             for (size_t i = 0; i < b->insts.size(); ++i) {
                 if (tryCombineAt(b, i, counts, traits)) {
                     ++total;
                     changed = true;
-                    // Counts are stale after a fold; rebuild.
-                    counts = countUseDefs(fn, traits);
                     if (i > 0)
                         --i;
                 }

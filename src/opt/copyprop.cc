@@ -166,13 +166,13 @@ class ReachingCopies
             auto *gen = solver_->gen(bi);
             auto *kill = solver_->kill(bi);
             for (const Inst &inst : cfg_.block(bi)->insts) {
-                for (const RegKey &k :
-                     cfg::instDefKeys(inst, traits))
+                cfg::forEachDef(inst, traits, [&](const RegKey &k) {
                     if (auto it = byKey.find(k); it != byKey.end())
                         for (size_t r : it->second) {
                             dataflow::bitsetReset(gen, r);
                             dataflow::bitsetSet(kill, r);
                         }
+                });
                 if (isCopyInst(inst)) {
                     dataflow::bitsetSet(gen, nextRecord);
                     dataflow::bitsetReset(kill, nextRecord);
@@ -284,8 +284,8 @@ runCopyPropagate(rtl::Function &fn, const rtl::MachineTraits &traits)
             }
 
             // Update the table with this instruction's effect.
-            for (const RegKey &k : cfg::instDefKeys(inst, traits))
-                table.invalidate(k);
+            cfg::forEachDef(inst, traits,
+                            [&](const RegKey &k) { table.invalidate(k); });
             if (isCopyInst(inst))
                 table.record(inst.dst, inst.src);
         }

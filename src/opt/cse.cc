@@ -100,10 +100,10 @@ runLocalCSE(rtl::Function &fn, const rtl::MachineTraits &traits)
             }
 
             // Kill table entries invalidated by this instruction.
-            for (const RegKey &k : cfg::instDefKeys(inst, traits)) {
+            cfg::forEachDef(inst, traits, [&](const RegKey &k) {
                 invalidate(exprs, k);
                 invalidate(loads, k);
-            }
+            });
             switch (inst.kind) {
               case InstKind::Store:
               case InstKind::StreamIn:

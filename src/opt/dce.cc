@@ -15,14 +15,14 @@ namespace {
 bool
 consumesFifo(const Inst &inst)
 {
-    for (const auto &r : rtl::instUses(inst)) {
-        if ((r->regFile() == RegFile::Int ||
-             r->regFile() == RegFile::Flt) &&
-                (r->regIndex() == 0 || r->regIndex() == 1)) {
-            return true;
+    bool found = false;
+    rtl::forEachUseReg(inst, [&](const rtl::Expr &r) {
+        if ((r.regFile() == RegFile::Int || r.regFile() == RegFile::Flt) &&
+                (r.regIndex() == 0 || r.regIndex() == 1)) {
+            found = true;
         }
-    }
-    return false;
+    });
+    return found;
 }
 
 /** A FIFO-register destination is an enqueue: also a side effect. */
@@ -43,13 +43,16 @@ runDeadCodeElim(rtl::Function &fn, const rtl::MachineTraits &traits)
     int deleted = 0;
     for (int round = 0; round < 20; ++round) {
         cfg::Liveness live(fn, traits);
+        std::vector<dataflow::BitsetWord> liveSet(live.bitsetWords());
+        std::vector<size_t> dead;
         int before = deleted;
         for (auto &bp : fn.blocks()) {
             rtl::Block *b = bp.get();
-            cfg::RegSet liveSet = live.liveOut(b);
+            dataflow::bitsetCopy(liveSet.size(), liveSet.data(),
+                                 live.liveOutBits(b));
             // Backward scan with a precise local live set; collect
             // indexes to delete, then erase.
-            std::vector<size_t> dead;
+            dead.clear();
             for (size_t n = b->insts.size(); n-- > 0;) {
                 const Inst &inst = b->insts[n];
                 bool removable = (inst.kind == InstKind::Assign ||
@@ -61,18 +64,14 @@ runDeadCodeElim(rtl::Function &fn, const rtl::MachineTraits &traits)
                     bool selfCopy =
                         inst.kind == InstKind::Assign &&
                         inst.src->isReg(d.file, d.index);
-                    bool needed = liveSet.count(d) &&
+                    bool needed = live.test(liveSet.data(), d) &&
                                   !cfg::isZeroReg(d, traits) && !selfCopy;
                     if (!needed) {
                         dead.push_back(n);
                         continue; // do not account its uses
                     }
                 }
-                for (const RegKey &k : cfg::instDefKeys(inst, traits))
-                    liveSet.erase(k);
-                for (const RegKey &k : cfg::instUseKeys(inst))
-                    if (!cfg::isZeroReg(k, traits))
-                        liveSet.insert(k);
+                live.transferBack(inst, liveSet.data());
             }
             for (size_t idx : dead) {
                 b->insts.erase(b->insts.begin() +

@@ -49,8 +49,8 @@ IndVarAnalysis::collectDefs()
         rtl::Block *b = bp.get();
         bool inLoop = loop_.contains(b);
         for (size_t i = 0; i < b->insts.size(); ++i) {
-            for (const RegKey &k : cfg::instDefKeys(b->insts[i], traits_)) {
-                auto &all = allDefs_[k];
+            cfg::forEachDef(b->insts[i], traits_, [&](const RegKey &k) {
+                auto &all = allDefs_.at(k);
                 all.block = b;
                 all.index = i;
                 ++all.count;
@@ -60,7 +60,7 @@ IndVarAnalysis::collectDefs()
                     ld.index = i;
                     ++ld.count;
                 }
-            }
+            });
         }
     }
 }
@@ -146,14 +146,14 @@ IndVarAnalysis::isInvariant(const ExprPtr &e) const
 const Inst *
 IndVarAnalysis::uniqueDef(const RegKey &key, InstPoint *where) const
 {
-    auto it = allDefs_.find(key);
-    if (it == allDefs_.end() || it->second.count != 1)
+    DefSite site = allDefs_.get(key);
+    if (site.count != 1)
         return nullptr;
     if (where) {
-        where->block = it->second.block;
-        where->index = it->second.index;
+        where->block = site.block;
+        where->index = site.index;
     }
-    return &it->second.block->insts[it->second.index];
+    return &site.block->insts[site.index];
 }
 
 bool
@@ -341,10 +341,10 @@ IndVarAnalysis::linearize(const ExprPtr &e, const BasicIV &iv,
 
         // Defined inside the loop: chase a unique in-loop definition.
         RegKey key{e->regFile(), e->regIndex()};
-        auto ait = allDefs_.find(key);
-        if (ait == allDefs_.end() || ait->second.count != 1)
+        DefSite site = allDefs_.get(key);
+        if (site.count != 1)
             return invalid;
-        InstPoint where{ait->second.block, ait->second.index};
+        InstPoint where{site.block, site.index};
         const Inst &def = where.block->insts[where.index];
         if (def.kind != InstKind::Assign)
             return invalid;

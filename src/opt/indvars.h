@@ -133,8 +133,10 @@ class IndVarAnalysis
     const cfg::DominatorTree &dt_;
     const rtl::MachineTraits traits_;
 
+    /** Defs inside the loop; findBasicIVs visits them in map order. */
     std::unordered_map<cfg::RegKey, DefSite, cfg::RegKeyHash> loopDefs_;
-    std::unordered_map<cfg::RegKey, DefSite, cfg::RegKeyHash> allDefs_;
+    /** Defs in the whole function; count 0 means none. */
+    cfg::RegKeyTable<DefSite> allDefs_;
     std::vector<BasicIV> ivs_;
 };
 

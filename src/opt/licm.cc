@@ -1,4 +1,3 @@
-#include <unordered_map>
 #include <unordered_set>
 
 #include "cfg/liveness.h"
@@ -8,7 +7,6 @@
 namespace wmstream::opt {
 
 using cfg::RegKey;
-using cfg::RegKeyHash;
 using rtl::Expr;
 using rtl::ExprPtr;
 using rtl::Inst;
@@ -136,14 +134,14 @@ hoistLoads(rtl::Function &fn, cfg::Loop &loop, const rtl::Program &prog)
 {
     rtl::MachineTraits traits;
     // Registers defined in the loop (for invariance of addresses).
-    std::unordered_set<RegKey, RegKeyHash> loopDefs;
+    cfg::RegKeyTable<uint8_t> loopDefs;
     bool hasCall = false;
     for (rtl::Block *b : loop.blocks)
         for (auto &inst : b->insts) {
             if (inst.kind == InstKind::Call)
                 hasCall = true;
-            for (const RegKey &k : cfg::instDefKeys(inst, traits))
-                loopDefs.insert(k);
+            cfg::forEachDef(inst, traits,
+                            [&](const RegKey &k) { loopDefs.at(k) = 1; });
         }
 
     // Symbols possibly stored to inside the loop.
@@ -157,11 +155,11 @@ hoistLoads(rtl::Function &fn, cfg::Loop &loop, const rtl::Program &prog)
                                 &storeUnknown);
             }
 
-    std::unordered_map<RegKey, int, RegKeyHash> defCount;
+    cfg::RegKeyTable<int> defCount;
     for (auto &bp : fn.blocks())
         for (auto &inst : bp->insts)
-            for (const RegKey &k : cfg::instDefKeys(inst, traits))
-                ++defCount[k];
+            cfg::forEachDef(inst, traits,
+                            [&](const RegKey &k) { ++defCount.at(k); });
 
     std::vector<std::pair<rtl::Block *, size_t>> order;
     for (rtl::Block *b : loop.blocks) {
@@ -172,13 +170,14 @@ hoistLoads(rtl::Function &fn, cfg::Loop &loop, const rtl::Program &prog)
             if (!rtl::isVirtualFile(inst.dst->regFile()))
                 continue;
             RegKey d{inst.dst->regFile(), inst.dst->regIndex()};
-            if (defCount[d] != 1)
+            if (defCount.get(d) != 1)
                 continue;
             // Address must be invariant.
             bool invariant = true;
-            for (const auto &r : rtl::collectRegs(inst.addr))
-                if (loopDefs.count(RegKey{r->regFile(), r->regIndex()}))
+            rtl::forEachReg(inst.addr, [&](const Expr &r) {
+                if (loopDefs.get(RegKey{r.regFile(), r.regIndex()}))
                     invariant = false;
+            });
             if (!invariant)
                 continue;
             // The loaded global must be read-only, or unaliased with no
@@ -208,19 +207,19 @@ int
 hoistLoop(rtl::Function &fn, cfg::Loop &loop)
 {
     // Count defs per register (whole function, to prove single-def).
-    std::unordered_map<RegKey, int, RegKeyHash> defCount;
+    cfg::RegKeyTable<int> defCount;
     rtl::MachineTraits traits; // clobber sets identical across targets
     for (auto &bp : fn.blocks())
         for (auto &inst : bp->insts)
-            for (const RegKey &k : cfg::instDefKeys(inst, traits))
-                ++defCount[k];
+            cfg::forEachDef(inst, traits,
+                            [&](const RegKey &k) { ++defCount.at(k); });
 
     // Registers defined anywhere in the loop.
-    std::unordered_set<RegKey, RegKeyHash> loopDefs;
+    cfg::RegKeyTable<uint8_t> loopDefs;
     for (rtl::Block *b : loop.blocks)
         for (auto &inst : b->insts)
-            for (const RegKey &k : cfg::instDefKeys(inst, traits))
-                loopDefs.insert(k);
+            cfg::forEachDef(inst, traits,
+                            [&](const RegKey &k) { loopDefs.at(k) = 1; });
 
     // Iteratively collect hoistable instructions.
     std::unordered_set<const Inst *> hoisted;
@@ -238,15 +237,15 @@ hoistLoop(rtl::Function &fn, cfg::Loop &loop)
                 if (!rtl::isVirtualFile(inst.dst->regFile()))
                     continue;
                 RegKey d{inst.dst->regFile(), inst.dst->regIndex()};
-                if (defCount[d] != 1)
+                if (defCount.get(d) != 1)
                     continue;
                 if (hasTrapOrFifo(inst.src))
                     continue;
                 bool invariant = true;
-                for (const auto &r : rtl::collectRegs(inst.src)) {
-                    RegKey k{r->regFile(), r->regIndex()};
-                    if (!loopDefs.count(k))
-                        continue; // defined outside: invariant
+                rtl::forEachReg(inst.src, [&](const Expr &r) {
+                    RegKey k{r.regFile(), r.regIndex()};
+                    if (!loopDefs.get(k))
+                        return; // defined outside: invariant
                     // Defined in loop: acceptable only if that def is
                     // itself being hoisted.
                     bool viaHoisted = false;
@@ -257,7 +256,7 @@ hoistLoop(rtl::Function &fn, cfg::Loop &loop)
                     }
                     if (!viaHoisted)
                         invariant = false;
-                }
+                });
                 if (!invariant)
                     continue;
                 hoisted.insert(&inst);

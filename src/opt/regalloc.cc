@@ -107,10 +107,7 @@ spillRegister(rtl::Function &fn, const RegKey &victim,
     for (auto &bp : fn.blocks()) {
         rtl::Block *b = bp.get();
         for (size_t i = 0; i < b->insts.size(); ++i) {
-            bool uses = false;
-            for (const RegKey &k : cfg::instUseKeys(b->insts[i]))
-                if (k == victim)
-                    uses = true;
+            bool uses = cfg::readsKey(b->insts[i], victim);
             bool defs = false;
             if (auto d = rtl::instDef(b->insts[i]))
                 if (d->isReg(victim.file, victim.index))
@@ -163,29 +160,29 @@ runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits)
         Allocator ia{RegFile::VInt, RegFile::Int, {}, {}, {}};
         Allocator fa{RegFile::VFlt, RegFile::Flt, {}, {}, {}};
         cfg::Liveness live(fn, traits);
+        size_t words = live.bitsetWords();
+        std::vector<dataflow::BitsetWord> liveSet(words);
 
         for (auto &bp : fn.blocks()) {
             rtl::Block *b = bp.get();
-            cfg::RegSet liveSet = live.liveOut(b);
+            dataflow::bitsetCopy(words, liveSet.data(), live.liveOutBits(b));
             for (size_t n = b->insts.size(); n-- > 0;) {
                 const Inst &inst = b->insts[n];
-                auto defKeys = cfg::instDefKeys(inst, traits);
-                for (const RegKey &d : defKeys) {
-                    for (const RegKey &l : liveSet)
+                cfg::forEachDef(inst, traits, [&](const RegKey &d) {
+                    dataflow::bitsetForEach(words, liveSet.data(),
+                                            [&](size_t li) {
+                        const RegKey &l = live.key(li);
                         if (!(l == d))
                             addInterference(ia, fa, d, l);
+                    });
                     // Make sure every vreg is a node even if it never
                     // interferes.
                     if (d.file == RegFile::VInt)
                         ia.nodes.insert(d.index);
                     if (d.file == RegFile::VFlt)
                         fa.nodes.insert(d.index);
-                }
-                for (const RegKey &k : defKeys)
-                    liveSet.erase(k);
-                for (const RegKey &k : cfg::instUseKeys(inst))
-                    if (!cfg::isZeroReg(k, traits))
-                        liveSet.insert(k);
+                });
+                live.transferBack(inst, liveSet.data());
             }
         }
 

@@ -91,9 +91,9 @@ countUses(rtl::Function &fn, const ExprPtr &reg)
     int n = 0;
     for (auto &bp : fn.blocks())
         for (auto &inst : bp->insts)
-            for (const auto &u : rtl::instUses(inst))
-                if (u->isReg(reg->regFile(), reg->regIndex()))
-                    ++n;
+            rtl::forEachUseReg(inst, [&](const rtl::Expr &u) {
+                n += u.isReg(reg->regFile(), reg->regIndex());
+            });
     return n;
 }
 
@@ -282,10 +282,10 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
             int uses = 0;
             for (auto &bp2 : fn.blocks())
                 for (auto &inst2 : bp2->insts)
-                    for (const auto &u : rtl::instUses(inst2))
-                        if (u->isReg(store.src->regFile(),
-                                     store.src->regIndex()))
-                            ++uses;
+                    rtl::forEachUseReg(inst2, [&](const rtl::Expr &u) {
+                        uses += u.isReg(store.src->regFile(),
+                                        store.src->regIndex());
+                    });
             int defs = 0;
             size_t defIdx = 0;
             rtl::Block *defBlock = nullptr;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "rtl/program.h"
+#include "support/convert.h"
 
 namespace wmstream::rtl {
 
@@ -131,7 +132,7 @@ applyUn(Op op, const Val &x, Val &out)
         out = Val{true, 0, static_cast<double>(x.i)};
         return nullptr;
       case Op::CvtFI:
-        out = Val{false, static_cast<int64_t>(x.f), 0.0};
+        out = Val{false, truncToInt64(x.f), 0.0};
         return nullptr;
       case Op::CvtWiden: out = x; return nullptr;
       default: return "bad unary operator in RTL";
@@ -256,7 +257,7 @@ class Executable
                 store(addr, d);
             return;
         }
-        int64_t x = v.isFloat ? static_cast<int64_t>(v.f) : v.i;
+        int64_t x = v.isFloat ? truncToInt64(v.f) : v.i;
         switch (t) {
           case DataType::I8: store(addr, static_cast<uint8_t>(x)); break;
           case DataType::I16: store(addr, static_cast<uint16_t>(x)); break;

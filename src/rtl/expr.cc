@@ -385,35 +385,43 @@ substReg(const ExprPtr &e, RegFile file, int index, const ExprPtr &repl)
     return e;
 }
 
-void
-forEachNode(const ExprPtr &e, const std::function<void(const Expr &)> &fn)
+namespace {
+
+const Expr *
+findRegIn(const Expr *e, RegFile file, int index)
 {
-    if (!e)
-        return;
-    fn(*e);
-    switch (e->kind()) {
-      case Expr::Kind::Mem:
-      case Expr::Kind::Un:
-        forEachNode(e->lhs(), fn);
-        break;
-      case Expr::Kind::Bin:
-        forEachNode(e->lhs(), fn);
-        forEachNode(e->rhs(), fn);
-        break;
-      default:
-        break;
+    while (e) {
+        switch (e->kind()) {
+          case Expr::Kind::Reg:
+            return e->isReg(file, index) ? e : nullptr;
+          case Expr::Kind::Mem:
+          case Expr::Kind::Un:
+            e = e->lhs().get();
+            break;
+          case Expr::Kind::Bin:
+            if (const Expr *l = findRegIn(e->lhs().get(), file, index))
+                return l;
+            e = e->rhs().get();
+            break;
+          default:
+            return nullptr;
+        }
     }
+    return nullptr;
+}
+
+} // anonymous namespace
+
+const Expr *
+findReg(const ExprPtr &e, RegFile file, int index)
+{
+    return findRegIn(e.get(), file, index);
 }
 
 bool
 usesReg(const ExprPtr &e, RegFile file, int index)
 {
-    bool found = false;
-    forEachNode(e, [&](const Expr &n) {
-        if (n.isReg(file, index))
-            found = true;
-    });
-    return found;
+    return findReg(e, file, index) != nullptr;
 }
 
 bool
@@ -425,35 +433,6 @@ containsMem(const ExprPtr &e)
             found = true;
     });
     return found;
-}
-
-std::vector<ExprPtr>
-collectRegs(const ExprPtr &e)
-{
-    std::vector<ExprPtr> out;
-    // forEachNode hands out const Expr&, so re-walk keeping ExprPtrs.
-    std::function<void(const ExprPtr &)> walk = [&](const ExprPtr &n) {
-        if (!n)
-            return;
-        if (n->isReg()) {
-            out.push_back(n);
-            return;
-        }
-        switch (n->kind()) {
-          case Expr::Kind::Mem:
-          case Expr::Kind::Un:
-            walk(n->lhs());
-            break;
-          case Expr::Kind::Bin:
-            walk(n->lhs());
-            walk(n->rhs());
-            break;
-          default:
-            break;
-        }
-    };
-    walk(e);
-    return out;
 }
 
 std::string

@@ -19,8 +19,8 @@
 #ifndef WMSTREAM_RTL_EXPR_H
 #define WMSTREAM_RTL_EXPR_H
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +50,9 @@ const char *dataTypeName(DataType t);
  * FIFO; cell 0 is the integer unit's FIFO and cell 1 the float unit's.
  */
 enum class RegFile : uint8_t { Int, Flt, VInt, VFlt, CC };
+
+/** Number of RegFile values (dense tables keep one slot per file). */
+constexpr size_t kNumRegFiles = 5;
 
 /** True for the two virtual files. */
 bool isVirtualFile(RegFile f);
@@ -172,17 +175,61 @@ bool exprEqual(const ExprPtr &a, const ExprPtr &b);
 ExprPtr substReg(const ExprPtr &e, RegFile file, int index,
                  const ExprPtr &repl);
 
-/** Apply @p fn to every node of @p e (pre-order). */
-void forEachNode(const ExprPtr &e, const std::function<void(const Expr &)> &fn);
+/**
+ * Apply @p fn to every node of @p e (pre-order). A template so the
+ * walk inlines the callback and allocates nothing.
+ */
+template <class F>
+void
+forEachNode(const Expr *e, F &&fn)
+{
+    while (e) {
+        fn(*e);
+        switch (e->kind()) {
+          case Expr::Kind::Mem:
+          case Expr::Kind::Un:
+            e = e->lhs().get();
+            break;
+          case Expr::Kind::Bin:
+            forEachNode(e->lhs().get(), fn);
+            e = e->rhs().get();
+            break;
+          default:
+            return;
+        }
+    }
+}
+
+template <class F>
+void
+forEachNode(const ExprPtr &e, F &&fn)
+{
+    forEachNode(e.get(), fn);
+}
+
+/**
+ * Apply @p fn to every register node of @p e, in evaluation order and
+ * with duplicates: `(r1+r1)*r2` visits r1, r1, r2.
+ */
+template <class F>
+void
+forEachReg(const ExprPtr &e, F &&fn)
+{
+    forEachNode(e.get(), [&](const Expr &n) {
+        if (n.isReg())
+            fn(n);
+    });
+}
+
+/** The first node of @p e that is register (file,index), in evaluation
+ *  order, or null. */
+const Expr *findReg(const ExprPtr &e, RegFile file, int index);
 
 /** True if register (file,index) occurs anywhere in @p e. */
 bool usesReg(const ExprPtr &e, RegFile file, int index);
 
 /** True if a Mem node occurs anywhere in @p e. */
 bool containsMem(const ExprPtr &e);
-
-/** Collect all register nodes in @p e (in traversal order, with dups). */
-std::vector<ExprPtr> collectRegs(const ExprPtr &e);
 
 } // namespace wmstream::rtl
 

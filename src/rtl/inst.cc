@@ -1,6 +1,8 @@
 #include "rtl/inst.h"
 
+#include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "support/diag.h"
@@ -232,45 +234,6 @@ makeReturn(std::string comment)
     return i;
 }
 
-std::vector<ExprPtr>
-instUses(const Inst &inst)
-{
-    std::vector<ExprPtr> uses;
-    auto add = [&](const ExprPtr &e) {
-        if (!e)
-            return;
-        auto regs = collectRegs(e);
-        uses.insert(uses.end(), regs.begin(), regs.end());
-    };
-    switch (inst.kind) {
-      case InstKind::Assign:
-        add(inst.src);
-        break;
-      case InstKind::Load:
-        add(inst.addr);
-        break;
-      case InstKind::Store:
-        add(inst.addr);
-        add(inst.src);
-        break;
-      case InstKind::StreamIn:
-      case InstKind::StreamOut:
-        add(inst.addr);
-        add(inst.count);
-        break;
-      case InstKind::VecOp:
-        add(inst.src);
-        add(inst.vecSrc2);
-        add(inst.count);
-        break;
-      default:
-        break;
-    }
-    for (const auto &e : inst.extraUses)
-        add(e);
-    return uses;
-}
-
 ExprPtr
 instDef(const Inst &inst)
 {
@@ -346,12 +309,28 @@ Function::newLabel()
 void
 Function::recomputeCfg()
 {
-    std::unordered_map<std::string, Block *> byLabel;
+    // Label lookup through a sorted vector: one allocation per call,
+    // where a hash map cost one per block. Among equal labels the last
+    // block in layout order wins.
+    std::vector<std::pair<std::string_view, Block *>> byLabel;
+    byLabel.reserve(blocks_.size());
     for (auto &b : blocks_) {
-        byLabel[b->label()] = b.get();
+        byLabel.emplace_back(b->label(), b.get());
         b->succs.clear();
         b->preds.clear();
     }
+    std::stable_sort(byLabel.begin(), byLabel.end(),
+                     [](const auto &x, const auto &y) {
+                         return x.first < y.first;
+                     });
+    auto find = [&](const std::string &label) -> Block * {
+        auto it = std::upper_bound(
+            byLabel.begin(), byLabel.end(), label,
+            [](const std::string &l, const auto &e) { return l < e.first; });
+        if (it == byLabel.begin() || (it - 1)->first != label)
+            return nullptr;
+        return (it - 1)->second;
+    };
 
     auto link = [](Block *from, Block *to) {
         from->succs.push_back(to);
@@ -369,10 +348,9 @@ Function::recomputeCfg()
                 [[fallthrough]];
               case InstKind::CondJump:
               case InstKind::JumpStream: {
-                auto it = byLabel.find(term->target);
-                WS_ASSERT(it != byLabel.end(),
-                          "branch to unknown label " + term->target);
-                link(b, it->second);
+                Block *target = find(term->target);
+                WS_ASSERT(target, "branch to unknown label " + term->target);
+                link(b, target);
                 break;
               }
               case InstKind::Return:

@@ -106,7 +106,7 @@ struct Inst
     /**
      * Implicit register uses not visible in the other operand fields:
      * argument registers of a Call, the value register of a Return.
-     * instUses() includes these so dataflow analyses see them.
+     * forEachUseReg() visits these so dataflow analyses see them.
      */
     std::vector<ExprPtr> extraUses;
 
@@ -146,8 +146,41 @@ Inst makeCall(std::string callee, std::string comment = "");
 Inst makeReturn(std::string comment = "");
 /// @}
 
-/** Registers read by @p inst (with duplicates, in operand order). */
-std::vector<ExprPtr> instUses(const Inst &inst);
+/**
+ * Apply @p fn to every register node read by @p inst, with duplicates,
+ * in operand order and the implicit extraUses last. Allocates nothing.
+ */
+template <class F>
+void
+forEachUseReg(const Inst &inst, F &&fn)
+{
+    switch (inst.kind) {
+      case InstKind::Assign:
+        forEachReg(inst.src, fn);
+        break;
+      case InstKind::Load:
+        forEachReg(inst.addr, fn);
+        break;
+      case InstKind::Store:
+        forEachReg(inst.addr, fn);
+        forEachReg(inst.src, fn);
+        break;
+      case InstKind::StreamIn:
+      case InstKind::StreamOut:
+        forEachReg(inst.addr, fn);
+        forEachReg(inst.count, fn);
+        break;
+      case InstKind::VecOp:
+        forEachReg(inst.src, fn);
+        forEachReg(inst.vecSrc2, fn);
+        forEachReg(inst.count, fn);
+        break;
+      default:
+        break;
+    }
+    for (const ExprPtr &e : inst.extraUses)
+        forEachReg(e, fn);
+}
 
 /** Register written by @p inst, or nullptr. */
 ExprPtr instDef(const Inst &inst);

@@ -366,13 +366,13 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
         int n = 0;
         for (auto &bp : fn.blocks()) {
             for (size_t i = 0; i < bp->insts.size(); ++i) {
-                for (const auto &u : rtl::instUses(bp->insts[i])) {
-                    if (u->isReg(reg->regFile(), reg->regIndex())) {
+                rtl::forEachUseReg(bp->insts[i], [&](const rtl::Expr &u) {
+                    if (u.isReg(reg->regFile(), reg->regIndex())) {
                         ++n;
                         *useBlock = bp.get();
                         *useIndex = i;
                     }
-                }
+                });
             }
         }
         return n;
@@ -827,17 +827,18 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
         int loopUses = 0;
         for (rtl::Block *b : loop.blocks)
             for (size_t i = 0; i < b->insts.size(); ++i)
-                for (const auto &u : rtl::instUses(b->insts[i]))
-                    if (u->isReg(iv->reg->regFile(), iv->reg->regIndex()))
-                        ++loopUses;
+                rtl::forEachUseReg(b->insts[i], [&](const rtl::Expr &u) {
+                    loopUses += u.isReg(iv->reg->regFile(),
+                                        iv->reg->regIndex());
+                });
         // The increment itself uses the IV once.
         if (loopUses == 1) {
             fn.recomputeCfg();
             cfg::Liveness lv(fn, traits);
             bool liveOut = false;
             for (rtl::Block *ex : exitTargets)
-                if (lv.liveIn(ex).count(RegKey{iv->reg->regFile(),
-                                               iv->reg->regIndex()})) {
+                if (lv.liveIn(ex, RegKey{iv->reg->regFile(),
+                                         iv->reg->regIndex()})) {
                     liveOut = true;
                 }
             if (!liveOut) {

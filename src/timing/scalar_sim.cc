@@ -1,6 +1,7 @@
 #include "timing/scalar_sim.h"
 
 #include "rtl/exec.h"
+#include "support/convert.h"
 
 namespace wmstream::timing {
 
@@ -322,7 +323,7 @@ class ScalarMachine
         if (dst->regFile() == RegFile::Flt)
             freg_[idx] = v.isFloat ? v.f : static_cast<double>(v.i);
         else
-            rreg_[idx] = v.isFloat ? static_cast<int64_t>(v.f) : v.i;
+            rreg_[idx] = v.isFloat ? truncToInt64(v.f) : v.i;
     }
 
     Val

@@ -448,9 +448,10 @@ checkStructure(rtl::Function &fn, const rtl::MachineTraits &traits,
             opts.stage != Stage::PostLower && fn.entry()) {
         cfg::Liveness live(fn, traits);
         std::vector<cfg::RegKey> bad;
-        for (const cfg::RegKey &k : live.liveIn(fn.entry()))
+        live.forEachLiveIn(fn.entry(), [&](const cfg::RegKey &k) {
             if (k.file == RegFile::VInt || k.file == RegFile::VFlt)
                 bad.push_back(k);
+        });
         // Deterministic order for golden tests.
         std::sort(bad.begin(), bad.end(),
                   [](const cfg::RegKey &a, const cfg::RegKey &b2) {

@@ -1,6 +1,6 @@
 #include "wm/lowering.h"
 
-#include <functional>
+#include <optional>
 
 #include "cfg/liveness.h"
 #include "support/diag.h"
@@ -16,15 +16,6 @@ using rtl::InstKind;
 using rtl::RegFile;
 
 namespace {
-
-bool
-instReadsQueue(const Inst &inst, RegFile file, int fifo)
-{
-    for (const auto &u : rtl::instUses(inst))
-        if (u->isReg(file, fifo))
-            return true;
-    return false;
-}
 
 /** DFS (evaluation-order) positions of reads of (file,fifo) in @p e. */
 void
@@ -109,189 +100,191 @@ basicLower(rtl::Function &fn, LoweringReport &report)
 }
 
 /**
- * Dequeue folding. For `rD := fifo` whose single later use can consume
- * the FIFO directly, delete the dequeue. Constraints documented in the
- * header.
+ * Dequeue folding. For `rD := fifo` at @p i of @p b whose single later
+ * use can consume the FIFO directly, delete the dequeue and return
+ * true. Constraints documented in the header. Sets @p crossesWrite when
+ * the moved queue read passes an instruction that writes the same
+ * register number (an enqueue on the output FIFO of that name).
  */
 bool
-foldDequeuesOnce(rtl::Function &fn, const rtl::MachineTraits &traits,
-                 LoweringReport &report)
+tryFoldDequeue(rtl::Block *b, size_t i, const cfg::Liveness &live,
+               const rtl::MachineTraits &traits, bool *crossesWrite)
 {
-    cfg::Liveness live(fn, traits);
-    for (auto &bp : fn.blocks()) {
-        rtl::Block *b = bp.get();
-        for (size_t i = 0; i < b->insts.size(); ++i) {
-            Inst &deq = b->insts[i];
-            if (deq.kind != InstKind::Assign || !deq.src->isReg())
-                continue;
-            RegFile ff = deq.src->regFile();
-            int fifo = deq.src->regIndex();
-            if ((ff != RegFile::Int && ff != RegFile::Flt) ||
-                    (fifo != 0 && fifo != 1)) {
-                continue;
-            }
-            const ExprPtr dst = deq.dst;
-            if (dst->isReg(ff, fifo))
-                continue;
-            RegKey dkey{dst->regFile(), dst->regIndex()};
-
-            // Find the single use, aborting on queue interference.
-            size_t useIdx = 0;
-            bool found = false, blocked = false;
-            for (size_t j = i + 1; j < b->insts.size() && !found &&
-                                   !blocked; ++j) {
-                const Inst &cand = b->insts[j];
-                if (cand.kind == InstKind::Call) {
-                    blocked = true;
-                    break;
-                }
-                int usesD = 0;
-                for (const auto &u : rtl::instUses(cand))
-                    if (u->isReg(dkey.file, dkey.index))
-                        ++usesD;
-                bool readsQ = instReadsQueue(cand, ff, fifo);
-                if (usesD > 0) {
-                    if (usesD > 1) {
-                        blocked = true;
-                        break;
-                    }
-                    useIdx = j;
-                    found = true;
-                    break;
-                }
-                if (readsQ) {
-                    blocked = true;
-                    break;
-                }
-                // Redefinition of rD before any use: dequeue needed
-                // only if rD live elsewhere; stop either way.
-                bool redef = false;
-                for (const RegKey &k : cfg::instDefKeys(cand, traits))
-                    if (k == dkey)
-                        redef = true;
-                if (redef) {
-                    blocked = true;
-                    break;
-                }
-            }
-            if (!found || blocked)
-                continue;
-
-            Inst &use = b->insts[useIdx];
-            // Only fold into Assign sources and Load/Store addresses
-            // keep ordering analysis simple; stores' data field is
-            // handled by the enqueue peephole.
-            ExprPtr *field = nullptr;
-            if (use.kind == InstKind::Assign &&
-                    rtl::usesReg(use.src, dkey.file, dkey.index)) {
-                field = &use.src;
-            } else {
-                continue;
-            }
-
-            // rD must be dead after the use.
-            bool liveLater = live.liveAfter(b, useIdx, dkey);
-            if (liveLater)
-                continue;
-
-            // Queue-order check: the new FIFO read must come after all
-            // existing reads of the same queue in evaluation order.
-            {
-                // Locate rD's node in the use expression.
-                const Expr *marker = nullptr;
-                std::function<void(const ExprPtr &)> findMarker =
-                    [&](const ExprPtr &e) {
-                        if (!e || marker)
-                            return;
-                        if (e->isReg(dkey.file, dkey.index)) {
-                            marker = e.get();
-                            return;
-                        }
-                        findMarker(e->lhs());
-                        if (e->kind() == Expr::Kind::Bin)
-                            findMarker(e->rhs());
-                    };
-                findMarker(*field);
-                int counter = 0, markerPos = -1;
-                std::vector<int> positions;
-                fifoReadPositions(*field, ff, fifo, &counter, &positions,
-                                  marker, &markerPos);
-                bool ok = markerPos >= 0;
-                for (int p : positions)
-                    if (p > markerPos)
-                        ok = false;
-                if (!ok)
-                    continue;
-            }
-
-            *field = rtl::substReg(*field, dkey.file, dkey.index,
-                                   deq.src);
-            b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(i));
-            ++report.dequeuesFolded;
-            return true; // liveness indexes are stale; restart
-        }
+    Inst &deq = b->insts[i];
+    if (deq.kind != InstKind::Assign || !deq.src->isReg())
+        return false;
+    RegFile ff = deq.src->regFile();
+    int fifo = deq.src->regIndex();
+    if ((ff != RegFile::Int && ff != RegFile::Flt) ||
+            (fifo != 0 && fifo != 1)) {
+        return false;
     }
-    return false;
+    const ExprPtr dst = deq.dst;
+    if (dst->isReg(ff, fifo))
+        return false;
+    RegKey dkey{dst->regFile(), dst->regIndex()};
+    RegKey qkey{ff, fifo};
+
+    // Find the single use, aborting on queue interference.
+    size_t useIdx = 0;
+    bool crosses = false;
+    for (size_t j = i + 1;; ++j) {
+        if (j == b->insts.size())
+            return false;
+        const Inst &cand = b->insts[j];
+        if (cand.kind == InstKind::Call)
+            return false;
+        int usesD = 0;
+        bool readsQ = false;
+        rtl::forEachUseReg(cand, [&](const Expr &u) {
+            usesD += u.isReg(dkey.file, dkey.index);
+            readsQ = readsQ || u.isReg(ff, fifo);
+        });
+        if (usesD > 0) {
+            if (usesD > 1)
+                return false;
+            useIdx = j;
+            break;
+        }
+        if (readsQ)
+            return false;
+        // Redefinition of rD before any use: dequeue needed only if rD
+        // live elsewhere; stop either way.
+        bool redef = false;
+        cfg::forEachDef(cand, traits, [&](const RegKey &k) {
+            redef = redef || k == dkey;
+            crosses = crosses || k == qkey;
+        });
+        if (redef)
+            return false;
+    }
+
+    // Only fold into Assign sources and Load/Store addresses keep
+    // ordering analysis simple; stores' data field is handled by the
+    // enqueue peephole.
+    Inst &use = b->insts[useIdx];
+    if (use.kind != InstKind::Assign ||
+            !rtl::usesReg(use.src, dkey.file, dkey.index)) {
+        return false;
+    }
+    ExprPtr *field = &use.src;
+
+    // rD must be dead after the use.
+    if (live.liveAfter(b, useIdx, dkey))
+        return false;
+
+    // Queue-order check: the new FIFO read must come after all existing
+    // reads of the same queue in evaluation order.
+    const Expr *marker = rtl::findReg(*field, dkey.file, dkey.index);
+    int counter = 0, markerPos = -1;
+    std::vector<int> positions;
+    fifoReadPositions(*field, ff, fifo, &counter, &positions, marker,
+                      &markerPos);
+    if (markerPos < 0)
+        return false;
+    for (int p : positions)
+        if (p > markerPos)
+            return false;
+
+    *field = rtl::substReg(*field, dkey.file, dkey.index, deq.src);
+    b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(i));
+    *crossesWrite = crosses;
+    return true;
 }
 
+/**
+ * Fold every foldable dequeue, with one liveness solve for the whole
+ * sweep. A fold deletes `rD := fifo`, rewrites rD's single use later
+ * in the same block, and rD is dead after that use, so the live-in and
+ * live-out sets of every block stay what a fresh solve would give: the
+ * solve is reused, and the scan resumes at the start of the edited
+ * block (earlier blocks, and their liveness, are unchanged). The one
+ * exception is a queue read moved past a write of the same register
+ * number, which can change that FIFO key's upward-exposed uses; then
+ * the solve is rebuilt and the scan restarts from the entry. DESIGN.md
+ * ("Def/use visitors and dense keys") gives the argument in full.
+ */
 void
 foldDequeues(rtl::Function &fn, const rtl::MachineTraits &traits,
              LoweringReport &report)
 {
-    while (foldDequeuesOnce(fn, traits, report)) {
+    std::optional<cfg::Liveness> live(std::in_place, fn, traits);
+    size_t bi = 0;
+    while (bi < fn.blocks().size()) {
+        rtl::Block *b = fn.blocks()[bi].get();
+        bool folded = false;
+        for (size_t i = 0; i < b->insts.size() && !folded; ++i) {
+            bool crossesWrite = false;
+            if (!tryFoldDequeue(b, i, *live, traits, &crossesWrite))
+                continue;
+            folded = true;
+            ++report.dequeuesFolded;
+            if (crossesWrite) {
+                live.emplace(fn, traits);
+                bi = 0;
+            }
+        }
+        if (!folded)
+            ++bi;
     }
 }
 
 /**
- * Enqueue folding: `rT := expr; fifoOut := rT` with rT dead afterwards
- * becomes `fifoOut := expr`.
+ * Enqueue folding: `rT := expr; fifoOut := rT` at @p i - 1 and @p i of
+ * @p b, with rT dead afterwards, becomes `fifoOut := expr`.
  */
 bool
-foldEnqueuesOnce(rtl::Function &fn, const rtl::MachineTraits &traits,
-                 LoweringReport &report)
+tryFoldEnqueue(rtl::Block *b, size_t i, const cfg::Liveness &live)
+{
+    Inst &enq = b->insts[i];
+    if (enq.kind != InstKind::Assign || !enq.dst->isReg())
+        return false;
+    RegFile ff = enq.dst->regFile();
+    int fifo = enq.dst->regIndex();
+    if ((ff != RegFile::Int && ff != RegFile::Flt) ||
+            (fifo != 0 && fifo != 1)) {
+        return false;
+    }
+    if (!enq.src->isReg())
+        return false;
+    Inst &def = b->insts[i - 1];
+    if (def.kind != InstKind::Assign || !def.dst->isReg())
+        return false;
+    if (!def.dst->isReg(enq.src->regFile(), enq.src->regIndex()))
+        return false;
+    if (def.dst->isReg(ff, fifo))
+        return false;
+    RegKey dkey{def.dst->regFile(), def.dst->regIndex()};
+    if (live.liveAfter(b, i, dkey))
+        return false;
+    // Merge: fifoOut := def.src; delete def.
+    enq.src = def.src;
+    if (enq.comment.empty())
+        enq.comment = def.comment;
+    b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(i - 1));
+    return true;
+}
+
+/**
+ * Fold every foldable enqueue with one liveness solve. The merged
+ * instruction reads what the deleted one read, at the same place
+ * relative to every other instruction, so no key's liveness changes
+ * and the solve is never rebuilt; a fold rescans its own block, where
+ * the merged instruction may feed a new pair.
+ */
+void
+foldEnqueues(rtl::Function &fn, const rtl::MachineTraits &traits,
+             LoweringReport &report)
 {
     cfg::Liveness live(fn, traits);
     for (auto &bp : fn.blocks()) {
         rtl::Block *b = bp.get();
         for (size_t i = 1; i < b->insts.size(); ++i) {
-            Inst &enq = b->insts[i];
-            if (enq.kind != InstKind::Assign || !enq.dst->isReg())
-                continue;
-            RegFile ff = enq.dst->regFile();
-            int fifo = enq.dst->regIndex();
-            if ((ff != RegFile::Int && ff != RegFile::Flt) ||
-                    (fifo != 0 && fifo != 1)) {
-                continue;
+            if (tryFoldEnqueue(b, i, live)) {
+                ++report.enqueuesFolded;
+                i = 0;
             }
-            if (!enq.src->isReg())
-                continue;
-            Inst &def = b->insts[i - 1];
-            if (def.kind != InstKind::Assign || !def.dst->isReg())
-                continue;
-            if (!def.dst->isReg(enq.src->regFile(), enq.src->regIndex()))
-                continue;
-            if (def.dst->isReg(ff, fifo))
-                continue;
-            RegKey dkey{def.dst->regFile(), def.dst->regIndex()};
-            if (live.liveAfter(b, i, dkey))
-                continue;
-            // Merge: fifoOut := def.src; delete def.
-            enq.src = def.src;
-            if (enq.comment.empty())
-                enq.comment = def.comment;
-            b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(i - 1));
-            ++report.enqueuesFolded;
-            return true; // liveness indexes are stale; restart
         }
-    }
-    return false;
-}
-
-void
-foldEnqueues(rtl::Function &fn, const rtl::MachineTraits &traits,
-             LoweringReport &report)
-{
-    while (foldEnqueuesOnce(fn, traits, report)) {
     }
 }
 

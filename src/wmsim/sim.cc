@@ -7,6 +7,7 @@
 #include <functional>
 
 #include "rtl/exec.h"
+#include "support/convert.h"
 #include "support/diag.h"
 #include "support/rng.h"
 #include "support/str.h"
@@ -866,7 +867,7 @@ struct Simulator::Impl
             } else {
                 out.isFloat = false;
                 if (v.isFloat)
-                    out.i = static_cast<int64_t>(v.f);
+                    out.i = truncToInt64(v.f);
                 outFifo[0][idx].push_back(out);
             }
             return;
@@ -874,7 +875,7 @@ struct Simulator::Impl
         if (f == RegFile::Flt)
             freg[idx] = v.isFloat ? v.f : static_cast<double>(v.i);
         else
-            rreg[idx] = v.isFloat ? static_cast<int64_t>(v.f) : v.i;
+            rreg[idx] = v.isFloat ? truncToInt64(v.f) : v.i;
     }
 
     // ---- store-ordering checks ----

@@ -176,8 +176,8 @@ TEST(Liveness, LoopCarriedValueLiveAroundBackEdge)
     cfg::Liveness lv(fn, wmTraits());
     Block *header = fn.findBlock("header");
     // the IV is live into the header (used by its own increment)
-    EXPECT_TRUE(lv.liveIn(header).count({RegFile::VInt, 0}));
-    EXPECT_TRUE(lv.liveOut(header).count({RegFile::VInt, 0}));
+    EXPECT_TRUE(lv.liveIn(header, {RegFile::VInt, 0}));
+    EXPECT_TRUE(lv.liveOut(header, {RegFile::VInt, 0}));
 }
 
 TEST(Liveness, CallClobbersCallerSaved)
@@ -195,17 +195,16 @@ TEST(Liveness, CallClobbersCallerSaved)
     fn.recomputeCfg();
 
     auto traits = wmTraits();
-    auto defs = cfg::instDefKeys(b->insts[1], traits);
     // Call defines every caller-saved register in both files plus CC.
     bool hasR2 = false, hasF2 = false, hasCC = false;
-    for (const auto &k : defs) {
+    cfg::forEachDef(b->insts[1], traits, [&](const cfg::RegKey &k) {
         if (k.file == RegFile::Int && k.index == 2)
             hasR2 = true;
         if (k.file == RegFile::Flt && k.index == 2)
             hasF2 = true;
         if (k.file == RegFile::CC)
             hasCC = true;
-    }
+    });
     EXPECT_TRUE(hasR2);
     EXPECT_TRUE(hasF2);
     EXPECT_TRUE(hasCC);
@@ -214,7 +213,8 @@ TEST(Liveness, CallClobbersCallerSaved)
 TEST(Liveness, CondJumpUsesCc)
 {
     Inst j = makeCondJump(UnitSide::Flt, true, "L");
-    auto uses = cfg::instUseKeys(j);
+    std::vector<cfg::RegKey> uses;
+    cfg::forEachUse(j, [&](const cfg::RegKey &k) { uses.push_back(k); });
     ASSERT_EQ(uses.size(), 1u);
     EXPECT_EQ(uses[0].file, RegFile::CC);
     EXPECT_EQ(uses[0].index, 1);

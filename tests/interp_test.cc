@@ -315,6 +315,32 @@ int main(void) {
               0);
 }
 
+TEST(Interp, OutOfRangeDoubleToIntIsIndefinite)
+{
+    // A double outside int's range converts to the minimum int (the
+    // x86 "integer indefinite"), in a constant initializer, a local or
+    // global assignment and the returned value alike, instead of being
+    // undefined behaviour.
+    EXPECT_EQ(run(R"(
+int g;
+int h = 1e30;
+int main(void) {
+    double big;
+    int i;
+    int j;
+    big = 1e30;
+    i = big;
+    j = 0.0 - big;
+    g = big * big;
+    return (i == -9223372036854775807 - 1) + (j == i) + (g == i) +
+           (h == i);
+})"),
+              4);
+    EXPECT_EQ(run("int main(void) { double d; d = 1e300; return d * d; }"),
+              INT64_MIN);
+    EXPECT_EQ(run("int main(void) { double d; d = -2.9; return d; }"), -2);
+}
+
 TEST(Interp, InfiniteLoopHitsStepBudget)
 {
     DiagEngine diag;

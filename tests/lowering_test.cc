@@ -144,6 +144,86 @@ TEST(Lowering, FoldsDequeuesAndEnqueues)
     EXPECT_GT(report.enqueuesFolded, 0);
 }
 
+/**
+ * A register-assigned function of three blocks for the lowering
+ * peepholes: dequeue and enqueue folds in two blocks, a dequeue whose
+ * value is live into another block, and a dequeue whose use sits past
+ * an enqueue to the same register number (f0 in, f0 out), as streamed
+ * loops produce.
+ */
+Function
+foldingFunction()
+{
+    auto r = [](int i) { return makeReg(RegFile::Int, i, DataType::I64); };
+    auto f = [](int i) { return makeReg(RegFile::Flt, i, DataType::F64); };
+    Function fn("fold");
+    Block *entry = fn.addBlock("entry");
+    Block *loop = fn.addBlock("loop");
+    Block *exit = fn.addBlock("exit");
+
+    entry->insts.push_back(makeLoad(f(5), r(20), DataType::F64));
+    entry->insts.push_back(makeAssign(f(6), makeBin(Op::Mul, f(5), f(20))));
+    entry->insts.push_back(makeStore(r(21), f(6), DataType::F64));
+    entry->insts.push_back(makeLoad(r(9), r(22), DataType::I64));
+
+    loop->insts.push_back(makeAssign(f(8), f(0), "stream dequeue"));
+    loop->insts.push_back(makeAssign(f(0), f(9), "stream enqueue"));
+    loop->insts.push_back(makeAssign(f(10), makeBin(Op::Add, f(8), f(21))));
+    loop->insts.push_back(makeAssign(f(12), f(0), "live out"));
+    loop->insts.push_back(makeAssign(f(13), makeBin(Op::Mul, f(12), f(10))));
+    loop->insts.push_back(makeStore(r(23), f(13), DataType::F64));
+    loop->insts.push_back(makeLoad(r(5), r(24), DataType::I64));
+    loop->insts.push_back(makeAssign(r(7), makeBin(Op::Add, r(5), r(9))));
+    loop->insts.push_back(makeStore(r(25), r(7), DataType::I64));
+    loop->insts.push_back(makeAssign(r(9), makeBin(Op::Sub, r(9),
+                                                   makeConst(1))));
+    loop->insts.push_back(makeAssign(makeReg(RegFile::CC, 0, DataType::I32),
+                                     makeBin(Op::Gt, r(9), makeConst(0))));
+    loop->insts.push_back(makeCondJump(UnitSide::Int, true, "loop"));
+
+    exit->insts.push_back(makeAssign(f(2), makeBin(Op::Add, f(12), f(10))));
+    Inst ret = makeReturn();
+    ret.extraUses.push_back(f(2));
+    exit->insts.push_back(std::move(ret));
+    fn.recomputeCfg();
+    return fn;
+}
+
+TEST(Lowering, FoldsAcrossBlocksWithOneLivenessSolve)
+{
+    Function fn = foldingFunction();
+    auto report = wm::lowerToFifoForm(fn, wmTraits());
+    EXPECT_EQ(report.loadsLowered, 3);
+    EXPECT_EQ(report.storesLowered, 3);
+    EXPECT_EQ(report.dequeuesFolded, 3);
+    EXPECT_EQ(report.enqueuesFolded, 3);
+    // f8's dequeue moves past the enqueue to f0 (the output queue of
+    // that name); r9 and f12 are live into later blocks and stay.
+    EXPECT_EQ(fn.str(), R"(function fold (frame 0):
+entry:
+    f[0] := F64[r[20]]
+    f[0] := (f[0]*f[20])    -- enqueue store data
+    F64[r[21]] := f[0]
+    r[0] := M64[r[22]]
+    r[9] := r[0]    -- dequeue
+loop:
+    f[0] := f[9]    -- stream enqueue
+    f[10] := (f[0]+f[21])
+    f[12] := f[0]    -- live out
+    f[0] := (f[12]*f[10])    -- enqueue store data
+    F64[r[23]] := f[0]
+    r[0] := M64[r[24]]
+    r[0] := (r[0]+r[9])    -- enqueue store data
+    M64[r[25]] := r[0]
+    r[9] := (r[9]-1)
+    cc[0] := (r[9]>0)
+    jumpTi loop
+exit:
+    f[2] := (f[12]+f[10])
+    return
+)");
+}
+
 TEST(WmPrinter, OpcodeMnemonics)
 {
     EXPECT_EQ(wm::opcodeOf(makeLoad(makeReg(RegFile::Flt, 0, DataType::F64),

@@ -156,9 +156,9 @@ TEST(Combine, DoesNotFoldMultiUseDef)
     EXPECT_TRUE(b->insts[0].dst->isReg(t->regFile(), t->regIndex()));
     bool tUsed = false;
     for (const Inst &inst : b->insts)
-        for (const auto &u : instUses(inst))
-            if (u->isReg(t->regFile(), t->regIndex()))
-                tUsed = true;
+        forEachUseReg(inst, [&](const Expr &u) {
+            tUsed = tUsed || u.isReg(t->regFile(), t->regIndex());
+        });
     EXPECT_TRUE(tUsed);
 }
 
@@ -185,6 +185,35 @@ TEST(Combine, BlockedByInterveningRedefinition)
     ASSERT_FALSE(b->insts.empty());
     EXPECT_TRUE(b->insts[0].dst->isReg(t->regFile(), t->regIndex()));
     EXPECT_EQ(b->insts[0].src->op(), Op::Shl);
+}
+
+TEST(Combine, FoldThatDropsARegisterFreesItsOtherUse)
+{
+    // Folding v2 := 0 into v3 := v1 * v2 leaves v3 := 0, so v1 loses a
+    // use although v1 is not the folded register. The use counts must
+    // see that: v1 is then single-use, and its def folds into the one
+    // use left, as a full recount of the function would allow.
+    auto traits = wmTraits();
+    Function fn("f");
+    Block *b = fn.addBlock("entry");
+    auto a = makeReg(RegFile::Int, 4, DataType::I64);
+    auto v1 = vi(fn);
+    auto v2 = vi(fn);
+    auto v3 = vi(fn);
+    auto v4 = vi(fn);
+    auto ret = makeReg(RegFile::Int, 2, DataType::I64);
+    b->insts.push_back(makeAssign(v1, makeBin(Op::Shl, a, makeConst(3))));
+    b->insts.push_back(makeAssign(v2, makeConst(0)));
+    b->insts.push_back(makeAssign(v3, makeBin(Op::Mul, v1, v2)));
+    b->insts.push_back(makeAssign(v4, makeBin(Op::Add, v1, a)));
+    b->insts.push_back(makeAssign(ret, makeBin(Op::Add, v3, v4)));
+    b->insts.push_back(retWith(ret));
+    fn.recomputeCfg();
+
+    EXPECT_EQ(opt::runCombine(fn, traits), 4);
+    ASSERT_EQ(b->insts.size(), 2u);
+    EXPECT_EQ(b->insts[0].str(), "r[2] := ((r[4]<<3)+r[4])");
+    EXPECT_EQ(opt::runCombine(fn, traits), 0);
 }
 
 // ------------------------------------------------------------- copyprop

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 
+#include "rtl/exec.h"
 #include "rtl/expr.h"
 #include "rtl/inst.h"
 #include "rtl/program.h"
@@ -135,18 +137,41 @@ TEST(RtlExpr, NegationOfRelational)
     EXPECT_EQ(swapRelational(Op::Eq), Op::Eq);
 }
 
+TEST(RtlExec, FloatToIntConversionIsDefined)
+{
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    auto cvt = [](double d) {
+        Val out;
+        EXPECT_EQ(applyUn(Op::CvtFI, Val{true, 0, d}, out), nullptr);
+        EXPECT_FALSE(out.isFloat);
+        return out.i;
+    };
+    EXPECT_EQ(cvt(1e30), kMin);
+    EXPECT_EQ(cvt(-1e30), kMin);
+    EXPECT_EQ(cvt(std::numeric_limits<double>::quiet_NaN()), kMin);
+    EXPECT_EQ(cvt(std::numeric_limits<double>::infinity()), kMin);
+    EXPECT_EQ(cvt(9223372036854775808.0), kMin); // 2^63: first out of range
+    EXPECT_EQ(cvt(-9223372036854775808.0), kMin); // -2^63: exact
+    EXPECT_EQ(cvt(2.9), 2);
+    EXPECT_EQ(cvt(-2.9), -2);
+}
+
 TEST(RtlInst, UsesAndDefs)
 {
     auto dst = makeReg(RegFile::VInt, 5, DataType::I64);
     auto a = makeReg(RegFile::VInt, 1, DataType::I64);
     auto b = makeReg(RegFile::VInt, 2, DataType::I64);
     Inst inst = makeAssign(dst, makeBin(Op::Add, a, b));
-    auto uses = instUses(inst);
-    EXPECT_EQ(uses.size(), 2u);
+    auto countUses = [](const Inst &i) {
+        int n = 0;
+        forEachUseReg(i, [&](const Expr &) { ++n; });
+        return n;
+    };
+    EXPECT_EQ(countUses(inst), 2);
     EXPECT_TRUE(instDef(inst)->isReg(RegFile::VInt, 5));
 
     Inst store = makeStore(a, b, DataType::I64);
-    EXPECT_EQ(instUses(store).size(), 2u);
+    EXPECT_EQ(countUses(store), 2);
     EXPECT_TRUE(instDef(store) == nullptr);
 }
 
