@@ -12,8 +12,6 @@
  * chain length it used, and the cycle effect on WM.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "programs/programs.h"
 
@@ -67,30 +65,15 @@ printTable(wsbench::JsonReport &report)
                 "bail-out.\n\n");
 }
 
-void
-BM_RecurrenceAnalysis(benchmark::State &state)
-{
-    std::string src = programs::recurrenceDegreeSource(200, 2);
-    for (auto _ : state) {
-        driver::CompileOptions opts;
-        opts.streaming = false;
-        auto cr = driver::compileSource(src, opts);
-        benchmark::DoNotOptimize(cr.ok);
-    }
-}
-BENCHMARK(BM_RecurrenceAnalysis);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonOut = wsbench::extractJsonOutFlag(&argc, argv);
+    std::string jsonOut = wsbench::parseJsonOutFlag(argc, argv);
     wsbench::JsonReport report;
     printTable(report);
     if (!wsbench::emitJson(jsonOut, "ablation_degree", report))
         return 1;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
  * latencies for the streamed dot product.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "programs/programs.h"
 
@@ -57,32 +55,15 @@ printTable(wsbench::JsonReport &report)
                 "deliveries.\n\n");
 }
 
-void
-BM_ShallowFifoSimulation(benchmark::State &state)
-{
-    driver::CompileOptions opts;
-    auto cr = driver::compileSource(programs::dotProductSource(500),
-                                    opts);
-    wmsim::SimConfig cfg;
-    cfg.dataFifoDepth = 2;
-    for (auto _ : state) {
-        auto res = wmsim::simulate(*cr.program, cfg);
-        benchmark::DoNotOptimize(res.stats.cycles);
-    }
-}
-BENCHMARK(BM_ShallowFifoSimulation);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonOut = wsbench::extractJsonOutFlag(&argc, argv);
+    std::string jsonOut = wsbench::parseJsonOutFlag(argc, argv);
     wsbench::JsonReport report;
     printTable(report);
     if (!wsbench::emitJson(jsonOut, "ablation_fifodepth", report))
         return 1;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -12,8 +12,6 @@
  * dot product compiled scalar vs. streamed.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "programs/programs.h"
 
@@ -62,32 +60,15 @@ printTable(wsbench::JsonReport &report)
                 "consuming unit.\n\n");
 }
 
-void
-BM_SimulateHighLatency(benchmark::State &state)
-{
-    driver::CompileOptions opts;
-    auto cr = driver::compileSource(programs::dotProductSource(1000),
-                                    opts);
-    wmsim::SimConfig cfg;
-    cfg.memLatency = 16;
-    for (auto _ : state) {
-        auto res = wmsim::simulate(*cr.program, cfg);
-        benchmark::DoNotOptimize(res.stats.cycles);
-    }
-}
-BENCHMARK(BM_SimulateHighLatency);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonOut = wsbench::extractJsonOutFlag(&argc, argv);
+    std::string jsonOut = wsbench::parseJsonOutFlag(argc, argv);
     wsbench::JsonReport report;
     printTable(report);
     if (!wsbench::emitJson(jsonOut, "ablation_latency", report))
         return 1;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -10,8 +10,6 @@
  * the paper's cut-off sits near the crossover.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "support/str.h"
 
@@ -87,29 +85,15 @@ printTable(wsbench::JsonReport &report)
                 "three or fewer iterations\nkeep their scalar code.\n\n");
 }
 
-void
-BM_TinyLoopCompile(benchmark::State &state)
-{
-    std::string src = copyKernel(4);
-    for (auto _ : state) {
-        driver::CompileOptions opts;
-        auto cr = driver::compileSource(src, opts);
-        benchmark::DoNotOptimize(cr.ok);
-    }
-}
-BENCHMARK(BM_TinyLoopCompile);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonOut = wsbench::extractJsonOutFlag(&argc, argv);
+    std::string jsonOut = wsbench::parseJsonOutFlag(argc, argv);
     wsbench::JsonReport report;
     printTable(report);
     if (!wsbench::emitJson(jsonOut, "ablation_tripcount", report))
         return 1;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -12,8 +12,6 @@
  * vector rates need.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "support/str.h"
 
@@ -104,30 +102,15 @@ printTable(wsbench::JsonReport &report)
                 "until the memory system saturates.\n\n");
 }
 
-void
-BM_VectorizedSimulation(benchmark::State &state)
-{
-    driver::CompileOptions opts;
-    opts.vectorize = true;
-    auto cr = driver::compileSource(kernel(500), opts);
-    for (auto _ : state) {
-        auto res = wmsim::simulate(*cr.program);
-        benchmark::DoNotOptimize(res.stats.cycles);
-    }
-}
-BENCHMARK(BM_VectorizedSimulation);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonOut = wsbench::extractJsonOutFlag(&argc, argv);
+    std::string jsonOut = wsbench::parseJsonOutFlag(argc, argv);
     wsbench::JsonReport report;
     printTable(report);
     if (!wsbench::emitJson(jsonOut, "ablation_vector", report))
         return 1;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

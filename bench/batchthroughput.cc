@@ -1,28 +1,24 @@
 /**
  * @file
- * Batch compile-service throughput: TUs per wall-clock second through
- * serve::runBatch, plus the overhead of fault isolation.
+ * Batch compile service: the deterministic work of serve::runBatch,
+ * healthy and under fault isolation.
  *
  * Not a paper table — a harness health metric for the batch service
- * (`wmc --batch`). Two tables:
+ * (`wmc --batch`). Two batches, each run with 1 and 4 workers:
  *
- *  - batch_cold: a healthy all-streamable batch compiled at several
- *    worker counts. The deterministic columns (tus, ok, attempts)
- *    participate in the benchdiff regression gate; "wall_ms" and
- *    "compiles_per_sec" are host-dependent and excluded (see
- *    tools/benchdiff.py's HOST_METRIC_MARKERS).
+ *  - batch_cold: a healthy all-streamable batch. Its columns (tus, ok,
+ *    attempts) must not depend on the worker count.
  *
  *  - batch_degraded: the same batch with every fourth TU poisoned
  *    (alternating injected panics and verifier bugs), pinning the
  *    ladder's deterministic work: attempts, demotions, quarantined.
  *    A regression here means the retry/demotion policy changed
  *    silently.
+ *
+ * benchdiff gates every column exactly.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
-#include "obs/pass_profiler.h"
 #include "programs/programs.h"
 #include "serve/batch.h"
 
@@ -73,29 +69,21 @@ batchOptions(int workers)
 void
 printTable(wsbench::JsonReport &report)
 {
-    std::printf("Batch compile service throughput (%d TUs, verify "
-                "each).\n\n",
+    std::printf("Batch compile service (%d TUs, verify each).\n\n",
                 kTus);
-    std::printf("%-20s %6s %6s %10s %10s %10s %12s\n", "Batch", "ok",
-                "quar", "attempts", "demotions", "wall ms",
-                "compiles/sec");
+    std::printf("%-20s %6s %6s %10s %10s\n", "Batch", "ok", "quar",
+                "attempts", "demotions");
     for (int workers : {1, 4}) {
         for (bool degraded : {false, true}) {
             auto jobs = degraded ? poisonedJobs() : healthyJobs();
-            obs::PhaseTimer timer;
             auto rep = serve::runBatch(jobs, batchOptions(workers));
-            double ms = timer.elapsedMs();
-            double rate =
-                ms > 0.0 ? static_cast<double>(rep.attempts) /
-                               (ms / 1000.0)
-                         : 0.0;
             std::string label =
                 std::string(degraded ? "batch_degraded" : "batch_cold") +
                 ".j" + std::to_string(workers);
-            std::printf("%-20s %6d %6d %10lld %10d %10.2f %12.0f\n",
-                        label.c_str(), rep.ok, rep.quarantined(),
+            std::printf("%-20s %6d %6d %10lld %10d\n", label.c_str(),
+                        rep.ok, rep.quarantined(),
                         static_cast<long long>(rep.attempts),
-                        rep.demotions, ms, rate);
+                        rep.demotions);
             report.row(label)
                 .num("tus", static_cast<double>(rep.total))
                 .num("ok", static_cast<double>(rep.ok))
@@ -104,55 +92,21 @@ printTable(wsbench::JsonReport &report)
                 .num("quarantined",
                      static_cast<double>(rep.quarantined()))
                 .num("attempts", static_cast<double>(rep.attempts))
-                .num("demotions", static_cast<double>(rep.demotions))
-                .num("wall_ms", ms)
-                .num("compiles_per_sec", rate);
+                .num("demotions", static_cast<double>(rep.demotions));
         }
     }
     std::printf("\n");
 }
-
-/** Throughput of the batch runner proper (healthy TUs). */
-void
-BM_BatchCompileHealthy(benchmark::State &state)
-{
-    auto jobs = healthyJobs();
-    auto bo = batchOptions(static_cast<int>(state.range(0)));
-    int64_t compiles = 0;
-    for (auto _ : state) {
-        auto rep = serve::runBatch(jobs, bo);
-        compiles += rep.attempts;
-        benchmark::DoNotOptimize(rep.ok);
-    }
-    state.counters["compiles_per_sec"] = benchmark::Counter(
-        static_cast<double>(compiles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BatchCompileHealthy)->Arg(1)->Arg(4);
-
-/** The fault-isolation overhead: same batch, every fourth TU bad. */
-void
-BM_BatchCompilePoisoned(benchmark::State &state)
-{
-    auto jobs = poisonedJobs();
-    auto bo = batchOptions(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        auto rep = serve::runBatch(jobs, bo);
-        benchmark::DoNotOptimize(rep.quarantined());
-    }
-}
-BENCHMARK(BM_BatchCompilePoisoned)->Arg(1)->Arg(4);
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonOut = wsbench::extractJsonOutFlag(&argc, argv);
+    std::string jsonOut = wsbench::parseJsonOutFlag(argc, argv);
     wsbench::JsonReport report;
     printTable(report);
     if (!wsbench::emitJson(jsonOut, "batchthroughput", report))
         return 1;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -2,10 +2,11 @@
  * @file
  * Shared helpers for the experiment harnesses.
  *
- * Every bench binary reproduces one table or figure from the paper:
- * it prints the paper-style rows first (the reproduction artifact) and
- * then runs google-benchmark timings of the underlying compile/simulate
- * machinery.
+ * Every bench binary reproduces one table or figure from the paper (or
+ * pins one deterministic shape of the toolchain): it prints the
+ * paper-style rows and, with `--json-out=FILE`, writes the same rows as
+ * JSON for tools/benchdiff.py. Every printed number is a pure function
+ * of the sources and options; host time is measured by perfbench/.
  */
 
 #ifndef WMSTREAM_BENCH_COMMON_H
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -130,22 +132,25 @@ private:
 };
 
 /**
- * Pull `--json-out=FILE` out of argv before benchmark::Initialize sees
- * it (google-benchmark aborts on unknown flags). Returns the FILE
- * value, or "" when the flag is absent.
+ * Parse a harness command line. `--json-out=FILE` is the only flag, and
+ * only harnesses with a JSON mirror (@p hasJson) take it; returns FILE,
+ * or "" when the flag is absent. Any other argument is a usage error:
+ * print it and exit 2.
  */
 inline std::string
-extractJsonOutFlag(int *argc, char **argv)
+parseJsonOutFlag(int argc, char **argv, bool hasJson = true)
 {
     std::string path;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        if (std::strncmp(argv[i], "--json-out=", 11) == 0)
+    for (int i = 1; i < argc; ++i) {
+        if (hasJson && std::strncmp(argv[i], "--json-out=", 11) == 0) {
             path = argv[i] + 11;
-        else
-            argv[out++] = argv[i];
+            continue;
+        }
+        std::fprintf(stderr, "%s: unknown argument %s\nusage: %s%s\n",
+                     argv[0], argv[i], argv[0],
+                     hasJson ? " [--json-out=FILE|-]" : "");
+        std::exit(2);
     }
-    *argc = out;
     return path;
 }
 

@@ -10,8 +10,6 @@
  * marginal cost between two sizes is the kernel rate).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "programs/programs.h"
 #include "support/str.h"
@@ -90,30 +88,15 @@ printTable(wsbench::JsonReport &report)
                 "N clock cycles\".\n\n");
 }
 
-void
-BM_SimulateStreamedDot(benchmark::State &state)
-{
-    driver::CompileOptions opts;
-    auto cr = driver::compileSource(programs::dotProductSource(2048),
-                                    opts);
-    for (auto _ : state) {
-        auto res = wmsim::simulate(*cr.program);
-        benchmark::DoNotOptimize(res.stats.cycles);
-    }
-}
-BENCHMARK(BM_SimulateStreamedDot);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonOut = wsbench::extractJsonOutFlag(&argc, argv);
+    std::string jsonOut = wsbench::parseJsonOutFlag(argc, argv);
     wsbench::JsonReport report;
     printTable(report);
     if (!wsbench::emitJson(jsonOut, "dotproduct_cycles", report))
         return 1;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,8 +8,6 @@
  * write), each an address generation feeding the data FIFOs.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "programs/programs.h"
 #include "wm/printer.h"
@@ -34,27 +32,12 @@ printFigure()
                     .c_str());
 }
 
-void
-BM_CompileNoLoopOpts(benchmark::State &state)
-{
-    std::string src = programs::livermore5Source(100);
-    for (auto _ : state) {
-        driver::CompileOptions opts;
-        opts.recurrence = false;
-        opts.streaming = false;
-        auto cr = driver::compileSource(src, opts);
-        benchmark::DoNotOptimize(cr.ok);
-    }
-}
-BENCHMARK(BM_CompileNoLoopOpts);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    wsbench::parseJsonOutFlag(argc, argv, /*hasJson=*/false);
     printFigure();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

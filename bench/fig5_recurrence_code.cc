@@ -8,8 +8,6 @@
  * memory references per iteration remain.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "programs/programs.h"
 #include "wm/printer.h"
@@ -40,26 +38,12 @@ printFigure()
                     : cr.recurrenceReports[0].loadsDeleted);
 }
 
-void
-BM_CompileWithRecurrence(benchmark::State &state)
-{
-    std::string src = programs::livermore5Source(100);
-    for (auto _ : state) {
-        driver::CompileOptions opts;
-        opts.streaming = false;
-        auto cr = driver::compileSource(src, opts);
-        benchmark::DoNotOptimize(cr.ok);
-    }
-}
-BENCHMARK(BM_CompileWithRecurrence);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    wsbench::parseJsonOutFlag(argc, argv, /*hasJson=*/false);
     printFigure();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

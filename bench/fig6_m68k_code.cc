@@ -10,8 +10,6 @@
  * jlt).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "m68k/printer.h"
 #include "programs/programs.h"
@@ -35,26 +33,12 @@ printFigure()
                     .c_str());
 }
 
-void
-BM_CompileScalarWithStrengthReduction(benchmark::State &state)
-{
-    std::string src = programs::livermore5Source(100);
-    for (auto _ : state) {
-        driver::CompileOptions opts;
-        opts.target = rtl::MachineKind::Scalar;
-        auto cr = driver::compileSource(src, opts);
-        benchmark::DoNotOptimize(cr.ok);
-    }
-}
-BENCHMARK(BM_CompileScalarWithStrengthReduction);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    wsbench::parseJsonOutFlag(argc, argv, /*hasJson=*/false);
     printFigure();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

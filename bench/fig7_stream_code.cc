@@ -8,8 +8,6 @@
  * exhausted — no address computations execute inside the loop.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "programs/programs.h"
 #include "wm/printer.h"
@@ -45,29 +43,15 @@ printFigure(wsbench::JsonReport &report)
         .num("cycles", static_cast<double>(res.stats.cycles));
 }
 
-void
-BM_FullWmPipeline(benchmark::State &state)
-{
-    std::string src = programs::livermore5Source(100);
-    for (auto _ : state) {
-        driver::CompileOptions opts;
-        auto cr = driver::compileSource(src, opts);
-        benchmark::DoNotOptimize(cr.ok);
-    }
-}
-BENCHMARK(BM_FullWmPipeline);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonOut = wsbench::extractJsonOutFlag(&argc, argv);
+    std::string jsonOut = wsbench::parseJsonOutFlag(argc, argv);
     wsbench::JsonReport report;
     printFigure(report);
     if (!wsbench::emitJson(jsonOut, "fig7_stream_code", report))
         return 1;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

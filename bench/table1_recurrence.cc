@@ -14,8 +14,6 @@
  * paper's timing runs.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "programs/programs.h"
 #include "timing/scalar_sim.h"
@@ -101,45 +99,15 @@ printTable(wsbench::JsonReport &report)
     std::printf("\n");
 }
 
-void
-BM_CompileLivermore5Scalar(benchmark::State &state)
-{
-    std::string src = programs::livermore5Source(256, 1);
-    for (auto _ : state) {
-        driver::CompileOptions opts;
-        opts.target = rtl::MachineKind::Scalar;
-        auto cr = driver::compileSource(src, opts);
-        benchmark::DoNotOptimize(cr.ok);
-    }
-}
-BENCHMARK(BM_CompileLivermore5Scalar);
-
-void
-BM_ScalarTimingRun(benchmark::State &state)
-{
-    driver::CompileOptions opts;
-    opts.target = rtl::MachineKind::Scalar;
-    auto cr = driver::compileSource(programs::livermore5Source(256, 1),
-                                    opts);
-    auto model = timing::sun3_280Model();
-    for (auto _ : state) {
-        auto res = timing::runScalar(*cr.program, model);
-        benchmark::DoNotOptimize(res.cycles);
-    }
-}
-BENCHMARK(BM_ScalarTimingRun);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonOut = wsbench::extractJsonOutFlag(&argc, argv);
+    std::string jsonOut = wsbench::parseJsonOutFlag(argc, argv);
     wsbench::JsonReport report;
     printTable(report);
     if (!wsbench::emitJson(jsonOut, "table1_recurrence", report))
         return 1;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -40,8 +40,10 @@ producesFifo(const Inst &inst)
 int
 runDeadCodeElim(rtl::Function &fn, const rtl::MachineTraits &traits)
 {
+    // Every round but the last deletes at least one instruction, so
+    // the loop ends.
     int deleted = 0;
-    for (int round = 0; round < 20; ++round) {
+    for (;;) {
         cfg::Liveness live(fn, traits);
         std::vector<dataflow::BitsetWord> liveSet(live.bitsetWords());
         std::vector<size_t> dead;

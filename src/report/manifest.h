@@ -40,8 +40,9 @@ namespace wmstream::report {
 
 /**
  * Host-side (wall-clock) throughput for one run. Everything here is
- * machine-dependent by nature; benchdiff and the regression gates
- * must ignore these fields (tools/benchdiff.py does so explicitly).
+ * machine-dependent by nature, so no regression gate may compare
+ * these fields (tools/benchdiff.py reads bench reports only, never a
+ * manifest).
  */
 struct HostMetrics
 {

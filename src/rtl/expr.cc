@@ -385,43 +385,28 @@ substReg(const ExprPtr &e, RegFile file, int index, const ExprPtr &repl)
     return e;
 }
 
-namespace {
-
-const Expr *
-findRegIn(const Expr *e, RegFile file, int index)
+bool
+usesReg(const ExprPtr &ep, RegFile file, int index)
 {
+    const Expr *e = ep.get();
     while (e) {
         switch (e->kind()) {
           case Expr::Kind::Reg:
-            return e->isReg(file, index) ? e : nullptr;
+            return e->isReg(file, index);
           case Expr::Kind::Mem:
           case Expr::Kind::Un:
             e = e->lhs().get();
             break;
           case Expr::Kind::Bin:
-            if (const Expr *l = findRegIn(e->lhs().get(), file, index))
-                return l;
+            if (usesReg(e->lhs(), file, index))
+                return true;
             e = e->rhs().get();
             break;
           default:
-            return nullptr;
+            return false;
         }
     }
-    return nullptr;
-}
-
-} // anonymous namespace
-
-const Expr *
-findReg(const ExprPtr &e, RegFile file, int index)
-{
-    return findRegIn(e.get(), file, index);
-}
-
-bool
-usesReg(const ExprPtr &e, RegFile file, int index)
-{
-    return findReg(e, file, index) != nullptr;
+    return false;
 }
 
 bool

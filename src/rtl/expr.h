@@ -221,10 +221,6 @@ forEachReg(const ExprPtr &e, F &&fn)
     });
 }
 
-/** The first node of @p e that is register (file,index), in evaluation
- *  order, or null. */
-const Expr *findReg(const ExprPtr &e, RegFile file, int index);
-
 /** True if register (file,index) occurs anywhere in @p e. */
 bool usesReg(const ExprPtr &e, RegFile file, int index);
 

@@ -17,40 +17,6 @@ using rtl::RegFile;
 
 namespace {
 
-/** DFS (evaluation-order) positions of reads of (file,fifo) in @p e. */
-void
-fifoReadPositions(const ExprPtr &e, RegFile file, int fifo, int *counter,
-                  std::vector<int> *positions, const Expr *marker,
-                  int *markerPos)
-{
-    if (!e)
-        return;
-    switch (e->kind()) {
-      case Expr::Kind::Reg:
-        if (e->isReg(file, fifo))
-            positions->push_back(*counter);
-        if (e.get() == marker)
-            *markerPos = *counter;
-        ++*counter;
-        return;
-      case Expr::Kind::Const:
-      case Expr::Kind::Sym:
-        ++*counter;
-        return;
-      case Expr::Kind::Mem:
-      case Expr::Kind::Un:
-        fifoReadPositions(e->lhs(), file, fifo, counter, positions, marker,
-                          markerPos);
-        return;
-      case Expr::Kind::Bin:
-        fifoReadPositions(e->lhs(), file, fifo, counter, positions, marker,
-                          markerPos);
-        fifoReadPositions(e->rhs(), file, fifo, counter, positions, marker,
-                          markerPos);
-        return;
-    }
-}
-
 /** Basic lowering: split every Load/Store into FIFO form. */
 void
 basicLower(rtl::Function &fn, LoweringReport &report)
@@ -173,18 +139,11 @@ tryFoldDequeue(rtl::Block *b, size_t i, const cfg::Liveness &live,
     if (live.liveAfter(b, useIdx, dkey))
         return false;
 
-    // Queue-order check: the new FIFO read must come after all existing
-    // reads of the same queue in evaluation order.
-    const Expr *marker = rtl::findReg(*field, dkey.file, dkey.index);
-    int counter = 0, markerPos = -1;
-    std::vector<int> positions;
-    fifoReadPositions(*field, ff, fifo, &counter, &positions, marker,
-                      &markerPos);
-    if (markerPos < 0)
+    // Queue order: the folded read takes the oldest element of its
+    // queue, so no other read of that queue may share the use (one
+    // evaluated before it would take that element instead).
+    if (rtl::usesReg(*field, ff, fifo))
         return false;
-    for (int p : positions)
-        if (p > markerPos)
-            return false;
 
     *field = rtl::substReg(*field, dkey.file, dkey.index, deq.src);
     b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(i));

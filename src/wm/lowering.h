@@ -18,7 +18,8 @@
  * the use (Figure 4's `f0 := (f0-f0)*f20`), and an enqueue immediately
  * after the computation of its value absorbs the computation.
  * Both peepholes preserve FIFO ordering: a dequeue is never moved past
- * another read of the same queue.
+ * another read of the same queue, nor folded into a use that already
+ * reads that queue.
  */
 
 #ifndef WMSTREAM_WM_LOWERING_H

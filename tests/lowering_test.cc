@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "driver/compiler.h"
+#include "frontend/parser.h"
+#include "interp/interp.h"
 #include "wmsim/sim.h"
 #include "m68k/printer.h"
 #include "opt/passes.h"
@@ -222,6 +224,55 @@ exit:
     f[2] := (f[12]+f[10])
     return
 )");
+}
+
+TEST(Lowering, NoFoldIntoAUseThatReadsTheQueue)
+{
+    // Unstreamed, `y = a[i]` dequeues a[i] before `b[i] - y` reads
+    // b[i] from the same queue. Folding y's dequeue into that use
+    // (`f0 - f0`) would hand the a element to the b operand and return
+    // -252.
+    std::string src = R"(
+int main(void) {
+    double a[8];
+    double b[8];
+    double s;
+    double y;
+    int i;
+    for (i = 0; i < 8; i = i + 1) {
+        a[i] = i;
+        b[i] = 10 * i;
+    }
+    s = 0.0;
+    for (i = 0; i < 8; i = i + 1) {
+        y = a[i];
+        s = s + (b[i] - y);
+    }
+    return s;
+}
+)";
+    DiagEngine diag;
+    auto unit = frontend::parseAndCheck(src, diag);
+    ASSERT_TRUE(unit != nullptr) << diag.str();
+    interp::Interpreter in(*unit);
+    auto oracle = in.run();
+    ASSERT_TRUE(oracle.ok) << oracle.error;
+    ASSERT_EQ(oracle.returnValue, 252);
+
+    for (bool streaming : {true, false}) {
+        for (bool recurrence : {true, false}) {
+            driver::CompileOptions opts;
+            opts.streaming = streaming;
+            opts.recurrence = recurrence;
+            auto cr = driver::compileSource(src, opts);
+            ASSERT_TRUE(cr.ok) << cr.diagnostics;
+            auto res = wmsim::simulate(*cr.program);
+            ASSERT_TRUE(res.ok) << res.error;
+            EXPECT_EQ(res.returnValue, oracle.returnValue)
+                << "streaming=" << streaming
+                << " recurrence=" << recurrence;
+        }
+    }
 }
 
 TEST(WmPrinter, OpcodeMnemonics)

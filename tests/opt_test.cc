@@ -362,6 +362,29 @@ TEST(Dce, UnconsumedCompareIsDeleted)
     EXPECT_EQ(opt::runDeadCodeElim(fn, traits), 1);
 }
 
+TEST(Dce, DeletesADeadChainAcrossManyBlocks)
+{
+    // rk := rk-1 + 1, one link per block, and nothing reads the last.
+    // A round's liveness still sees rk live out of block k while block
+    // k + 1 reads it, so each round deletes one link: 22 rounds.
+    auto traits = wmTraits();
+    Function fn("f");
+    constexpr int kLinks = 22;
+    ExprPtr prev;
+    for (int k = 0; k < kLinks; ++k) {
+        Block *b = fn.addBlock("b" + std::to_string(k));
+        auto r = vi(fn);
+        b->insts.push_back(makeAssign(
+            r, k == 0 ? makeConst(1) : makeBin(Op::Add, prev, makeConst(1))));
+        prev = r;
+    }
+    fn.addBlock("exit")->insts.push_back(makeReturn());
+    fn.recomputeCfg();
+
+    EXPECT_EQ(opt::runDeadCodeElim(fn, traits), kLinks);
+    EXPECT_EQ(countInsts(fn), 1);
+}
+
 // ------------------------------------------------------------ branchopt
 
 TEST(BranchOpt, ThreadsJumpChains)

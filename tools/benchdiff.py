@@ -26,22 +26,16 @@ Two modes:
 Only deterministic metrics are compared, and they are compared
 exactly: cycle-like keys (equal to or ending in "cycles", or starting
 with "cycles"), the batch-service counters (TU outcomes, compile
-attempts, ladder demotions) and the static-analysis shape columns of
+attempts, ladder demotions), the static-analysis shape columns of
 dataflowbench (CFG blocks, live registers, bitset words, inferred FIFO
-depth, verdict, queues with traffic). All of them are pure functions of
+depth, verdict, queues with traffic) and the critical-path DAG sizes
+(events, deps). All of them are pure functions of
 the sources and options, and the simulator is deterministic, so any
 move is a real change to code generation, the simulator, the retry
 policy or an analysis. A lower cycle count is gated too: an
 unexplained improvement is as suspect as a regression. A change that
 moves a gated number ships with a regenerated baseline (merge mode)
 and says why in CHANGES.md.
-
-Host-dependent throughput metrics (wall-clock times, cycles/second —
-anything whose key mentions "wall" or "per_sec", as emitted by the
-simthroughput harness and wmc --manifest host sections) are NEVER
-compared, even when unknown keys are added later: they vary from
-machine to machine and would trip the gate with noise rather than
-regressions.
 """
 
 import argparse
@@ -70,30 +64,20 @@ def as_benches(doc, path):
     sys.exit(f"benchdiff: {path}: neither a bench report nor a baseline")
 
 
-# Markers of host-dependent (wall-clock) metrics: never compared, no
-# matter what other patterns the key matches.
-HOST_METRIC_MARKERS = ("wall", "per_sec")
-
-
-def is_host_metric(key):
-    k = key.lower()
-    return any(m in k for m in HOST_METRIC_MARKERS)
-
-
 # Deterministic counters gated alongside the cycle keys: the batch
-# service's TU outcomes (bench/batchthroughput.cc) and the analysis
-# shape columns (bench/dataflowbench.cc).
+# service's TU outcomes (bench/batchthroughput.cc), the analysis shape
+# columns (bench/dataflowbench.cc) and the critical-path DAG sizes
+# (bench/table2_streaming.cc).
 COUNTERS = frozenset({
     "tus", "ok", "ok_degraded", "failed", "quarantined", "attempts",
     "demotions",
     "fifo_min_depth", "deadlock_free", "queues_analyzed", "blocks",
     "regs", "bitset_words",
+    "events", "deps",
 })
 
 
 def is_gated_metric(key):
-    if is_host_metric(key):
-        return False
     if key in COUNTERS:
         return True
     return key == "cycles" or key.endswith("cycles") or \
