@@ -189,6 +189,37 @@ checkAgainstOracle(const std::string &source, int64_t expect,
             }
             return out;
         }
+        // Static depth claim: a program proven deadlock-free runs to
+        // the same result with every data FIFO cut to the inferred
+        // minimum depth. (At the configured depth the run above
+        // already checked it.)
+        int depth = std::max(1, fifoReq.minDepth);
+        if (fifoReq.deadlockFree && depth != cfg.simCfg.dataFifoDepth) {
+            wmsim::SimConfig dc = cfg.simCfg;
+            dc.dataFifoDepth = depth;
+            auto dres = wmsim::simulate(*cr.program, dc);
+            out.depthResimulated = true;
+            if (!dres.ok || dres.returnValue != res.returnValue) {
+                out.diverged = true;
+                out.kind = DivergenceKind::StaticFifoBreak;
+                if (!dres.ok) {
+                    out.detail = strFormat(
+                        "static minimum FIFO depth %d: %s", depth,
+                        dres.error.c_str());
+                    if (dres.fault == wmsim::SimFault::Deadlock ||
+                        dres.fault == wmsim::SimFault::Livelock)
+                        out.faultSignature = dres.faultReport.signature();
+                } else {
+                    out.detail = strFormat(
+                        "static minimum FIFO depth %d: returned %lld, "
+                        "configured depth returned %lld",
+                        depth, static_cast<long long>(dres.returnValue),
+                        static_cast<long long>(res.returnValue));
+                    out.actual = dres.returnValue;
+                }
+                return out;
+            }
+        }
     } else {
         auto model = timing::m88100Model();
         auto res = timing::runScalar(*cr.program, model,
@@ -420,6 +451,7 @@ runCampaign(const CampaignOptions &opts)
     std::atomic<int> divergenceCount{0};
     std::atomic<int64_t> staticFree{0};
     std::atomic<int64_t> staticFlagged{0};
+    std::atomic<int64_t> depthResims{0};
 
     support::parallelFor(
         pool, opts.maxPrograms, [&](int64_t p) {
@@ -453,6 +485,8 @@ runCampaign(const CampaignOptions &opts)
                                                : staticFlagged;
                     tally.fetch_add(1, std::memory_order_relaxed);
                 }
+                if (out.depthResimulated)
+                    depthResims.fetch_add(1, std::memory_order_relaxed);
                 if (out.diverged) {
                     RawDivergence d{idx, spec, cfg, out,
                                     divergenceSignature(spec, cfg, out)};
@@ -477,6 +511,7 @@ runCampaign(const CampaignOptions &opts)
     res.rawDivergences = static_cast<int>(raw.size());
     res.staticDeadlockFree = staticFree.load();
     res.staticFlagged = staticFlagged.load();
+    res.staticDepthResims = depthResims.load();
 
     // Deduplicate by signature; the exemplar is the lowest program
     // index so the report is deterministic for any worker count.
@@ -631,6 +666,7 @@ writeCampaignJson(obs::JsonWriter &w, const CampaignOptions &opts,
                                      res.streamDigest)));
     w.field("static_deadlock_free", res.staticDeadlockFree);
     w.field("static_flagged", res.staticFlagged);
+    w.field("static_depth_resims", res.staticDepthResims);
     w.field("raw_divergences", res.rawDivergences);
     w.field("unique_divergences",
             static_cast<int64_t>(res.divergences.size()));

@@ -93,7 +93,9 @@ enum class DivergenceKind : uint8_t {
     VerifyError,  ///< IR verifier violation (compile-time oracle)
     /**
      * Agreement oracle: the static FIFO analysis proved the program
-     * deadlock-free, yet the simulator watchdog reported a deadlock.
+     * deadlock-free, yet the simulator watchdog reported a deadlock,
+     * or a re-simulation at the inferred minimum FIFO depth faulted
+     * or returned a different value.
      * One of the two is wrong — an unsoundness in the static
      * analysis or a simulator bug — so this outranks a plain
      * Deadlock. Deduplicated by the watchdog's wait-for-graph
@@ -132,6 +134,13 @@ struct CheckOutcome
      */
     bool staticAnalyzed = false;
     bool staticDeadlockFree = false;
+    /**
+     * Whether the program, proven deadlock-free, was re-simulated
+     * with its data FIFOs cut to the inferred minimum depth
+     * (FifoRequirements::minDepth, at least 1). A fault or a changed
+     * result there is a StaticFifoBreak.
+     */
+    bool depthResimulated = false;
 };
 
 /**
@@ -207,6 +216,8 @@ struct CampaignResult
      */
     int64_t staticDeadlockFree = 0;
     int64_t staticFlagged = 0;
+    /** Checks re-simulated at the inferred minimum FIFO depth. */
+    int64_t staticDepthResims = 0;
 
     bool clean() const { return divergences.empty(); }
 };

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "rtl/image.h"
 #include "support/convert.h"
 #include "support/str.h"
 
@@ -129,34 +130,36 @@ evalConstExpr(const Expr &e)
     }
 }
 
-Interpreter::Interpreter(const TranslationUnit &unit, size_t memBytes)
-    : unit_(unit), mem_(memBytes, 0)
+Interpreter::Interpreter(const TranslationUnit &unit)
+    : unit_(unit), sp_(rtl::kInitialSp)
 {
-    sp_ = static_cast<int64_t>(mem_.size()) - 64;
     layoutGlobals();
 }
 
 void
 Interpreter::layoutGlobals()
 {
-    int64_t addr = 0x1000;
+    int64_t addr = rtl::kStackBytes;
     auto place = [&](const std::string &name, int64_t size, int64_t align) {
         addr = (addr + align - 1) & ~(align - 1);
         globalAddrs_[name] = addr;
-        int64_t at = addr;
+        if (addr + size > rtl::kMaxImageBytes && startError_.empty())
+            startError_ = rtl::globalTooLargeMessage(name, size, addr);
         addr += size;
-        return at;
     };
+    for (const auto &[name, bytes] : unit_.stringPool)
+        place(name, static_cast<int64_t>(bytes.size()), 1);
+    for (const auto &g : unit_.globals)
+        place(g->name, g->type->size(), g->type->align());
+    if (!startError_.empty())
+        return;
 
-    for (const auto &[name, bytes] : unit_.stringPool) {
-        int64_t at = place(name, static_cast<int64_t>(bytes.size()), 1);
-        checkAddr(at, static_cast<int64_t>(bytes.size()));
-        std::memcpy(&mem_[at], bytes.data(), bytes.size());
-    }
-    for (const auto &g : unit_.globals) {
-        int64_t at = place(g->name, g->type->size(), g->type->align());
-        storeInit(at, g->type, g->init);
-    }
+    mem_.assign(static_cast<size_t>(rtl::imageBytesFor(addr)), 0);
+    for (const auto &[name, bytes] : unit_.stringPool)
+        std::memcpy(&mem_[globalAddrs_.at(name)], bytes.data(),
+                    bytes.size());
+    for (const auto &g : unit_.globals)
+        storeInit(globalAddrs_.at(g->name), g->type, g->init);
 }
 
 void
@@ -220,8 +223,9 @@ Interpreter::readByte(int64_t addr) const
 void
 Interpreter::checkAddr(int64_t addr, int64_t size) const
 {
-    if (addr < 0 || size < 0 ||
-            addr + size > static_cast<int64_t>(mem_.size())) {
+    if (addr < 0)
+        throw RunError(rtl::kStackOverflowMessage);
+    if (size < 0 || addr + size > static_cast<int64_t>(mem_.size())) {
         throw RunError(strFormat("out-of-bounds access at %lld size %lld",
                                  static_cast<long long>(addr),
                                  static_cast<long long>(size)));
@@ -277,6 +281,10 @@ Interpreter::run(uint64_t stepBudget)
     stepBudget_ = stepBudget;
     steps_ = 0;
     InterpResult res;
+    if (!startError_.empty()) {
+        res.error = startError_;
+        return res;
+    }
     const FuncDecl *mainFn = unit_.findFunction("main");
     if (!mainFn || !mainFn->body) {
         res.error = "no main() defined";

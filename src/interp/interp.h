@@ -4,7 +4,9 @@
  *
  * The interpreter executes a checked TranslationUnit over a flat byte
  * memory with the same data layout rules the compiler uses (int and
- * double are 8 bytes, char is 1). It is the oracle for differential
+ * double are 8 bytes, char is 1), and the machines' image layout
+ * (rtl/image.h): the stack reservation, then the globals, sized to the
+ * program under the same ceiling. It is the oracle for differential
  * testing: every compiled configuration of every benchmark must return
  * the same value from main() as this interpreter.
  */
@@ -13,6 +15,7 @@
 #define WMSTREAM_INTERP_INTERP_H
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -58,11 +61,13 @@ Value evalConstExpr(const frontend::Expr &e);
 class Interpreter
 {
   public:
-    explicit Interpreter(const frontend::TranslationUnit &unit,
-                         size_t memBytes = 8u << 20);
+    explicit Interpreter(const frontend::TranslationUnit &unit);
 
     /** Execute main() and return its value. */
     InterpResult run(uint64_t stepBudget = 2'000'000'000);
+
+    /** Size of the memory image in bytes. */
+    size_t imageBytes() const { return mem_.size(); }
 
     /** Address of a global after construction (for memory inspection). */
     int64_t globalAddress(const std::string &name) const;
@@ -117,6 +122,8 @@ class Interpreter
     const frontend::TranslationUnit &unit_;
     std::vector<uint8_t> mem_;
     std::unordered_map<std::string, int64_t> globalAddrs_;
+    /** Why main cannot start (globals too large), or empty. */
+    std::string startError_;
     int64_t sp_ = 0; ///< interpreter stack pointer (grows down)
     uint64_t steps_ = 0;
     uint64_t stepBudget_ = 0;

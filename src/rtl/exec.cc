@@ -7,8 +7,9 @@
 
 namespace wmstream::rtl {
 
-Executable::Executable(const Program &prog, size_t memBytes) : prog_(prog)
+Executable::Executable(const Program &prog) : prog_(prog)
 {
+    WS_ASSERT(prog.dataEnd() >= 0, "program not laid out");
     // Flatten in layout order. A label or function defined twice
     // resolves to its last definition.
     std::unordered_map<std::string, int64_t> funcEntry;
@@ -35,23 +36,17 @@ Executable::Executable(const Program &prog, size_t memBytes) : prog_(prog)
                 d.target = it->second;
         }
 
-    mem.assign(memBytes, 0);
-    for (const auto &g : prog.globals()) {
-        WS_ASSERT(g.address >= 0, "program not laid out");
-        // Globals that do not fit are a property of the user's program
-        // (e.g. a huge array), not an internal invariant.
-        if (g.address + g.size > static_cast<int64_t>(mem.size())) {
-            startError = strFormat(
-                "global '%s' (%lld bytes at %lld) exceeds simulated "
-                "memory (%zu bytes); raise the memory size or shrink "
-                "the data",
-                g.name.c_str(), static_cast<long long>(g.size),
-                static_cast<long long>(g.address), mem.size());
+    // Globals that do not fit are a property of the user's program
+    // (e.g. a huge array), not an internal invariant.
+    for (const auto &g : prog.globals())
+        if (g.address + g.size > kMaxImageBytes) {
+            startError = globalTooLargeMessage(g.name, g.size, g.address);
             return;
         }
+    mem.assign(static_cast<size_t>(imageBytesFor(prog.dataEnd())), 0);
+    for (const auto &g : prog.globals())
         if (!g.init.empty())
             std::memcpy(&mem[g.address], g.init.data(), g.init.size());
-    }
     auto it = funcEntry.find("main");
     if (it == funcEntry.end())
         startError = "no main function";
@@ -62,6 +57,8 @@ Executable::Executable(const Program &prog, size_t memBytes) : prog_(prog)
 void
 Executable::outOfBounds(int64_t addr) const
 {
+    if (addr < 0)
+        throw ExecError(kStackOverflowMessage);
     throw ExecError(strFormat("memory access out of bounds: %lld",
                               static_cast<long long>(addr)));
 }

@@ -6,8 +6,9 @@
  * execute the same compiled RTL. What they share lives here, once:
  *  - Executable: the program decoded for execution (one flat
  *    instruction array, every jump, branch and call target resolved to
- *    an index at load time) plus the flat memory image with the globals
- *    loaded and bounds-checked typed access;
+ *    an index at load time) plus the flat memory image, sized to the
+ *    program (rtl/image.h), with the globals loaded and bounds-checked
+ *    typed access;
  *  - applyBin/applyUn: the RTL operator rules, which the constant
  *    folder (makeBin) uses too, so a folded constant is the value the
  *    machines would compute;
@@ -170,9 +171,10 @@ class Executable
   public:
     /**
      * Decode @p prog, which must be laid out, and load its globals
-     * into a zeroed image of @p memBytes bytes.
+     * into a zeroed image: the stack reservation plus the globals,
+     * rounded up to a page (rtl/image.h).
      */
-    Executable(const Program &prog, size_t memBytes);
+    explicit Executable(const Program &prog);
 
     std::vector<DecodedInst> code;
     std::vector<uint8_t> mem;
@@ -183,12 +185,6 @@ class Executable
      * image, or no main), or empty. A machine's run reports it.
      */
     std::string startError;
-
-    /** Initial stack pointer (r30): just below the top of the image. */
-    int64_t initialSp() const
-    {
-        return static_cast<int64_t>(mem.size()) - 64;
-    }
 
     /** The instruction at @p pc; throws ExecError if out of range. */
     const DecodedInst &
@@ -209,7 +205,10 @@ class Executable
         return t;
     }
 
-    /** Throw unless [addr, addr + size) lies inside the image. */
+    /**
+     * Throw unless [addr, addr + size) lies inside the image. Below
+     * address 0 is below the stack: a stack overflow.
+     */
     void
     checkAddr(int64_t addr, int size) const
     {

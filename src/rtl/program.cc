@@ -50,15 +50,16 @@ Program::findGlobal(const std::string &name)
 }
 
 int64_t
-Program::layout(int64_t base)
+Program::layout()
 {
-    int64_t addr = base;
+    int64_t addr = kStackBytes;
     for (auto &g : globals_) {
         int64_t a = g.align > 0 ? g.align : 1;
         addr = (addr + a - 1) & ~(a - 1);
         g.address = addr;
         addr += g.size;
     }
+    dataEnd_ = addr;
     return addr;
 }
 

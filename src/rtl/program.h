@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "rtl/image.h"
 #include "rtl/inst.h"
 
 namespace wmstream::rtl {
@@ -60,10 +61,14 @@ class Program
     const std::vector<GlobalVar> &globals() const { return globals_; }
 
     /**
-     * Assign addresses to all globals starting at @p base.
+     * Assign addresses to all globals, starting above the stack
+     * reservation (rtl/image.h).
      * @return one past the highest assigned address.
      */
-    int64_t layout(int64_t base = 0x1000);
+    int64_t layout();
+
+    /** One past the last global after layout(), or -1 before it. */
+    int64_t dataEnd() const { return dataEnd_; }
 
     /** Address of @p name after layout() (panics if unknown). */
     int64_t globalAddress(const std::string &name) const;
@@ -74,6 +79,7 @@ class Program
   private:
     std::vector<std::unique_ptr<Function>> funcs_;
     std::vector<GlobalVar> globals_;
+    int64_t dataEnd_ = -1;
 };
 
 } // namespace wmstream::rtl

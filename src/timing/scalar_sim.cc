@@ -161,10 +161,10 @@ class ScalarMachine
 {
   public:
     ScalarMachine(const rtl::Program &prog, const CostModel &model,
-                  uint64_t maxInsts, size_t memBytes)
-        : exe_(prog, memBytes), model_(model), maxInsts_(maxInsts)
+                  uint64_t maxInsts)
+        : exe_(prog), model_(model), maxInsts_(maxInsts)
     {
-        rreg_[30] = exe_.initialSp();
+        rreg_[30] = rtl::kInitialSp;
     }
 
     ScalarRunResult
@@ -355,9 +355,9 @@ class ScalarMachine
 
 ScalarRunResult
 runScalar(const rtl::Program &prog, const CostModel &model,
-          uint64_t maxInsts, size_t memBytes)
+          uint64_t maxInsts)
 {
-    ScalarMachine m(prog, model, maxInsts, memBytes);
+    ScalarMachine m(prog, model, maxInsts);
     return m.run();
 }
 

@@ -103,8 +103,7 @@ struct ScalarRunResult
  * The program must be laid out. Cost accrues per executed instruction.
  */
 ScalarRunResult runScalar(const rtl::Program &prog, const CostModel &model,
-                          uint64_t maxInsts = 2'000'000'000,
-                          size_t memBytes = 16u << 20);
+                          uint64_t maxInsts = 2'000'000'000);
 
 } // namespace wmstream::timing
 

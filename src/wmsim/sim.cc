@@ -590,11 +590,11 @@ struct Simulator::Impl
     }
 
     Impl(const rtl::Program &p, SimConfig c)
-        : cfg(c), exe(p, c.memBytes), chaos(c.chaosSeed != 0),
+        : cfg(c), exe(p), chaos(c.chaosSeed != 0),
           chaosRng(c.chaosSeed)
     {
         scus.resize(cfg.numSCUs);
-        rreg[30] = exe.initialSp();
+        rreg[30] = rtl::kInitialSp;
         for (double &v : traceLast)
             v = -1.0;
         if (cfg.trace) {

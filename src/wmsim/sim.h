@@ -88,7 +88,6 @@ struct SimConfig
      * this; see DESIGN.md §11.
      */
     uint64_t chaosSeed = 0;
-    size_t memBytes = 16u << 20;
 
     /** @name Observability (off by default: the hot loop stays lean) */
     /// @{

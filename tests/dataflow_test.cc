@@ -27,12 +27,6 @@ using namespace wmstream::rtl;
 namespace {
 
 ExprPtr
-vint(int idx)
-{
-    return makeReg(RegFile::VInt, idx, DataType::I64);
-}
-
-ExprPtr
 ccReg()
 {
     return makeReg(RegFile::CC, 0, DataType::I64);

@@ -16,6 +16,7 @@
 #include "frontend/parser.h"
 #include "interp/interp.h"
 #include "programs/programs.h"
+#include "rtl/exec.h"
 #include "timing/scalar_sim.h"
 #include "verify/verify.h"
 #include "wmsim/sim.h"
@@ -55,6 +56,68 @@ class DifferentialTest
 };
 
 } // namespace
+
+TEST(MemoryImage, SizedToTheProgramOnEveryEngine)
+{
+    // Each image is the stack reservation plus the globals, rounded up
+    // to a page, on both machines and in the interpreter.
+    auto image = [](const std::string &src, rtl::MachineKind target) {
+        driver::CompileOptions opts;
+        opts.target = target;
+        auto cr = driver::compileSource(src, opts);
+        EXPECT_TRUE(cr.ok) << cr.diagnostics;
+        int64_t end = rtl::kStackBytes;
+        for (const rtl::GlobalVar &g : cr.program->globals()) {
+            EXPECT_GE(g.address, rtl::kStackBytes) << g.name;
+            end = std::max(end, g.address + g.size);
+        }
+        int64_t bytes = static_cast<int64_t>(
+            rtl::Executable(*cr.program).mem.size());
+        EXPECT_EQ(bytes, (end + rtl::kPageBytes - 1) / rtl::kPageBytes *
+                             rtl::kPageBytes);
+        return bytes;
+    };
+    auto interpImage = [](const std::string &src) {
+        DiagEngine diag;
+        auto unit = frontend::parseAndCheck(src, diag);
+        EXPECT_TRUE(unit != nullptr) << diag.str();
+        return static_cast<int64_t>(
+            interp::Interpreter(*unit).imageBytes());
+    };
+    for (const auto &prog : programs::tableIIPrograms()) {
+        int64_t wm = image(prog.source, rtl::MachineKind::WM);
+        EXPECT_EQ(image(prog.source, rtl::MachineKind::Scalar), wm)
+            << prog.name;
+        EXPECT_EQ(interpImage(prog.source), wm) << prog.name;
+        EXPECT_LT(wm, int64_t{4} << 20) << prog.name;
+    }
+
+    // About 10 MiB of globals: more than a fixed 8 MiB image holds,
+    // less than the ceiling. The last element is reachable everywhere.
+    const std::string big = R"(
+int big[1310000];
+int main(void)
+{
+    big[0] = 5;
+    big[1309999] = 37;
+    return big[1309999] + big[0];
+}
+)";
+    EXPECT_GT(image(big, rtl::MachineKind::WM), int64_t{10} << 20);
+    EXPECT_EQ(oracle(big), 42);
+    auto cr = driver::compileSource(big, driver::CompileOptions{});
+    ASSERT_TRUE(cr.ok) << cr.diagnostics;
+    auto res = wmsim::simulate(*cr.program);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.returnValue, 42);
+    driver::CompileOptions scalar;
+    scalar.target = rtl::MachineKind::Scalar;
+    auto scr = driver::compileSource(big, scalar);
+    ASSERT_TRUE(scr.ok) << scr.diagnostics;
+    auto sres = timing::runScalar(*scr.program, timing::sun3_280Model());
+    ASSERT_TRUE(sres.ok) << sres.error;
+    EXPECT_EQ(sres.returnValue, 42);
+}
 
 TEST_P(DifferentialTest, WmAllConfigs)
 {

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "deep_recursion.h"
 #include "frontend/parser.h"
 #include "interp/interp.h"
+#include "rtl/image.h"
 
 using namespace wmstream;
 
@@ -368,4 +370,21 @@ int main(void) { return 0; }
     EXPECT_DOUBLE_EQ(in.readDouble(in.globalAddress("d")), 2.5);
     EXPECT_EQ(in.readInt(in.globalAddress("i")), 42);
     EXPECT_EQ(in.readByte(in.globalAddress("c")), 'x');
+}
+
+TEST(Interp, StackOverflowFaultsBeforeAnyGlobalIsWritten)
+{
+    // The interpreter's stack sits below its globals as on the
+    // machines, and overflows with the machines' message.
+    DiagEngine diag;
+    auto unit = frontend::parseAndCheck(kDeepRecursionSource, diag);
+    ASSERT_TRUE(unit != nullptr) << diag.str();
+    interp::Interpreter in(*unit);
+    auto res = in.run();
+    ASSERT_FALSE(res.ok) << "returned " << res.returnValue;
+    EXPECT_EQ(res.error, rtl::kStackOverflowMessage);
+    EXPECT_EQ(in.readInt(in.globalAddress("sentinel")), 12345);
+    int64_t depth = in.readInt(in.globalAddress("depth"));
+    EXPECT_GT(depth, 0);
+    EXPECT_LE(depth * 512, rtl::kStackBytes);
 }

@@ -229,11 +229,14 @@ TEST(RtlProgram, LayoutAssignsAlignedAddresses)
     prog.addGlobal("a", 3, 1);
     prog.addGlobal("b", 8, 8);
     prog.addGlobal("c", 1, 1);
-    int64_t end = prog.layout(0x1000);
-    EXPECT_EQ(prog.globalAddress("a"), 0x1000);
+    EXPECT_EQ(prog.dataEnd(), -1);
+    int64_t end = prog.layout();
+    // The globals sit above the stack reservation.
+    EXPECT_EQ(prog.globalAddress("a"), kStackBytes);
     EXPECT_EQ(prog.globalAddress("b") % 8, 0);
     EXPECT_GT(prog.globalAddress("c"), prog.globalAddress("b"));
     EXPECT_GE(end, prog.globalAddress("c") + 1);
+    EXPECT_EQ(prog.dataEnd(), end);
 }
 
 TEST(RtlProgram, FrameSlots)

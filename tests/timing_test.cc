@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "deep_recursion.h"
 #include "driver/compiler.h"
 #include "programs/programs.h"
+#include "rtl/exec.h"
 #include "timing/scalar_sim.h"
 
 using namespace wmstream;
@@ -172,11 +174,27 @@ int main(void) { return 0; }
         << res.error;
 }
 
+TEST(ScalarSim, StackOverflowFaultsBeforeAnyGlobalIsWritten)
+{
+    // The same fault and message as WmSim's test of this name. The
+    // scalar model does not expose its memory after a run; the program
+    // itself returns -1 as soon as its sentinel changes, so a fault
+    // instead of a return shows no frame reached the globals.
+    driver::CompileOptions opts;
+    opts.target = rtl::MachineKind::Scalar;
+    auto cr = driver::compileSource(kDeepRecursionSource, opts);
+    ASSERT_TRUE(cr.ok) << cr.diagnostics;
+    auto res = timing::runScalar(*cr.program, timing::sun3_280Model());
+    ASSERT_FALSE(res.ok) << "returned " << res.returnValue;
+    EXPECT_EQ(res.error, kStackOverflowMessage);
+}
+
 TEST(ScalarSim, TypedAccessTouchesExactlyTheTypeSize)
 {
     // The same stores, loads and expected values as
     // WmSim.TypedAccessTouchesExactlyTheTypeSize: both machines share
-    // one memory image, so they must agree byte for byte.
+    // one memory image, so they must agree byte for byte. The top of
+    // the image is read from the image of a program with no globals.
     struct Case
     {
         DataType type;
@@ -192,11 +210,12 @@ TEST(ScalarSim, TypedAccessTouchesExactlyTheTypeSize)
         {DataType::F32, 0, 0.1, 100000001},
         {DataType::F64, 0, 0.1, 100000000},
     };
-    const size_t memBytes = 1 << 16;
+    Program empty;
+    empty.layout();
+    const int64_t top = static_cast<int64_t>(Executable(empty).mem.size());
     for (const Case &c : cases)
         for (int64_t past : {0, 1}) {
-            int64_t addr = static_cast<int64_t>(memBytes) -
-                           dataTypeSize(c.type) + past;
+            int64_t addr = top - dataTypeSize(c.type) + past;
             bool flt = isFloatType(c.type);
             Program prog;
             Function *fn = prog.addFunction("main");
@@ -219,8 +238,7 @@ TEST(ScalarSim, TypedAccessTouchesExactlyTheTypeSize)
             b->insts.push_back(makeReturn());
             fn->recomputeCfg();
             prog.layout();
-            auto res = timing::runScalar(prog, timing::m88100Model(), 100,
-                                         memBytes);
+            auto res = timing::runScalar(prog, timing::m88100Model(), 100);
             if (past) {
                 EXPECT_NE(res.error.find("out of bounds"),
                           std::string::npos)

@@ -666,8 +666,9 @@ TEST(FifoDepth, DepthExceededIsConfigErrorNotVerifierReport)
 TEST(FifoDepthFuzz, CampaignAgreesWithWatchdogAndCountsVerdicts)
 {
     // 60-program agreement sweep: no static_fifo_break may surface
-    // (a statically-proven-free program that still deadlocked), and
-    // the static verdict tallies must cover every WM check.
+    // (a statically-proven-free program that still deadlocked, or one
+    // that failed at its inferred minimum FIFO depth), and the static
+    // verdict tallies must cover every WM check.
     fuzz::CampaignOptions opts;
     opts.seed = 11;
     opts.maxPrograms = 60;
@@ -679,6 +680,8 @@ TEST(FifoDepthFuzz, CampaignAgreesWithWatchdogAndCountsVerdicts)
             << d.signature << "\n" << d.detail;
     EXPECT_GT(res.staticDeadlockFree, 0);
     EXPECT_EQ(res.staticFlagged, 0);
+    EXPECT_GT(res.staticDepthResims, 0);
+    EXPECT_LE(res.staticDepthResims, res.staticDeadlockFree);
 }
 
 TEST(FifoDepthFuzz, InjectedDeadlockBugIsFlaggedStatically)

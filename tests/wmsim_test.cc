@@ -9,8 +9,10 @@
 #include <cstring>
 #include <functional>
 
+#include "deep_recursion.h"
 #include "driver/compiler.h"
 #include "programs/programs.h"
+#include "rtl/exec.h"
 #include "wmsim/sim.h"
 
 using namespace wmstream;
@@ -410,10 +412,31 @@ int main(void) { return 0; }
         << res.error;
 }
 
+TEST(WmSim, StackOverflowFaultsBeforeAnyGlobalIsWritten)
+{
+    // The stack lies below the globals, so a recursion past the
+    // reservation leaves the image at address 0 and faults there.
+    driver::CompileOptions opts;
+    auto cr = driver::compileSource(kDeepRecursionSource, opts);
+    ASSERT_TRUE(cr.ok) << cr.diagnostics;
+    wmsim::Simulator sim(*cr.program);
+    auto res = sim.run();
+    ASSERT_FALSE(res.ok) << "returned " << res.returnValue;
+    EXPECT_EQ(res.fault, wmsim::SimFault::RuntimeError);
+    EXPECT_EQ(res.error, kStackOverflowMessage);
+    EXPECT_EQ(sim.readInt(cr.program->globalAddress("sentinel")), 12345);
+    // Frames of at least 512 bytes: the fault came within the
+    // reservation's depth, not from some other bound.
+    int64_t depth = sim.readInt(cr.program->globalAddress("depth"));
+    EXPECT_GT(depth, 0);
+    EXPECT_LE(depth * 512, kStackBytes);
+}
+
 TEST(WmSim, TypedAccessTouchesExactlyTheTypeSize)
 {
     // Each DataType is stored and loaded back at the last in-bounds
-    // address; one byte further is out of bounds. The scalar timing
+    // address, at the top of the image the machine sizes for a program
+    // with no globals; one byte further is out of bounds. The scalar timing
     // model must read the same values (timing_test.cc).
     // Narrow integers keep their low bytes and load zero-extended;
     // F32 rounds 0.1 to float, which shows after scaling by 1e9.
@@ -432,12 +455,12 @@ TEST(WmSim, TypedAccessTouchesExactlyTheTypeSize)
         {DataType::F32, 0, 0.1, 100000001},
         {DataType::F64, 0, 0.1, 100000000},
     };
-    wmsim::SimConfig cfg;
-    cfg.memBytes = 1 << 16;
+    Program empty;
+    empty.layout();
+    const int64_t top = static_cast<int64_t>(Executable(empty).mem.size());
     for (const Case &c : cases)
         for (int64_t past : {0, 1}) {
-            int64_t addr = static_cast<int64_t>(cfg.memBytes) -
-                           dataTypeSize(c.type) + past;
+            int64_t addr = top - dataTypeSize(c.type) + past;
             bool flt = isFloatType(c.type);
             auto prog = handProgram([&](Function &, Block *b) {
                 auto r4 = makeReg(RegFile::Int, 4, DataType::I64);
@@ -458,7 +481,7 @@ TEST(WmSim, TypedAccessTouchesExactlyTheTypeSize)
                         : fifo));
                 b->insts.push_back(makeReturn());
             });
-            auto res = wmsim::simulate(*prog, cfg);
+            auto res = wmsim::simulate(*prog);
             if (past) {
                 EXPECT_NE(res.error.find("out of bounds"),
                           std::string::npos)

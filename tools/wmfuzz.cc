@@ -300,9 +300,11 @@ fuzzMain(int argc, char **argv)
     if (res.staticDeadlockFree + res.staticFlagged > 0)
         std::fprintf(human,
                      "wmfuzz: static FIFO verdicts: %lld "
-                     "deadlock-free, %lld flagged\n",
+                     "deadlock-free, %lld flagged; %lld re-simulated "
+                     "at the inferred minimum depth\n",
                      static_cast<long long>(res.staticDeadlockFree),
-                     static_cast<long long>(res.staticFlagged));
+                     static_cast<long long>(res.staticFlagged),
+                     static_cast<long long>(res.staticDepthResims));
     if (res.clean()) {
         std::fprintf(human, "wmfuzz: campaign clean, no divergences\n");
         return 0;
