@@ -234,6 +234,22 @@ compile(const CompileRequest &req)
                                             res.program.get()));
     };
     constexpr auto kPostOpt = verify::Stage::PostOpt;
+    // A cleanup that stopped at its round cap while still changing
+    // code is made loud: a missed remark, which wmfuzz counts as a
+    // divergence.
+    auto noteCleanup = [&](const rtl::Function &fn, bool converged,
+                           const char *label) {
+        if (converged)
+            return;
+        obs::Remark r;
+        r.pass = "cleanup";
+        r.function = fn.name();
+        r.verdict = obs::RemarkVerdict::Missed;
+        r.reason = "fixpoint-cap-hit";
+        r.arg("cap", int64_t{opt::kCleanupRoundCap})
+            .arg("after_pass", label);
+        res.remarks.add(std::move(r));
+    };
 
     if (options.verify == VerifyMode::Each) {
         verify::VerifyOptions vo;
@@ -246,11 +262,25 @@ compile(const CompileRequest &req)
     for (auto &fn : res.program->functions()) {
         auto insts = [&] { return countInsts(*fn); };
 
-        if (options.optimize) {
-            prof.measure("cleanup", insts, [&] {
-                opt::runCleanupPipeline(*fn, res.traits,
-                                        res.program.get());
+        // The one cleanup rule: the cleanup fixpoint runs again after
+        // a pass only when that pass changed code. Otherwise the
+        // function is still at the last cleanup's fixpoint.
+        auto cleanupAfter = [&](const char *label) {
+            bool converged = true;
+            prof.measure(label, insts, [&] {
+                converged = opt::runCleanup(*fn, res.traits).converged;
             });
+            noteCleanup(*fn, converged, label);
+            verifyAfter(*fn, label, kPostOpt);
+        };
+
+        if (options.optimize) {
+            bool converged = true;
+            prof.measure("cleanup", insts, [&] {
+                converged = opt::runCleanupPipeline(*fn, res.traits,
+                                                    res.program.get());
+            });
+            noteCleanup(*fn, converged, "cleanup");
             verifyAfter(*fn, "cleanup", kPostOpt);
         } else {
             prof.measure("legalize", insts, [&] {
@@ -285,13 +315,8 @@ compile(const CompileRequest &req)
             // The paper: "after performing the recurrence
             // transformations, the optimizer invokes other phases" —
             // copy propagation removes the chain shift when possible.
-            if (options.optimize) {
-                prof.measure("recurrence-cleanup", insts, [&] {
-                    opt::runCopyPropagate(*fn, res.traits);
-                    opt::runDeadCodeElim(*fn, res.traits);
-                });
-                verifyAfter(*fn, "recurrence-cleanup", kPostOpt);
-            }
+            if (options.optimize && rr.recurrencesOptimized > 0)
+                cleanupAfter("recurrence-cleanup");
         }
 
         if (options.streaming && res.traits.hasStreams) {
@@ -309,19 +334,8 @@ compile(const CompileRequest &req)
             prof.addCounter("streaming", "streams_in", sr.streamsIn);
             prof.addCounter("streaming", "streams_out", sr.streamsOut);
             verifyAfter(*fn, "streaming", kPostOpt);
-            if (options.optimize) {
-                prof.measure("streaming-cleanup", insts, [&] {
-                    opt::runCombine(*fn, res.traits);
-                    opt::runCopyPropagate(*fn, res.traits);
-                    // Branch optimization before DCE: deleting a
-                    // fallthrough CondJump leaves its compare — a
-                    // CC-FIFO enqueue nothing will ever dequeue — and
-                    // this is the last DCE that can collect it.
-                    opt::runBranchOpt(*fn);
-                    opt::runDeadCodeElim(*fn, res.traits);
-                });
-                verifyAfter(*fn, "streaming-cleanup", kPostOpt);
-            }
+            if (options.optimize && sr.loopsStreamed > 0)
+                cleanupAfter("streaming-cleanup");
             // Vectorization recognizes the post-cleanup single-
             // instruction loop bodies.
             if (options.vectorize) {
@@ -344,18 +358,13 @@ compile(const CompileRequest &req)
         }
 
         if (options.strengthReduce && !res.traits.isWM()) {
+            int rewritten = 0;
             prof.measure("strength-reduce", insts, [&] {
-                opt::runStrengthReduce(*fn, res.traits);
+                rewritten = opt::runStrengthReduce(*fn, res.traits);
             });
             verifyAfter(*fn, "strength-reduce", kPostOpt);
-            if (options.optimize) {
-                prof.measure("strength-cleanup", insts, [&] {
-                    opt::runCombine(*fn, res.traits);
-                    opt::runCopyPropagate(*fn, res.traits);
-                    opt::runDeadCodeElim(*fn, res.traits);
-                });
-                verifyAfter(*fn, "strength-cleanup", kPostOpt);
-            }
+            if (options.optimize && rewritten > 0)
+                cleanupAfter("strength-cleanup");
         }
 
         prof.measure("regalloc", insts,

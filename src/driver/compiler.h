@@ -165,7 +165,11 @@ struct CompileResult
     /**
      * Always collected (cost is proportional to the number of loops):
      * structured optimization remarks from the recurrence and streaming
-     * passes plus the loop-id registry. After compilation every RTL
+     * passes plus the loop-id registry, and a `cleanup`
+     * `fixpoint-cap-hit` remark for any cleanup that stopped at
+     * opt::kCleanupRoundCap still changing code (args `cap` and
+     * `after_pass`, the profiler label of that cleanup). After
+     * compilation every RTL
      * instruction inside a loop carries the matching loop id
      * (Inst::loopId), so simulator cycle buckets join remarks on it.
      */

@@ -119,6 +119,20 @@ checkAgainstOracle(const std::string &source, int64_t expect,
         out.faultSignature = verify::joinedSignature(cr.verifyReports);
         return out;
     }
+    auto capHits = cr.remarks.byReason("fixpoint-cap-hit");
+    if (!capHits.empty()) {
+        // A compile-time verdict like the verifier's: the code may
+        // still be right, but a cleanup did not reach its fixpoint.
+        // Dedup by the cleanup that stopped (its after_pass label).
+        const obs::Remark &r = *capHits.front();
+        out.diverged = true;
+        out.kind = DivergenceKind::CleanupCap;
+        out.detail = r.str();
+        for (const obs::RemarkArg &a : r.args)
+            if (a.name == "after_pass")
+                out.faultSignature = "fixpoint-cap-hit@" + a.value;
+        return out;
+    }
     if (cfg.opts.target == rtl::MachineKind::WM) {
         // Static half of the agreement oracle: the whole-program FIFO
         // analysis renders its verdict before the simulator runs. It
@@ -283,6 +297,7 @@ divergenceKindName(DivergenceKind k)
       case DivergenceKind::ChaosBreak: return "chaos_break";
       case DivergenceKind::VerifyError: return "verify_error";
       case DivergenceKind::StaticFifoBreak: return "static_fifo_break";
+      case DivergenceKind::CleanupCap: return "cleanup_cap";
     }
     return "unknown";
 }

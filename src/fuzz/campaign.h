@@ -104,6 +104,12 @@ enum class DivergenceKind : uint8_t {
      * a divergence.)
      */
     StaticFifoBreak,
+    /**
+     * A cleanup fixpoint stopped at its round cap while still changing
+     * code (a `fixpoint-cap-hit` remark). Deduplicated by the cleanup
+     * it happened in.
+     */
+    CleanupCap,
 };
 
 const char *divergenceKindName(DivergenceKind k);
@@ -122,7 +128,7 @@ struct CheckOutcome
      * one FIFO-imbalance bug folds into one finding across programs.
      * For VerifyError: the sorted unique verifier-violation signatures
      * (reason@invariant), program-independent for the same dedup
-     * purpose.
+     * purpose. For CleanupCap: fixpoint-cap-hit@<cleanup label>.
      */
     std::string faultSignature;
     /**

@@ -105,12 +105,37 @@ int runBranchAnticipate(rtl::Function &fn,
  */
 void runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits);
 
+/** How a runCleanup call ended. */
+struct CleanupResult
+{
+    int changes = 0;        ///< sub-pass changes summed over all rounds
+    bool converged = true;  ///< false: stopped at the cap, still changing
+};
+
 /**
- * Run the standard pre-loop-optimization cleanup pipeline. When @p prog
- * is given, loop-invariant loads of unaliased globals (the classic
- * "loop bound lives in memory" case) are hoisted too.
+ * Rounds one runCleanup call runs at most. No compile of the Table II
+ * programs, Livermore 5 or 3,000 generated programs needs more than
+ * four: three that change code and one that confirms (DESIGN §6).
  */
-void runCleanupPipeline(rtl::Function &fn,
+inline constexpr int kCleanupRoundCap = 4;
+
+/**
+ * The one cleanup fixpoint: branch optimization, combine, copy
+ * propagation, local CSE and dead-code elimination, repeated until a
+ * round changes nothing or kCleanupRoundCap rounds have run. The
+ * driver runs it after every pass that changed code.
+ */
+CleanupResult runCleanup(rtl::Function &fn,
+                         const rtl::MachineTraits &traits);
+
+/**
+ * Run the standard pre-loop-optimization cleanup pipeline: legalize,
+ * runCleanup, LICM, and runCleanup again if LICM hoisted anything.
+ * When @p prog is given, loop-invariant loads of unaliased globals
+ * (the classic "loop bound lives in memory" case) are hoisted too.
+ * @return false if a cleanup stopped at its round cap.
+ */
+bool runCleanupPipeline(rtl::Function &fn,
                         const rtl::MachineTraits &traits,
                         const rtl::Program *prog = nullptr);
 

@@ -2,20 +2,17 @@
 
 namespace wmstream::opt {
 
-namespace {
-
 /**
- * The standard cleanup round, repeated until a round changes nothing
- * (at most four rounds). Branch optimization must precede dead-code
- * elimination inside a round: deleting a fallthrough CondJump leaves
- * its compare — on WM a CC-FIFO enqueue nothing will ever dequeue — for
- * DCE to collect, and the round cap means a later round is not
- * guaranteed to run.
+ * Branch optimization must precede dead-code elimination inside a
+ * round: deleting a fallthrough CondJump leaves its compare — on WM a
+ * CC-FIFO enqueue nothing will ever dequeue — for DCE to collect, and
+ * the round cap means a later round is not guaranteed to run.
  */
-void
-runCleanupRounds(rtl::Function &fn, const rtl::MachineTraits &traits)
+CleanupResult
+runCleanup(rtl::Function &fn, const rtl::MachineTraits &traits)
 {
-    for (int round = 0; round < 4; ++round) {
+    CleanupResult res;
+    for (int round = 0; round < kCleanupRoundCap; ++round) {
         int changes = 0;
         changes += runBranchOpt(fn);
         changes += runCombine(fn, traits);
@@ -23,26 +20,27 @@ runCleanupRounds(rtl::Function &fn, const rtl::MachineTraits &traits)
         changes += runLocalCSE(fn, traits);
         changes += runDeadCodeElim(fn, traits);
         if (!changes)
-            break;
+            return res;
+        res.changes += changes;
     }
+    res.converged = false;
+    return res;
 }
 
-} // anonymous namespace
-
-void
+bool
 runCleanupPipeline(rtl::Function &fn, const rtl::MachineTraits &traits,
                    const rtl::Program *prog)
 {
     runLegalize(fn, traits);
-    // The paper's optimizer reinvokes phases freely; the cleanup rounds
-    // run before code motion and again only if LICM hoisted anything.
+    // The paper's optimizer reinvokes phases freely; the cleanup runs
+    // before code motion and again only if LICM hoisted anything.
     // Otherwise LICM left the function as it was, and a second run
-    // could only confirm the first run's fixpoint (or go on past its
-    // round cap).
-    runCleanupRounds(fn, traits);
+    // could only confirm the first run's fixpoint.
+    bool converged = runCleanup(fn, traits).converged;
     if (runLoopInvariantCodeMotion(fn, traits, prog))
-        runCleanupRounds(fn, traits);
+        converged &= runCleanup(fn, traits).converged;
     fn.renumber();
+    return converged;
 }
 
 } // namespace wmstream::opt

@@ -1,8 +1,6 @@
 #include "wmsim/sim.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 
@@ -344,7 +342,6 @@ struct Simulator::Impl
     int64_t seqCounter = 0;
     int portsUsed = 0;
     SimStats stats;
-    bool trace = std::getenv("WS_TRACE") != nullptr;
 
     // ---- watchdog state ----
     /**
@@ -1047,13 +1044,6 @@ struct Simulator::Impl
                             scus[req.scu].lastElemEv = ev;
                     }
                     ++deliveredValues;
-                    if (trace)
-                        std::fprintf(stderr,
-                                     "[%llu] deliver side=%d f=%d addr=%lld "
-                                     "val=%g/%lld scu=%d\n",
-                                     (unsigned long long)now, side, f,
-                                     (long long)req.addr, v.f,
-                                     (long long)v.i, req.scu);
                     if (req.scu >= 0) {
                         ++scus[req.scu].done;
                         ++stats.streamElementsIn;
@@ -1789,14 +1779,6 @@ struct Simulator::Impl
                 }
                 if (findStream(side, inst.fifo, s.input))
                     throw ExecError("stream already active on FIFO");
-                if (trace)
-                    std::fprintf(stderr,
-                                 "[%llu] stream %s side=%d fifo=%d "
-                                 "base=%lld count=%lld stride=%lld\n",
-                                 (unsigned long long)now,
-                                 s.input ? "in" : "out", side, inst.fifo,
-                                 (long long)s.base, (long long)s.count,
-                                 (long long)s.stride);
                 *free = s;
                 if (cp && !s.active)
                     // Empty stream: retires the cycle it starts.

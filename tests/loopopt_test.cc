@@ -333,6 +333,30 @@ TEST(Legalize, MaterializesSymbolOperands)
     }
 }
 
+TEST(Cleanup, SecondRunReportsNoChange)
+{
+    // runCleanup returns at a fixpoint, so running it again right
+    // away changes nothing: on the expander's code, and on 68020
+    // code that strength reduction has just rewritten.
+    for (MachineKind kind : {MachineKind::WM, MachineKind::Scalar}) {
+        auto prog = expandOnly(kSumLoop, kind);
+        auto traits =
+            kind == MachineKind::WM ? wmTraits() : scalarTraits();
+        Function *fn = prog->findFunction("main");
+        opt::runLegalize(*fn, traits);
+        opt::CleanupResult first = opt::runCleanup(*fn, traits);
+        EXPECT_GT(first.changes, 0);
+        EXPECT_TRUE(first.converged);
+        if (kind == MachineKind::Scalar) {
+            ASSERT_GT(opt::runStrengthReduce(*fn, traits), 0);
+            EXPECT_GT(opt::runCleanup(*fn, traits).changes, 0);
+        }
+        opt::CleanupResult second = opt::runCleanup(*fn, traits);
+        EXPECT_EQ(second.changes, 0);
+        EXPECT_TRUE(second.converged);
+    }
+}
+
 TEST(Licm, HoistsThroughNewPreheaderOutOfNestedLoops)
 {
     // The do-while header has two out-of-loop predecessors, the two
@@ -365,14 +389,8 @@ int main(void) {
     auto traits = wmTraits();
     Function *fn = prog->findFunction("main");
     opt::runLegalize(*fn, traits);
-    // The cleanup rounds that run before LICM in the pipeline.
-    for (int round = 0; round < 4; ++round)
-        if (opt::runBranchOpt(*fn) + opt::runCombine(*fn, traits) +
-                opt::runCopyPropagate(*fn, traits) +
-                opt::runLocalCSE(*fn, traits) +
-                opt::runDeadCodeElim(*fn, traits) ==
-            0)
-            break;
+    // The cleanup that runs before LICM in the pipeline.
+    opt::runCleanup(*fn, traits);
 
     // The number of loops holding the address of g or its load (the
     // only load through a plain register).

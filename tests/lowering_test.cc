@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "driver/compiler.h"
 #include "frontend/parser.h"
 #include "interp/interp.h"
@@ -321,6 +323,30 @@ TEST(WmPrinter, Livermore5ListingMentionsStreams)
     EXPECT_NE(listing.find("JNIf"), std::string::npos);
 }
 
+TEST(WmPrinter, Figure7LoadsEachStreamBaseInOneInstruction)
+{
+    // The Figure 7 compile: the instruction right before each stream
+    // start loads its first-element address, offset included.
+    driver::CompileOptions opts;
+    auto cr = driver::compileSource(programs::livermore5Source(100), opts);
+    ASSERT_TRUE(cr.ok);
+    std::string listing =
+        wm::printFunction(*cr.program->findFunction("main"));
+    std::istringstream in(listing);
+    std::string prev, line;
+    int streams = 0;
+    for (; std::getline(in, line); prev = line) {
+        if (line.find(" SinD ") == std::string::npos &&
+            line.find(" SoutD ") == std::string::npos)
+            continue;
+        ++streams;
+        EXPECT_NE(prev.find("llh/sll"), std::string::npos)
+            << prev << "\nin:\n" << listing;
+    }
+    EXPECT_EQ(streams, 5) << listing;
+    EXPECT_NE(listing.find(":= _z+16"), std::string::npos) << listing;
+}
+
 TEST(M68kPrinter, AutoIncrementAppearsAfterStrengthReduction)
 {
     driver::CompileOptions opts;
@@ -335,6 +361,31 @@ TEST(M68kPrinter, AutoIncrementAppearsAfterStrengthReduction)
     EXPECT_NE(listing.find("fsubx"), std::string::npos);
     EXPECT_NE(listing.find("fmulx"), std::string::npos);
     EXPECT_NE(listing.find("fmoved"), std::string::npos);
+}
+
+TEST(M68kPrinter, Figure6HasNoSelfMovesAndOneLeaPerOffsetBase)
+{
+    // The Figure 6 compile: after strength reduction the cleanup
+    // fixpoint folds the pointer copy into its lea, and the +16
+    // offset into the lea's symbol.
+    driver::CompileOptions opts;
+    opts.target = MachineKind::Scalar;
+    opts.recurrence = true;
+    auto cr = driver::compileSource(programs::livermore5Source(100), opts);
+    ASSERT_TRUE(cr.ok);
+    std::string listing =
+        m68k::printFunction(*cr.program->findFunction("main"));
+    for (int a = 0; a < 8; ++a) {
+        std::string self = "movl a" + std::to_string(a) + ",a" +
+                           std::to_string(a);
+        EXPECT_EQ(listing.find(self), std::string::npos)
+            << self << " in:\n" << listing;
+    }
+    for (const char *sym : {"_x", "_y", "_z"})
+        EXPECT_NE(listing.find(std::string("lea (") + sym + "+16),a"),
+                  std::string::npos)
+            << sym << " in:\n" << listing;
+    EXPECT_EQ(listing.find("addl #16,a"), std::string::npos) << listing;
 }
 
 TEST(M68kPrinter, NoPlaceholderAddressModes)

@@ -356,3 +356,53 @@ TEST(Remarks, CollectorDeduplicatesAndUpgradesLoc)
     rc.add(r); // different args: kept
     EXPECT_EQ(rc.remarks().size(), 2u);
 }
+
+TEST(Remarks, CleanupCapHitIsLoud)
+{
+    // Local CSE matches expressions structurally, so each level of
+    // this chain becomes common only after copy propagation has
+    // rewritten the level below it: one cleanup round per level. Six
+    // levels outrun the four-round cap, and the compile says so.
+    const std::string src = R"(
+int a = 3;
+int b = 4;
+int c = 5;
+int main(void) {
+    int x, y, z, t1, u1, t2, u2, t3, u3, t4, u4, t5, u5, t6, u6;
+    x = a; y = b; z = c;
+    t1 = x + y; u1 = x + y;
+    t2 = t1 * z; u2 = u1 * z;
+    t3 = t2 * z; u3 = u2 * z;
+    t4 = t3 * z; u4 = u3 * z;
+    t5 = t4 * z; u5 = u4 * z;
+    t6 = t5 * z; u6 = u5 * z;
+    return t1 + u1 + t2 + u2 + t3 + u3 + t4 + u4 + t5 + u5 + t6 + u6;
+}
+)";
+    for (rtl::MachineKind target :
+         {rtl::MachineKind::WM, rtl::MachineKind::Scalar}) {
+        driver::CompileOptions opts;
+        opts.target = target;
+        auto cr = compile(src, opts);
+        auto hits = cr.remarks.byReason("fixpoint-cap-hit");
+        ASSERT_EQ(hits.size(), 1u);
+        const obs::Remark &r = *hits[0];
+        EXPECT_EQ(r.pass, "cleanup");
+        EXPECT_EQ(r.function, "main");
+        EXPECT_EQ(r.verdict, obs::RemarkVerdict::Missed);
+        ASSERT_EQ(r.args.size(), 2u);
+        EXPECT_EQ(r.args[0].name, "cap");
+        EXPECT_EQ(r.args[0].value, "4");
+        EXPECT_EQ(r.args[1].name, "after_pass");
+        EXPECT_EQ(r.args[1].value, "cleanup");
+    }
+    // The code is still right, only less clean than it could be.
+    auto res = wmsim::simulate(*compile(src).program);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.returnValue, 2 * (7 + 35 + 175 + 875 + 4375 + 21875));
+
+    // A compile that converges carries no such remark.
+    EXPECT_TRUE(compile("int main(void) { return 1; }")
+                    .remarks.byReason("fixpoint-cap-hit")
+                    .empty());
+}
