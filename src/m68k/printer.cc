@@ -171,7 +171,10 @@ addrMode(const RegNames &names, const ExprPtr &a)
             }
         }
     }
-    return "<" + a->str() + ">";
+    std::string out = "<";
+    out += a->str();
+    out += '>';
+    return out;
 }
 
 const char *

@@ -136,7 +136,9 @@ MetricsRegistry::renderText() const
                 }
                 out += "}";
             }
-            out += " " + numText(s.value) + "\n";
+            out += ' ';
+            out += numText(s.value);
+            out += '\n';
         }
     }
     return out;

@@ -4,15 +4,18 @@
  *
  * The WM cycle simulator (wmsim) and the scalar timing model (timing)
  * execute the same compiled RTL. What they share lives here, once:
- *  - Executable: the program decoded for execution (one flat
- *    instruction array, every jump, branch and call target resolved to
- *    an index at load time) plus the flat memory image, sized to the
- *    program (rtl/image.h), with the globals loaded and bounds-checked
- *    typed access;
+ *  - Executable: the program decoded for execution, once, at load
+ *    time. Its code is one flat instruction array with every jump,
+ *    branch and call target resolved to an index. Every operand
+ *    expression is lowered to a range of one postorder operand-code
+ *    array, with global symbols resolved to addresses, so a run never
+ *    walks an RTL tree. It also holds the flat memory image, sized to
+ *    the program (rtl/image.h), with the globals loaded and
+ *    bounds-checked typed access;
  *  - applyBin/applyUn: the RTL operator rules, which the constant
  *    folder (makeBin) uses too, so a folded constant is the value the
  *    machines would compute;
- *  - Executable::eval: the expression evaluator, inline so that it
+ *  - Executable::eval: the operand-code evaluator, inline so that it
  *    stays in the machines' run loops. Register cells are read through
  *    a hook, which is where wmsim pops its FIFOs.
  * Each machine keeps its own register writes, timing and
@@ -48,8 +51,9 @@ struct ExecError : std::runtime_error
 };
 
 /**
- * Apply binary operator @p op. A float operand makes the operation
- * floating point; relational operators yield an integer 0 or 1.
+ * Apply binary operator @p op; @p out may alias an operand. A float
+ * operand makes the operation floating point; relational operators
+ * yield an integer 0 or 1.
  * Integer arithmetic wraps (two's complement), INT64_MIN / -1 is
  * INT64_MIN with remainder 0, and shift counts are taken mod 64.
  * @return nullptr with the result in @p out, or the run-time error:
@@ -114,7 +118,8 @@ applyBin(Op op, const Val &l, const Val &r, Val &out)
 }
 
 /**
- * Apply unary operator @p op (integer negation wraps).
+ * Apply unary operator @p op (integer negation wraps); @p out may
+ * alias @p x.
  * @return nullptr with the result in @p out, or the run-time error.
  */
 inline const char *
@@ -149,6 +154,42 @@ constVal(const Expr &c)
     return Val{false, c.ival(), 0.0};
 }
 
+/**
+ * One cell of the operand code. An operand is its expression tree in
+ * postorder: leaves push a value, Mem/Un replace the top of the stack
+ * and Bin replaces the top two with one.
+ */
+struct OperandCell
+{
+    enum class Kind : uint8_t {
+        Int,    ///< push i (a Sym is resolved to one at load time)
+        Flt,    ///< push f
+        Reg,    ///< push the register (file, i) through the read hook
+        Mem,    ///< replace the address on top with the datum of type
+        Un,     ///< apply op to the top
+        Bin,    ///< apply op to the top two
+        BadSym, ///< a Sym naming no global: an error if executed
+    };
+    Kind kind = Kind::Int;
+    DataType type = DataType::I64;
+    Op op = Op::Add;
+    RegFile file = RegFile::Int;
+    union {
+        int64_t i = 0;
+        double f;
+        const Expr *sym;
+    };
+};
+
+/** One operand: cells [begin, end) of Executable::operands. */
+struct Operand
+{
+    uint32_t begin = 0, end = 0;
+
+    /** True when the instruction has no such operand. */
+    bool empty() const { return begin == end; }
+};
+
 /** One instruction of the decoded program. */
 struct DecodedInst
 {
@@ -160,6 +201,8 @@ struct DecodedInst
      * the instruction executes.
      */
     int64_t target = -1;
+    /** The instruction's expression fields, lowered. */
+    Operand src, addr, count, vecSrc2;
 };
 
 /**
@@ -177,6 +220,8 @@ class Executable
     explicit Executable(const Program &prog);
 
     std::vector<DecodedInst> code;
+    /** The operand code of every instruction, in code order. */
+    std::vector<OperandCell> operands;
     std::vector<uint8_t> mem;
     /** Index of main's first instruction. */
     int64_t mainEntry = -1;
@@ -266,39 +311,39 @@ class Executable
     }
 
     /**
-     * Evaluate @p e, visiting subtrees left to right, depth first.
-     * Register cells are read through @p readReg(const Expr &reg) ->
-     * Val, so a machine with FIFO registers pops them in this order.
+     * Evaluate operand @p o, which must not be empty. Register cells
+     * are read through @p readReg(RegFile file, int index) -> Val in
+     * the order of a left-to-right, depth-first walk of the tree, so a
+     * machine with FIFO registers pops them in that order.
      */
     template <class ReadReg>
     Val
-    eval(const ExprPtr &e, ReadReg &&readReg) const
+    eval(Operand o, ReadReg &&readReg)
     {
-        Val v;
-        const char *err = nullptr;
-        switch (e->kind()) {
-          case Expr::Kind::Reg:
-            return readReg(*e);
-          case Expr::Kind::Const:
-            return constVal(*e);
-          case Expr::Kind::Sym:
-            v.i = prog_.globalAddress(e->symbol()) + e->symOffset();
-            return v;
-          case Expr::Kind::Mem:
-            return read(eval(e->addr(), readReg).i, e->type());
-          case Expr::Kind::Un:
-            err = applyUn(e->op(), eval(e->lhs(), readReg), v);
-            break;
-          case Expr::Kind::Bin: {
-            Val l = eval(e->lhs(), readReg);
-            Val r = eval(e->rhs(), readReg);
-            err = applyBin(e->op(), l, r, v);
-            break;
-          }
+        using K = OperandCell::Kind;
+        Val *sp = stack_.data();
+        for (const OperandCell *c = &operands[o.begin],
+                               *e = c + (o.end - o.begin);
+             c != e; ++c) {
+            const char *err = nullptr;
+            switch (c->kind) {
+              case K::Int: *sp++ = Val{false, c->i, 0.0}; continue;
+              case K::Flt: *sp++ = Val{true, 0, c->f}; continue;
+              case K::Reg:
+                *sp++ = readReg(c->file, static_cast<int>(c->i));
+                continue;
+              case K::Mem: sp[-1] = read(sp[-1].i, c->type); continue;
+              case K::Un: err = applyUn(c->op, sp[-1], sp[-1]); break;
+              case K::Bin:
+                --sp;
+                err = applyBin(c->op, sp[-1], sp[0], sp[-1]);
+                break;
+              case K::BadSym: unknownGlobal(*c->sym);
+            }
+            if (err)
+                throw ExecError(err);
         }
-        if (err)
-            throw ExecError(err);
-        return v;
+        return sp[-1];
     }
 
   private:
@@ -322,8 +367,10 @@ class Executable
 
     [[noreturn]] void outOfBounds(int64_t addr) const;
     [[noreturn]] static void unknownTarget(const Inst &inst);
+    [[noreturn]] static void unknownGlobal(const Expr &sym);
 
-    const Program &prog_;
+    /** The evaluation stack, as deep as the deepest operand. */
+    std::vector<Val> stack_;
 };
 
 } // namespace wmstream::rtl

@@ -6,7 +6,6 @@
 namespace wmstream::timing {
 
 using rtl::ExecError;
-using rtl::Expr;
 using rtl::ExprPtr;
 using rtl::Inst;
 using rtl::InstKind;
@@ -180,23 +179,24 @@ class ScalarMachine
             for (;;) {
                 if (res.instsExecuted++ > maxInsts_)
                     throw ExecError("instruction budget exceeded");
-                const Inst &inst = *exe_.fetch(pc).inst;
+                const rtl::DecodedInst &d = exe_.fetch(pc);
+                const Inst &inst = *d.inst;
                 switch (inst.kind) {
                   case InstKind::Assign: {
-                    Val v = eval(inst.src);
+                    Val v = eval(d.src);
                     if (inst.dst->regFile() == RegFile::CC) {
                         cc_[inst.dst->regIndex() == 1 ? 1 : 0] =
                             v.isFloat ? v.f != 0.0 : v.i != 0;
                         charge(res, CostClass::Compare);
                     } else {
                         writeReg(inst.dst, v);
-                        charge(res, assignClass(inst));
+                        charge(res, assignClass(d));
                     }
                     ++pc;
                     break;
                   }
                   case InstKind::Load: {
-                    Val a = eval(inst.addr);
+                    Val a = eval(d.addr);
                     writeReg(inst.dst, exe_.read(a.i, inst.memType));
                     charge(res, CostClass::Load);
                     ++res.memoryRefs;
@@ -204,8 +204,8 @@ class ScalarMachine
                     break;
                   }
                   case InstKind::Store: {
-                    Val a = eval(inst.addr);
-                    Val v = eval(inst.src);
+                    Val a = eval(d.addr);
+                    Val v = eval(d.src);
                     exe_.write(a.i, inst.memType, v);
                     charge(res, CostClass::Store);
                     ++res.memoryRefs;
@@ -283,24 +283,27 @@ class ScalarMachine
         ++res.instsByClass[static_cast<size_t>(c)];
     }
 
+    /** Cost class of an Assign, from the root of its source. */
     CostClass
-    assignClass(const Inst &inst) const
+    assignClass(const rtl::DecodedInst &d) const
     {
-        const ExprPtr &s = inst.src;
-        bool flt = inst.dst->regFile() == RegFile::Flt ||
-                   inst.dst->regFile() == RegFile::VFlt;
-        switch (s->kind()) {
-          case Expr::Kind::Reg:
+        using K = rtl::OperandCell::Kind;
+        const rtl::OperandCell &s = exe_.operands[d.src.end - 1];
+        bool flt = d.inst->dst->regFile() == RegFile::Flt ||
+                   d.inst->dst->regFile() == RegFile::VFlt;
+        switch (s.kind) {
+          case K::Reg:
             return CostClass::Move;
-          case Expr::Kind::Const:
-          case Expr::Kind::Sym:
+          case K::Int:
+          case K::Flt:
+          case K::BadSym:
             return CostClass::Materialize;
-          case Expr::Kind::Un:
-            if (s->op() == Op::CvtIF || s->op() == Op::CvtFI)
+          case K::Un:
+            if (s.op == Op::CvtIF || s.op == Op::CvtFI)
                 return CostClass::Cvt;
             return flt ? CostClass::FltAdd : CostClass::IntAlu;
-          case Expr::Kind::Bin:
-            switch (s->op()) {
+          case K::Bin:
+            switch (s.op) {
               case Op::Mul:
                 return flt ? CostClass::FltMul : CostClass::IntMul;
               case Op::Div:
@@ -327,12 +330,11 @@ class ScalarMachine
     }
 
     Val
-    eval(const ExprPtr &e)
+    eval(rtl::Operand o)
     {
-        return exe_.eval(e, [this](const Expr &r) {
+        return exe_.eval(o, [this](RegFile file, int idx) {
             Val v;
-            int idx = r.regIndex();
-            if (r.regFile() == RegFile::Flt) {
+            if (file == RegFile::Flt) {
                 v.isFloat = true;
                 v.f = idx == 31 ? 0.0 : freg_[idx];
             } else {

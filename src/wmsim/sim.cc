@@ -1,12 +1,11 @@
 #include "wmsim/sim.h"
 
 #include <algorithm>
-#include <cstring>
-#include <functional>
 
 #include "rtl/exec.h"
 #include "support/convert.h"
 #include "support/diag.h"
+#include "support/ring.h"
 #include "support/rng.h"
 #include "support/str.h"
 
@@ -22,6 +21,7 @@ using rtl::Op;
 using rtl::RegFile;
 using rtl::UnitSide;
 using rtl::Val;
+using support::Ring;
 
 namespace {
 
@@ -67,6 +67,30 @@ engineOf(const Inst &inst)
     }
     return Engine::IEU;
 }
+
+/** How an instruction's destination register is written. */
+enum class Dst : uint8_t {
+    None, ///< no destination register, or the hardwired zero
+    Reg,  ///< an ordinary register of file `side`
+    Fifo, ///< an enqueue into output FIFO (side, index)
+    Cc,   ///< an enqueue into condition-code FIFO `side`
+};
+
+/**
+ * What the run loop needs to know about one instruction, decoded once
+ * from its RTL. Indexed by pc, parallel to Executable::code.
+ */
+struct InstFacts
+{
+    Engine engine = Engine::IEU;
+    Dst dst = Dst::None;
+    uint8_t side = 0;  ///< destination: 0 integer, 1 float
+    uint8_t index = 0; ///< destination register or FIFO
+    bool divides = false; ///< src has a divide or remainder
+    /** Input-FIFO reads per (side, fifo) of the src and addr operands. */
+    uint8_t needs[2][2] = {};
+    uint32_t bucket = 0; ///< index into Impl::loopBuckets
+};
 
 } // anonymous namespace
 
@@ -240,19 +264,22 @@ struct Simulator::Impl
     int64_t rreg[32] = {};
     double freg[32] = {};
 
-    std::deque<Val> inFifo[2][2];
-    std::deque<Val> outFifo[2][2];
-    std::deque<bool> ccFifo[2];
+    /** Per-instruction facts, decoded once (see InstFacts). */
+    std::vector<InstFacts> facts;
+
+    Ring<Val> inFifo[2][2];
+    Ring<Val> outFifo[2][2];
+    Ring<bool> ccFifo[2];
 
     struct QEntry
     {
-        const Inst *inst;
+        int64_t pc;
         int64_t seq;
         /** Enqueue attributed to an active output stream at dispatch. */
         bool streamEnq = false;
         int32_t ev = -1; ///< critpath dispatch event
     };
-    std::deque<QEntry> unitQ[2]; // 0 = IEU, 1 = FEU
+    Ring<QEntry> unitQ[2]; // 0 = IEU, 1 = FEU
     uint64_t unitBusyUntil[2] = {0, 0};
 
     struct ReadReq
@@ -267,7 +294,8 @@ struct Simulator::Impl
         int loop = -1;     ///< loop id of the issuing instruction
         bool ordered = false; ///< was ever held behind an older store
     };
-    std::deque<ReadReq> inflight[2][2];
+    /** Not capped by any depth: scalar loads reserve no FIFO slot. */
+    Ring<ReadReq> inflight[2][2];
 
     struct StoreReq
     {
@@ -278,7 +306,7 @@ struct Simulator::Impl
         int32_t ev = -1; ///< critpath address-generation event
         int loop = -1;
     };
-    std::deque<StoreReq> storeQ[2];
+    Ring<StoreReq> storeQ[2];
 
     struct Stream
     {
@@ -303,7 +331,7 @@ struct Simulator::Impl
          * follow the load in program order (anti-dependences) and must
          * not stall it.
          */
-        std::deque<int64_t> enqSeqs;
+        Ring<int64_t> enqSeqs;
         int64_t dispatchedEnqueues = 0;
         uint64_t readyAt = 0; ///< SCU startup latency gate
 
@@ -438,9 +466,9 @@ struct Simulator::Impl
     int cpQ[kNumOcc] = {};
 
     /** Producer event per buffered value, parallel to the FIFOs. */
-    std::deque<int32_t> inFifoEv[2][2];
-    std::deque<int32_t> outFifoEv[2][2];
-    std::deque<int32_t> ccFifoEv[2];
+    Ring<int32_t> inFifoEv[2][2];
+    Ring<int32_t> outFifoEv[2][2];
+    Ring<int32_t> ccFifoEv[2];
 
     int32_t cpCurEv = -1;      ///< latest event (deps attach to it)
     int32_t lastIfuEv = -1;
@@ -483,7 +511,7 @@ struct Simulator::Impl
     /**
      * Record the latest event popping one value from inFifo[s][f]:
      * a data dep on the producer plus the capacity pop that frees the
-     * slot. Called right where the simulator pops the value deque.
+     * slot. Called right where the simulator pops the value ring.
      */
     void
     cpPopIn(int s, int f)
@@ -521,27 +549,21 @@ struct Simulator::Impl
      * cycle t frees the slot for a push at t+1 (latency 1).
      */
     void
-    cpNoteWrite(const ExprPtr &dst, int32_t ev)
+    cpNoteWrite(const InstFacts &f, int32_t ev)
     {
-        RegFile f = dst->regFile();
-        int idx = dst->regIndex();
-        if (f == RegFile::CC) {
-            int s = idx == 1 ? 1 : 0;
+        if (f.dst == Dst::Cc) {
             cp->pushDep(
-                cpQCc(s),
+                cpQCc(f.side),
                 cpCause[static_cast<size_t>(StallCause::CcFifoFull)],
                 1.0f);
-            ccFifoEv[s].push_back(ev);
-            return;
+            ccFifoEv[f.side].push_back(ev);
+        } else if (f.dst == Dst::Fifo) {
+            cp->pushDep(
+                cpQOut(f.side, f.index),
+                cpCause[static_cast<size_t>(StallCause::DataFifoFull)],
+                1.0f);
+            outFifoEv[f.side][f.index].push_back(ev);
         }
-        if (idx > 1 || (f != RegFile::Int && f != RegFile::Flt))
-            return;
-        int s = f == RegFile::Flt ? 1 : 0;
-        cp->pushDep(
-            cpQOut(s, idx),
-            cpCause[static_cast<size_t>(StallCause::DataFifoFull)],
-            1.0f);
-        outFifoEv[s][idx].push_back(ev);
     }
 
     /** Exec event for the head of unit queue @p u (IEU/FEU). */
@@ -590,6 +612,18 @@ struct Simulator::Impl
         : cfg(c), exe(p), chaos(c.chaosSeed != 0),
           chaosRng(c.chaosSeed)
     {
+        decode();
+        auto depth = [](int d) { return static_cast<size_t>(std::max(d, 1)); };
+        for (int s = 0; s < 2; ++s) {
+            for (int f = 0; f < 2; ++f)
+                for (auto *q : {&inFifo[s][f], &outFifo[s][f]})
+                    q->reserve(depth(cfg.dataFifoDepth));
+            inflight[s][0].reserve(depth(cfg.dataFifoDepth));
+            inflight[s][1].reserve(depth(cfg.dataFifoDepth));
+            ccFifo[s].reserve(depth(cfg.ccFifoDepth));
+            unitQ[s].reserve(depth(cfg.instQueueDepth));
+            storeQ[s].reserve(depth(cfg.storeQueueDepth));
+        }
         scus.resize(cfg.numSCUs);
         rreg[30] = rtl::kInitialSp;
         for (double &v : traceLast)
@@ -638,6 +672,60 @@ struct Simulator::Impl
                                      : cfg.storeQueueDepth;
                 cpQ[i] = cp->queue(kOccNames[i], depth, i < 8);
             }
+        }
+    }
+
+    /** Fill facts and loopBuckets from the decoded program. */
+    void
+    decode()
+    {
+        using K = rtl::OperandCell::Kind;
+        std::vector<int> loopIds = {-1};
+        for (const rtl::DecodedInst &d : exe.code)
+            if (d.inst->loopId != loopIds.back())
+                loopIds.push_back(d.inst->loopId);
+        std::sort(loopIds.begin(), loopIds.end());
+        loopIds.erase(std::unique(loopIds.begin(), loopIds.end()),
+                      loopIds.end());
+        for (int id : loopIds)
+            loopBuckets.emplace_back().loopId = id;
+        facts.reserve(exe.code.size());
+        for (const rtl::DecodedInst &d : exe.code) {
+            const Inst &inst = *d.inst;
+            InstFacts &f = facts.emplace_back();
+            f.engine = engineOf(inst);
+            f.bucket = static_cast<uint32_t>(
+                std::lower_bound(loopIds.begin(), loopIds.end(),
+                                 inst.loopId) -
+                loopIds.begin());
+            if (inst.kind == InstKind::Assign) {
+                RegFile file = inst.dst->regFile();
+                int idx = inst.dst->regIndex();
+                f.side = file == RegFile::Flt ? 1 : 0;
+                f.index = static_cast<uint8_t>(idx);
+                if (file == RegFile::CC) {
+                    f.dst = Dst::Cc;
+                    f.side = idx == 1 ? 1 : 0;
+                } else if (idx != 31) {
+                    f.dst = idx <= 1 ? Dst::Fifo : Dst::Reg;
+                }
+            }
+            for (uint32_t k = d.src.begin; k < d.src.end; ++k) {
+                const rtl::OperandCell &c = exe.operands[k];
+                f.divides |= c.kind == K::Bin &&
+                             (c.op == Op::Div || c.op == Op::Rem);
+            }
+            for (rtl::Operand o : {d.src, d.addr})
+                for (uint32_t k = o.begin; k < o.end; ++k) {
+                    const rtl::OperandCell &c = exe.operands[k];
+                    if (c.kind == K::Reg && (c.i == 0 || c.i == 1) &&
+                            (c.file == RegFile::Int ||
+                             c.file == RegFile::Flt)) {
+                        uint8_t &n = f.needs[c.file == RegFile::Flt][c.i];
+                        WS_ASSERT(n < UINT8_MAX, "too many FIFO reads");
+                        ++n;
+                    }
+                }
         }
     }
 
@@ -795,33 +883,23 @@ struct Simulator::Impl
 
     // ---- register / FIFO access during evaluation ----
 
-    /** Count FIFO reads per (side, fifo) required by @p e. */
-    void
-    fifoNeeds(const ExprPtr &e, int needs[2][2])
+    /** True when the input FIFOs hold every read @p needs asks for. */
+    bool
+    fifosHold(const uint8_t needs[2][2]) const
     {
-        if (!e)
-            return;
-        if (e->kind() == Expr::Kind::Reg) {
-            RegFile f = e->regFile();
-            int idx = e->regIndex();
-            if ((f == RegFile::Int || f == RegFile::Flt) &&
-                    (idx == 0 || idx == 1)) {
-                ++needs[f == RegFile::Flt ? 1 : 0][idx];
-            }
-            return;
-        }
-        fifoNeeds(e->lhs(), needs);
-        if (e->kind() == Expr::Kind::Bin)
-            fifoNeeds(e->rhs(), needs);
+        for (int s = 0; s < 2; ++s)
+            for (int f = 0; f < 2; ++f)
+                if (needs[s][f] > inFifo[s][f].size())
+                    return false;
+        return true;
     }
 
-    /** Evaluate @p e, popping FIFO operands in DFS order. */
+    /** Evaluate operand @p o, popping FIFO operands in DFS order. */
     Val
-    eval(const ExprPtr &e)
+    eval(rtl::Operand o)
     {
-        return exe.eval(e, [this](const Expr &r) {
-            int s = r.regFile() == RegFile::Flt ? 1 : 0;
-            int idx = r.regIndex();
+        return exe.eval(o, [this](RegFile file, int idx) {
+            int s = file == RegFile::Flt ? 1 : 0;
             Val v;
             if (idx == 0 || idx == 1) {
                 WS_ASSERT(!inFifo[s][idx].empty(),
@@ -841,38 +919,37 @@ struct Simulator::Impl
         });
     }
 
+    /** Write @p v to the destination of the Assign @p f describes. */
     void
-    writeReg(const ExprPtr &dst, const Val &v)
+    writeReg(const InstFacts &f, const Val &v)
     {
-        RegFile f = dst->regFile();
-        int idx = dst->regIndex();
-        if (f == RegFile::CC) {
-            ccFifo[idx == 1 ? 1 : 0].push_back(v.isFloat ? v.f != 0.0
-                                                         : v.i != 0);
-            return;
-        }
-        if (idx == 31)
+        switch (f.dst) {
+          case Dst::None:
             return; // hardwired zero
-        if (idx == 0 || idx == 1) {
-            // Enqueue to the output FIFO.
+          case Dst::Cc:
+            ccFifo[f.side].push_back(v.isFloat ? v.f != 0.0 : v.i != 0);
+            return;
+          case Dst::Fifo: {
             Val out = v;
-            if (f == RegFile::Flt) {
+            if (f.side) {
                 out.isFloat = true;
                 if (!v.isFloat)
                     out.f = static_cast<double>(v.i);
-                outFifo[1][idx].push_back(out);
             } else {
                 out.isFloat = false;
                 if (v.isFloat)
                     out.i = truncToInt64(v.f);
-                outFifo[0][idx].push_back(out);
             }
+            outFifo[f.side][f.index].push_back(out);
+            return;
+          }
+          case Dst::Reg:
+            if (f.side)
+                freg[f.index] = v.isFloat ? v.f : static_cast<double>(v.i);
+            else
+                rreg[f.index] = v.isFloat ? truncToInt64(v.f) : v.i;
             return;
         }
-        if (f == RegFile::Flt)
-            freg[idx] = v.isFloat ? v.f : static_cast<double>(v.i);
-        else
-            rreg[idx] = v.isFloat ? truncToInt64(v.f) : v.i;
     }
 
     // ---- store-ordering checks ----
@@ -1296,79 +1373,44 @@ struct Simulator::Impl
             return StallCause::InstQueueEmpty;
         if (unitBusyUntil[u] > now)
             return StallCause::DivBusy;
-        const Inst &inst = *unitQ[u].front().inst;
-        int64_t seq = unitQ[u].front().seq;
-        bool streamEnq = unitQ[u].front().streamEnq;
+        const QEntry &q = unitQ[u].front();
+        const rtl::DecodedInst &d = exe.code[q.pc];
+        const InstFacts &f = facts[q.pc];
+        const Inst &inst = *d.inst;
 
         switch (inst.kind) {
           case InstKind::Assign: {
             // An ordinary enqueue must wait while an output stream owns
             // the FIFO (its data would be swallowed as stream elements).
-            if (!streamEnq && inst.dst->isReg() &&
-                    inst.dst->regIndex() <= 1 &&
-                    (inst.dst->regFile() == RegFile::Int ||
-                     inst.dst->regFile() == RegFile::Flt)) {
-                int side = inst.dst->regFile() == RegFile::Flt ? 1 : 0;
-                if (findStream(side, inst.dst->regIndex(),
-                               /*input=*/false)) {
-                    return StallCause::StreamOwnership;
-                }
-            }
-            int needs[2][2] = {{0, 0}, {0, 0}};
-            fifoNeeds(inst.src, needs);
-            for (int s = 0; s < 2; ++s)
-                for (int f = 0; f < 2; ++f)
-                    if (needs[s][f] >
-                            static_cast<int>(inFifo[s][f].size())) {
-                        return StallCause::DataFifoEmpty; // wait for data
-                    }
-            if (inst.dst->regFile() == RegFile::CC &&
-                    static_cast<int>(
-                        ccFifo[inst.dst->regIndex() == 1 ? 1 : 0]
-                            .size()) >= cfg.ccFifoDepth) {
+            if (!q.streamEnq && f.dst == Dst::Fifo &&
+                    findStream(f.side, f.index, /*input=*/false))
+                return StallCause::StreamOwnership;
+            if (!fifosHold(f.needs))
+                return StallCause::DataFifoEmpty; // wait for data
+            if (f.dst == Dst::Cc &&
+                    static_cast<int>(ccFifo[f.side].size()) >=
+                        cfg.ccFifoDepth)
                 return StallCause::CcFifoFull;
-            }
-            if (inst.dst->regIndex() <= 1 &&
-                    (inst.dst->regFile() == RegFile::Int ||
-                     inst.dst->regFile() == RegFile::Flt) &&
-                    static_cast<int>(
-                        outFifo[inst.dst->regFile() == RegFile::Flt
-                                    ? 1
-                                    : 0][inst.dst->regIndex()]
-                            .size()) >= cfg.dataFifoDepth) {
+            if (f.dst == Dst::Fifo &&
+                    static_cast<int>(outFifo[f.side][f.index].size()) >=
+                        cfg.dataFifoDepth)
                 return StallCause::DataFifoFull;
-            }
-            bool divides = false;
-            rtl::forEachNode(inst.src, [&](const Expr &n) {
-                if (n.kind() == Expr::Kind::Bin &&
-                        (n.op() == Op::Div || n.op() == Op::Rem)) {
-                    divides = true;
-                }
-            });
             int32_t ev = -1;
             if (cp) {
                 ev = cpUnitExecEvent(u, inst);
                 // An ordinary enqueue had to wait for any prior
                 // out-stream on its FIFO to retire (retire is a later
                 // phase: latency 1). Stale retires are never binding.
-                if (!streamEnq && inst.dst->isReg() &&
-                        inst.dst->regIndex() <= 1 &&
-                        (inst.dst->regFile() == RegFile::Int ||
-                         inst.dst->regFile() == RegFile::Flt)) {
-                    int side =
-                        inst.dst->regFile() == RegFile::Flt ? 1 : 0;
-                    cp->dep(
-                        lastRetire[side][inst.dst->regIndex()][0],
-                        cpCause[static_cast<size_t>(
-                            StallCause::StreamOwnership)],
-                        1.0f);
-                }
+                if (!q.streamEnq && f.dst == Dst::Fifo)
+                    cp->dep(lastRetire[f.side][f.index][0],
+                            cpCause[static_cast<size_t>(
+                                StallCause::StreamOwnership)],
+                            1.0f);
             }
-            Val v = eval(inst.src);
-            writeReg(inst.dst, v);
+            writeReg(f, eval(d.src));
             if (cp)
-                cpNoteWrite(inst.dst, ev);
-            if (divides) {
+                cpNoteWrite(f, ev);
+            if (f.divides) {
                 unitBusyUntil[u] = now + cfg.divLatency;
                 nextSerialLat[u] =
                     static_cast<float>(cfg.divLatency);
@@ -1393,13 +1435,13 @@ struct Simulator::Impl
                             StallCause::StreamOwnership)],
                         1.0f);
             }
-            Val a = eval(inst.addr);
+            Val a = eval(d.addr);
             ReadReq req;
             req.deliverAt = now + cfg.memLatency + chaosLatency();
             req.addr = a.i;
             req.size = rtl::dataTypeSize(inst.memType);
             req.type = inst.memType;
-            req.seq = seq;
+            req.seq = q.seq;
             req.ev = ev;
             req.loop = inst.loopId;
             exe.checkAddr(req.addr, req.size);
@@ -1418,11 +1460,11 @@ struct Simulator::Impl
             int32_t ev = -1;
             if (cp)
                 ev = cpUnitExecEvent(u, inst);
-            Val a = eval(inst.addr);
+            Val a = eval(d.addr);
             int size = rtl::dataTypeSize(inst.memType);
             exe.checkAddr(a.i, size);
             storeQ[side].push_back(
-                {a.i, size, inst.memType, seq, ev, inst.loopId});
+                {a.i, size, inst.memType, q.seq, ev, inst.loopId});
             if (cp)
                 // Commit (the freeing pop) is a later phase: a pop at
                 // cycle t admits the next store address at t+1.
@@ -1466,21 +1508,14 @@ struct Simulator::Impl
     }
 
     // ---- per-loop cycle attribution ----
-    /** One bucket per loop id seen; few loops, linear search is fine. */
+    /**
+     * One bucket per loop id of the program, ascending, bucket -1 first
+     * (InstFacts::bucket indexes it). A bucket no cycle landed in is
+     * left out of the stats.
+     */
     std::vector<LoopCycleStats> loopBuckets;
     /** This cycle's bucket; valid only within one run() iteration. */
     LoopCycleStats *curBucket = nullptr;
-
-    LoopCycleStats &
-    loopBucket(int id)
-    {
-        for (LoopCycleStats &b : loopBuckets)
-            if (b.loopId == id)
-                return b;
-        loopBuckets.emplace_back();
-        loopBuckets.back().loopId = id;
-        return loopBuckets.back();
-    }
 
     void
     fetchAndDispatch()
@@ -1497,8 +1532,10 @@ struct Simulator::Impl
         for (int budget = width; budget > 0; --budget) {
             if (returned)
                 return;
-            const Inst &inst = *exe.fetch(pc).inst;
-            switch (engineOf(inst)) {
+            const rtl::DecodedInst &d = exe.fetch(pc);
+            const InstFacts &f = facts[pc];
+            const Inst &inst = *d.inst;
+            switch (f.engine) {
               case Engine::IFU: {
                 switch (inst.kind) {
                   case InstKind::Jump:
@@ -1606,16 +1643,10 @@ struct Simulator::Impl
                         return;
                     }
                     // A folded FIFO operand may still be in flight.
-                    int needs[2][2] = {{0, 0}, {0, 0}};
-                    fifoNeeds(inst.src, needs);
-                    for (int s2 = 0; s2 < 2; ++s2)
-                        for (int f2 = 0; f2 < 2; ++f2)
-                            if (needs[s2][f2] >
-                                    static_cast<int>(
-                                        inFifo[s2][f2].size())) {
-                                ifuStall(StallCause::DataFifoEmpty);
-                                return;
-                            }
+                    if (!fifosHold(f.needs)) {
+                        ifuStall(StallCause::DataFifoEmpty);
+                        return;
+                    }
                     int32_t ev = -1;
                     if (cp) {
                         ev = cpIfuEvent(inst);
@@ -1628,10 +1659,9 @@ struct Simulator::Impl
                                     StallCause::SyncWait)],
                                 0.0f);
                     }
-                    Val v = eval(inst.src);
-                    writeReg(inst.dst, v);
+                    writeReg(f, eval(d.src));
                     if (cp)
-                        cpNoteWrite(inst.dst, ev);
+                        cpNoteWrite(f, ev);
                     ++pc;
                     break;
                   }
@@ -1691,10 +1721,10 @@ struct Simulator::Impl
                                 s2->regFile() == RegFile::Flt ? 1 : 0;
                             v.s2Fifo = s2->regIndex();
                         } else {
-                            v.src2Val = eval(s2);
+                            v.src2Val = eval(d.vecSrc2);
                         }
                     }
-                    v.remaining = eval(inst.count).i;
+                    v.remaining = eval(d.count).i;
                     if (v.remaining <= 0)
                         v.active = false;
                     // Ordering bookkeeping: the VecOp produces all the
@@ -1762,9 +1792,9 @@ struct Simulator::Impl
                 s.input = inst.kind == InstKind::StreamIn;
                 s.side = side;
                 s.fifo = inst.fifo;
-                s.base = eval(inst.addr).i;
+                s.base = eval(d.addr).i;
                 s.stride = inst.stride;
-                s.count = inst.count ? eval(inst.count).i : -1;
+                s.count = d.count.empty() ? -1 : eval(d.count).i;
                 s.type = inst.memType;
                 s.seq = seqCounter++;
                 s.readyAt = now + cfg.scuStartupCycles +
@@ -1779,8 +1809,10 @@ struct Simulator::Impl
                 }
                 if (findStream(side, inst.fifo, s.input))
                     throw ExecError("stream already active on FIFO");
-                *free = s;
-                if (cp && !s.active)
+                s.enqSeqs = std::move(free->enqSeqs); // keep the ring
+                s.enqSeqs.clear();
+                *free = std::move(s);
+                if (cp && !free->active)
                     // Empty stream: retires the cycle it starts.
                     cpRetire(*free, startEv);
                 // Starting a stream program re-arms the IFU's count
@@ -1791,14 +1823,14 @@ struct Simulator::Impl
                 // would make the next JNI on this FIFO run the wrong
                 // trip count and over-enqueue past what the new
                 // stream drains (FIFO deadlock at small depths).
-                mirror[side][inst.fifo] = s.count;
+                mirror[side][inst.fifo] = free->count;
                 ++pc;
                 ++stats.ifuExecuted;
                 break;
               }
               case Engine::IEU:
               case Engine::FEU: {
-                int u = engineOf(inst) == Engine::FEU ? 1 : 0;
+                int u = f.engine == Engine::FEU ? 1 : 0;
                 if (static_cast<int>(unitQ[u].size()) >=
                         cfg.instQueueDepth) {
                     ifuStall(StallCause::InstQueueFull);
@@ -1810,13 +1842,8 @@ struct Simulator::Impl
                 // FIFO — but only up to the stream's element count:
                 // later enqueues in dispatch order are ordinary stores
                 // that must wait for the stream to retire.
-                if (inst.kind == InstKind::Assign && inst.dst->isReg() &&
-                        inst.dst->regIndex() <= 1 &&
-                        (inst.dst->regFile() == RegFile::Int ||
-                         inst.dst->regFile() == RegFile::Flt)) {
-                    int side =
-                        inst.dst->regFile() == RegFile::Flt ? 1 : 0;
-                    Stream *s = findStream(side, inst.dst->regIndex(),
+                if (inst.kind == InstKind::Assign && f.dst == Dst::Fifo) {
+                    Stream *s = findStream(f.side, f.index,
                                            /*input=*/false);
                     if (s && !s->closed &&
                             (s->count < 0 ||
@@ -1837,7 +1864,7 @@ struct Simulator::Impl
                             StallCause::InstQueueFull)],
                         0.0f);
                 }
-                unitQ[u].push_back({&inst, mySeq, streamEnq, dev});
+                unitQ[u].push_back({pc, mySeq, streamEnq, dev});
                 ++pc;
                 ++stats.instsDispatched;
                 break;
@@ -1893,11 +1920,10 @@ struct Simulator::Impl
             cp->setEnd(ev);
         }
         stats.cycles = now;
-        stats.loops = loopBuckets;
-        std::sort(stats.loops.begin(), stats.loops.end(),
-                  [](const LoopCycleStats &a, const LoopCycleStats &b) {
-                      return a.loopId < b.loopId;
-                  });
+        stats.loops.clear();
+        for (const LoopCycleStats &b : loopBuckets)
+            if (b.cycles)
+                stats.loops.push_back(b);
         if (!cfg.collectOccupancy || !stats.occupancy.empty())
             return;
         stats.occupancy.reserve(kNumOcc);
@@ -1913,18 +1939,12 @@ struct Simulator::Impl
         return u ? "feu" : "ieu";
     }
 
+    const Inst &instAt(const QEntry &q) const { return *exe.code[q.pc].inst; }
+
     std::string
     scuName(size_t i) const
     {
         return strFormat("scu%zu", i);
-    }
-
-    /** FIFO-read demand of @p inst (src and addr operands). */
-    void
-    instNeeds(const Inst &inst, int needs[2][2])
-    {
-        fifoNeeds(inst.src, needs);
-        fifoNeeds(inst.addr, needs);
     }
 
     /** Edges from @p from to whoever can fill inFifo[s][f]. */
@@ -1948,8 +1968,8 @@ struct Simulator::Impl
             // Scalar loads deliver into FIFO 0; they execute on the
             // IEU regardless of the data's side.
             for (const QEntry &q : unitQ[0])
-                if (q.inst->kind == InstKind::Load &&
-                        (rtl::isFloatType(q.inst->memType) ? 1 : 0) ==
+                if (instAt(q).kind == InstKind::Load &&
+                        (rtl::isFloatType(instAt(q).memType) ? 1 : 0) ==
                             s) {
                     edges.push_back({from, "ieu", why});
                     any = true;
@@ -1981,8 +2001,8 @@ struct Simulator::Impl
                 any = true;
             }
             for (const QEntry &q : unitQ[0])
-                if (q.inst->kind == InstKind::Store &&
-                        (rtl::isFloatType(q.inst->memType) ? 1 : 0) ==
+                if (instAt(q).kind == InstKind::Store &&
+                        (rtl::isFloatType(instAt(q).memType) ? 1 : 0) ==
                             s) {
                     edges.push_back({from, "ieu", why});
                     any = true;
@@ -2003,9 +2023,7 @@ struct Simulator::Impl
         bool any = false;
         for (int u = 0; u < 2; ++u)
             for (const QEntry &q : unitQ[u]) {
-                int needs[2][2] = {{0, 0}, {0, 0}};
-                instNeeds(*q.inst, needs);
-                if (needs[s][f]) {
+                if (facts[q.pc].needs[s][f]) {
                     edges.push_back({from, unitName(u), why});
                     any = true;
                     break;
@@ -2032,11 +2050,8 @@ struct Simulator::Impl
         bool any = false;
         for (int u = 0; u < 2; ++u)
             for (const QEntry &q : unitQ[u])
-                if (q.inst->kind == InstKind::Assign &&
-                        q.inst->dst->isReg() &&
-                        q.inst->dst->regIndex() == f &&
-                        q.inst->dst->regFile() ==
-                            (s ? RegFile::Flt : RegFile::Int)) {
+                if (facts[q.pc].dst == Dst::Fifo && facts[q.pc].side == s &&
+                        facts[q.pc].index == f) {
                     edges.push_back({from, unitName(u), why});
                     any = true;
                     break;
@@ -2056,17 +2071,15 @@ struct Simulator::Impl
     {
         if (unitQ[un].empty())
             return;
-        const Inst &head = *unitQ[un].front().inst;
+        const Inst &head = instAt(unitQ[un].front());
+        const auto &needs = facts[unitQ[un].front().pc].needs;
         const std::string from = unitName(un);
         const std::string why = stallCauseName(c);
         switch (c) {
           case StallCause::DataFifoEmpty: {
-            int needs[2][2] = {{0, 0}, {0, 0}};
-            instNeeds(head, needs);
             for (int s = 0; s < 2; ++s)
                 for (int f = 0; f < 2; ++f)
-                    if (needs[s][f] >
-                            static_cast<int>(inFifo[s][f].size()))
+                    if (needs[s][f] > inFifo[s][f].size())
                         addInFifoProducerEdges(
                             edges, from, s, f,
                             why + strFormat(": in_fifo.%s%d",
@@ -2137,7 +2150,7 @@ struct Simulator::Impl
             break;
           }
           case StallCause::InstQueueFull: {
-            int u = engineOf(inst) == Engine::FEU ? 1 : 0;
+            int u = facts[pc].engine == Engine::FEU ? 1 : 0;
             edges.push_back({"ifu", unitName(u), why});
             break;
           }
@@ -2168,12 +2181,10 @@ struct Simulator::Impl
           }
           case StallCause::DataFifoEmpty: {
             // Synchronizing conversion with a folded FIFO operand.
-            int needs[2][2] = {{0, 0}, {0, 0}};
-            instNeeds(inst, needs);
+            const auto &needs = facts[pc].needs;
             for (int s = 0; s < 2; ++s)
                 for (int f = 0; f < 2; ++f)
-                    if (needs[s][f] >
-                            static_cast<int>(inFifo[s][f].size()))
+                    if (needs[s][f] > inFifo[s][f].size())
                         addInFifoProducerEdges(edges, "ifu", s, f,
                                                why);
             break;
@@ -2213,7 +2224,7 @@ struct Simulator::Impl
             FaultUnitState u;
             u.unit = unitName(un);
             if (!unitQ[un].empty()) {
-                const Inst &head = *unitQ[un].front().inst;
+                const Inst &head = instAt(unitQ[un].front());
                 u.inst = head.str();
                 u.loopId = head.loopId;
             }
@@ -2435,11 +2446,11 @@ struct Simulator::Impl
                 // fetch PC as the cycle begins (bucket -1 outside any
                 // loop / after return). One bucket per cycle is what
                 // makes the buckets sum exactly to total cycles.
-                curBucket = &loopBucket(
+                curBucket = &loopBuckets[
                     !returned && pc >= 0 &&
                             pc < static_cast<int64_t>(exe.code.size())
-                        ? exe.code[pc].inst->loopId
-                        : -1);
+                        ? facts[pc].bucket
+                        : 0];
                 ++curBucket->cycles;
                 uint64_t dispatched0 = stats.instsDispatched +
                                        stats.ifuExecuted;
@@ -2560,23 +2571,19 @@ Simulator::run()
 int64_t
 Simulator::readInt(int64_t addr) const
 {
-    int64_t v;
-    std::memcpy(&v, &impl_->exe.mem[addr], 8);
-    return v;
+    return impl_->exe.read(addr, DataType::I64).i;
 }
 
 double
 Simulator::readDouble(int64_t addr) const
 {
-    double v;
-    std::memcpy(&v, &impl_->exe.mem[addr], 8);
-    return v;
+    return impl_->exe.read(addr, DataType::F64).f;
 }
 
 uint8_t
 Simulator::readByte(int64_t addr) const
 {
-    return impl_->exe.mem[addr];
+    return static_cast<uint8_t>(impl_->exe.read(addr, DataType::I8).i);
 }
 
 SimResult

@@ -36,7 +36,7 @@
 #define WMSTREAM_WMSIM_SIM_H
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 

@@ -433,7 +433,9 @@ TEST(JsonEscape, RoundTripsThroughParser)
     const std::string nasty =
         std::string("quote\" back\\slash \n\t\r\b\f ctrl") + '\x01' +
         " caf\xc3\xa9 end";
-    std::string doc = "\"" + jsonEscape(nasty) + "\"";
+    std::string doc = "\"";
+    doc += jsonEscape(nasty);
+    doc += '"';
     JsonValue v;
     std::string err;
     ASSERT_TRUE(parseJson(doc, v, err)) << err;

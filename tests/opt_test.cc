@@ -10,6 +10,7 @@
 #include "opt/legal.h"
 #include "opt/passes.h"
 #include "rtl/machine.h"
+#include "support/str.h"
 #include "timing/scalar_sim.h"
 #include "wmsim/sim.h"
 
@@ -372,7 +373,7 @@ TEST(Dce, DeletesADeadChainAcrossManyBlocks)
     constexpr int kLinks = 22;
     ExprPtr prev;
     for (int k = 0; k < kLinks; ++k) {
-        Block *b = fn.addBlock("b" + std::to_string(k));
+        Block *b = fn.addBlock(strFormat("b%d", k));
         auto r = vi(fn);
         b->insts.push_back(makeAssign(
             r, k == 0 ? makeConst(1) : makeBin(Op::Add, prev, makeConst(1))));

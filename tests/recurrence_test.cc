@@ -123,7 +123,7 @@ TEST(Partitions, PaperNotationRendering)
     ref.iv = &iv;
     ref.dee.valid = true;
     ref.dee.baseKind = opt::LinForm::Base::Sym;
-    ref.dee.sym = "x";
+    ref.dee.sym = std::string(1, 'x');
     ref.dee.offset = -8;
     EXPECT_EQ(ref.str(), "(14,r,r22+,8,_x-8,-8)");
 }

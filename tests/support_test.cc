@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "support/diag.h"
+#include "support/ring.h"
 #include "support/rng.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
@@ -75,6 +76,36 @@ TEST(Diag, PositionRendering)
     EXPECT_EQ(p.str(), "7:12");
     EXPECT_TRUE(p.valid());
     EXPECT_FALSE(SourcePos{}.valid());
+}
+
+TEST(Ring, WrapsAroundAndGrowsInOrder)
+{
+    support::Ring<int> q;
+    q.reserve(3); // rounded up to 4
+    int next = 0, expect = 0;
+    // Keep two elements live while the indices wrap several times.
+    for (int k = 0; k < 10; ++k) {
+        q.push_back(next++);
+        if (q.size() > 2) {
+            EXPECT_EQ(q.front(), expect++);
+            q.pop_front();
+        }
+    }
+    ASSERT_EQ(q.size(), 2u);
+    EXPECT_EQ(q[0], 8);
+    EXPECT_EQ(q[1], 9);
+    // Filling past the capacity doubles it without reordering, also
+    // when the live elements straddle the end of the array.
+    for (int k = 0; k < 7; ++k)
+        q.push_back(next++);
+    std::vector<int> seen;
+    for (int v : q)
+        seen.push_back(v);
+    EXPECT_EQ(seen, (std::vector<int>{8, 9, 10, 11, 12, 13, 14, 15, 16}));
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    q.push_back(42);
+    EXPECT_EQ(q.front(), 42);
 }
 
 TEST(Rng, DeterministicAndSeedSensitive)

@@ -250,3 +250,32 @@ TEST(ScalarSim, TypedAccessTouchesExactlyTheTypeSize)
             EXPECT_EQ(res.returnValue, c.want) << dataTypeName(c.type);
         }
 }
+
+TEST(ScalarSim, UnknownGlobalIsAnErrorOnlyWhenExecuted)
+{
+    // The program of WmSim's test of this name: an operand naming a
+    // missing global faults only if it executes.
+    auto build = [](bool executed) {
+        auto prog = std::make_unique<Program>();
+        Function *fn = prog->addFunction("main");
+        Block *entry = fn->addBlock("entry");
+        entry->insts.push_back(makeAssign(
+            makeReg(RegFile::Int, 2, DataType::I64), makeConst(7)));
+        if (!executed)
+            entry->insts.push_back(makeJump("exit"));
+        fn->addBlock("uses_unknown")
+            ->insts.push_back(makeAssign(
+                makeReg(RegFile::Int, 4, DataType::I64),
+                makeSym("nosuch", 8)));
+        fn->addBlock("exit")->insts.push_back(makeReturn());
+        fn->recomputeCfg();
+        prog->layout();
+        return prog;
+    };
+    auto skipped = timing::runScalar(*build(false), timing::sun3_280Model());
+    ASSERT_TRUE(skipped.ok) << skipped.error;
+    EXPECT_EQ(skipped.returnValue, 7);
+    auto executed = timing::runScalar(*build(true), timing::sun3_280Model());
+    ASSERT_FALSE(executed.ok);
+    EXPECT_EQ(executed.error, "unknown global nosuch");
+}

@@ -43,6 +43,30 @@ handProgram(const std::function<void(Function &, Block *)> &fill)
     return prog;
 }
 
+/**
+ * main returns 7. On the way it jumps over, or when @p executed falls
+ * into, an instruction whose operand names a global that does not
+ * exist.
+ */
+std::unique_ptr<Program>
+unknownGlobalProgram(bool executed)
+{
+    auto prog = std::make_unique<Program>();
+    Function *fn = prog->addFunction("main");
+    Block *entry = fn->addBlock("entry");
+    entry->insts.push_back(makeAssign(
+        makeReg(RegFile::Int, 2, DataType::I64), makeConst(7)));
+    if (!executed)
+        entry->insts.push_back(makeJump("exit"));
+    fn->addBlock("uses_unknown")
+        ->insts.push_back(makeAssign(makeReg(RegFile::Int, 4, DataType::I64),
+                                     makeSym("nosuch", 8)));
+    fn->addBlock("exit")->insts.push_back(makeReturn());
+    fn->recomputeCfg();
+    prog->layout();
+    return prog;
+}
+
 } // namespace
 
 TEST(WmSim, ReturnValueInR2)
@@ -492,4 +516,68 @@ TEST(WmSim, TypedAccessTouchesExactlyTheTypeSize)
                                 << res.error;
             EXPECT_EQ(res.returnValue, c.want) << dataTypeName(c.type);
         }
+}
+
+TEST(WmSim, UnknownGlobalIsAnErrorOnlyWhenExecuted)
+{
+    // Like a jump to an unknown label: decoding the program succeeds,
+    // and only executing the operand faults, as a program error.
+    auto skipped = wmsim::simulate(*unknownGlobalProgram(false));
+    ASSERT_TRUE(skipped.ok) << skipped.error;
+    EXPECT_EQ(skipped.returnValue, 7);
+    auto executed = wmsim::simulate(*unknownGlobalProgram(true));
+    ASSERT_FALSE(executed.ok);
+    EXPECT_EQ(executed.fault, wmsim::SimFault::RuntimeError);
+    EXPECT_EQ(executed.error, "unknown global nosuch");
+}
+
+TEST(WmSim, MemoryInspectionIsBoundsChecked)
+{
+    auto prog = handProgram([](Function &, Block *b) {
+        b->insts.push_back(makeReturn());
+    });
+    wmsim::Simulator sim(*prog);
+    ASSERT_TRUE(sim.run().ok);
+    const int64_t top = static_cast<int64_t>(Executable(*prog).mem.size());
+    EXPECT_EQ(sim.readInt(top - 8), 0);
+    EXPECT_EQ(sim.readDouble(top - 8), 0.0);
+    EXPECT_EQ(sim.readByte(top - 1), 0);
+    EXPECT_THROW(sim.readByte(top), ExecError);
+    EXPECT_THROW(sim.readInt(top - 7), ExecError);
+    EXPECT_THROW(sim.readDouble(top - 7), ExecError);
+    EXPECT_THROW(sim.readInt(-8), ExecError);
+}
+
+TEST(WmSim, QueueDepthsOfOneAndSixtyFourKeepTheirCycleCounts)
+{
+    // Every FIFO and queue the run loop sizes from SimConfig at its
+    // smallest depth and at a depth no program fills. The cycle counts
+    // were recorded before the queues became rings; an off-by-one in a
+    // ring's capacity or wrap moves them.
+    struct Case
+    {
+        const char *program;
+        int depth;
+        int64_t ret;
+        uint64_t cycles;
+    };
+    const Case cases[] = {
+        {"dot-product", 1, 6078, 64048},
+        {"dot-product", 64, 6078, 32045},
+        {"bubblesort", 1, 33632, 281718},
+        {"bubblesort", 64, 33632, 281569},
+    };
+    for (const Case &c : cases) {
+        auto cr = driver::compileSource(programs::programSource(c.program),
+                                        driver::CompileOptions{});
+        ASSERT_TRUE(cr.ok) << cr.diagnostics;
+        wmsim::SimConfig cfg;
+        cfg.dataFifoDepth = cfg.ccFifoDepth = c.depth;
+        cfg.instQueueDepth = cfg.storeQueueDepth = c.depth;
+        auto res = wmsim::simulate(*cr.program, cfg);
+        ASSERT_TRUE(res.ok) << c.program << " depth " << c.depth << ": "
+                            << res.error;
+        EXPECT_EQ(res.returnValue, c.ret) << c.program << " " << c.depth;
+        EXPECT_EQ(res.stats.cycles, c.cycles) << c.program << " " << c.depth;
+    }
 }
