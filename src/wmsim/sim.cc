@@ -8,6 +8,7 @@
 #include "support/ring.h"
 #include "support/rng.h"
 #include "support/str.h"
+#include "wmsim/probe.h"
 
 namespace wmstream::wmsim {
 
@@ -118,39 +119,46 @@ LoopCycleStats::dominantStall() const
     return static_cast<StallCause>(best);
 }
 
+std::array<SimCounter, 17>
+SimStats::counters() const
+{
+    return {{
+        {"insts_dispatched", instsDispatched},
+        {"loads_issued", loadsIssued},
+        {"stores_committed", storesCommitted},
+        {"stream.elements_in", streamElementsIn},
+        {"stream.elements_out", streamElementsOut},
+        {"vector_elements", vectorElements},
+        {"ieu.executed", ieuExecuted},
+        {"ieu.stall_cycles", ieuStalls.total(), &ieuStalls, "ieu.stall."},
+        {"feu.executed", feuExecuted},
+        {"feu.stall_cycles", feuStalls.total(), &feuStalls, "feu.stall."},
+        {"ifu.executed", ifuExecuted},
+        {"ifu.stall_cycles", ifuStalls.total(), &ifuStalls, "ifu.stall."},
+        {"ieu.idle_empty_cycles", ieuIdleCycles},
+        {"feu.idle_empty_cycles", feuIdleCycles},
+        {"scu.startup_wait_cycles", scuStartupWaitCycles},
+        {"scu.port_contention_cycles", scuPortContentionCycles},
+        {"store.port_contention_cycles", storePortContentionCycles},
+    }};
+}
+
 void
 SimStats::exportCounters(obs::CounterRegistry &reg) const
 {
-    reg.set("cycles", cycles);
-    reg.set("insts_dispatched", instsDispatched);
-    reg.set("loads_issued", loadsIssued);
-    reg.set("stores_committed", storesCommitted);
-    reg.set("stream.elements_in", streamElementsIn);
-    reg.set("stream.elements_out", streamElementsOut);
-    reg.set("vector_elements", vectorElements);
-
-    auto unit = [&](const char *u, uint64_t executed, uint64_t stallTotal,
-                    const UnitStallStats &stalls) {
-        std::string p(u);
-        reg.set(p + ".executed", executed);
-        reg.set(p + ".stall_cycles", stallTotal);
-        for (size_t c = 1; c < static_cast<size_t>(StallCause::kCount);
-             ++c) {
-            uint64_t v = stalls.byCause[c];
-            if (v)
-                reg.set(p + ".stall." +
-                            stallCauseName(static_cast<StallCause>(c)),
+    // The nonzero causes of @p st, as prefix + cause name.
+    auto causes = [&](const std::string &prefix, const UnitStallStats &st) {
+        for (size_t c = 1; c < static_cast<size_t>(StallCause::kCount); ++c)
+            if (uint64_t v = st.byCause[c])
+                reg.set(prefix + stallCauseName(static_cast<StallCause>(c)),
                         v);
-        }
     };
-    unit("ieu", ieuExecuted, ieuStallCycles, ieuStalls);
-    unit("feu", feuExecuted, feuStallCycles, feuStalls);
-    unit("ifu", ifuExecuted, ifuStallCycles, ifuStalls);
-    reg.set("ieu.idle_empty_cycles", ieuIdleCycles);
-    reg.set("feu.idle_empty_cycles", feuIdleCycles);
-    reg.set("scu.startup_wait_cycles", scuStartupWaitCycles);
-    reg.set("scu.port_contention_cycles", scuPortContentionCycles);
-    reg.set("store.port_contention_cycles", storePortContentionCycles);
+    reg.set("cycles", cycles);
+    for (const SimCounter &c : counters()) {
+        reg.set(c.name, c.value);
+        if (c.causes)
+            causes(c.causePrefix, *c.causes);
+    }
 
     for (const OccupancySeries &s : occupancy) {
         reg.set("occupancy." + s.name + ".samples", s.hist.count());
@@ -170,88 +178,13 @@ SimStats::exportCounters(obs::CounterRegistry &reg) const
     for (const LoopCycleStats &l : loops) {
         std::string p = "loop." + std::to_string(l.loopId);
         reg.set(p + ".cycles", l.cycles);
-        if (l.ieuStallCycles)
-            reg.set(p + ".ieu_stall_cycles", l.ieuStallCycles);
-        if (l.feuStallCycles)
-            reg.set(p + ".feu_stall_cycles", l.feuStallCycles);
-        if (l.ifuStallCycles)
-            reg.set(p + ".ifu_stall_cycles", l.ifuStallCycles);
-        for (size_t c = 1; c < static_cast<size_t>(StallCause::kCount);
-             ++c) {
-            uint64_t v = l.stalls.byCause[c];
+        for (auto [u, v] : {std::pair{".ieu", l.ieuStallCycles},
+                            {".feu", l.feuStallCycles},
+                            {".ifu", l.ifuStallCycles}})
             if (v)
-                reg.set(p + ".stall." +
-                            stallCauseName(static_cast<StallCause>(c)),
-                        v);
-        }
+                reg.set(p + u + "_stall_cycles", v);
+        causes(p + ".stall.", l.stalls);
     }
-}
-
-namespace {
-
-/**
- * Occupancy series order (fixed, also the sample order):
- * 0-3 in_fifo[side][f], 4-7 out_fifo[side][f], 8-9 cc_fifo[side],
- * 10-11 inst_q (ieu, feu), 12-13 store_q[side].
- */
-constexpr int kNumOcc = 14;
-const char *const kOccNames[kNumOcc] = {
-    "in_fifo.int0",  "in_fifo.int1",  "in_fifo.flt0",  "in_fifo.flt1",
-    "out_fifo.int0", "out_fifo.int1", "out_fifo.flt0", "out_fifo.flt1",
-    "cc_fifo.int",   "cc_fifo.flt",   "inst_q.ieu",    "inst_q.feu",
-    "store_q.int",   "store_q.flt",
-};
-
-/**
- * Time-series channel layout. The cumulative block is sampled as
- * end-of-cycle deltas against a previous-cycle snapshot, so window
- * counts telescope to the final aggregates exactly; the level block
- * (occupancies, live streams) is a per-cycle sum whose window mean is
- * count / window cycles. simTimeSeriesChannels() and
- * Impl::tsCumulative() must agree on this order.
- */
-constexpr size_t kTsScalars = 17;
-constexpr size_t kTsStallCauses =
-    static_cast<size_t>(StallCause::kCount) - 1;
-constexpr size_t kTsCumulative = kTsScalars + 3 * kTsStallCauses;
-constexpr size_t kTsChannels =
-    kTsCumulative + static_cast<size_t>(kNumOcc) + 1;
-
-} // anonymous namespace
-
-std::vector<std::string>
-simTimeSeriesChannels()
-{
-    std::vector<std::string> names = {
-        "insts_dispatched",
-        "loads_issued",
-        "stores_committed",
-        "stream.elements_in",
-        "stream.elements_out",
-        "vector_elements",
-        "ieu.executed",
-        "ieu.stall_cycles",
-        "feu.executed",
-        "feu.stall_cycles",
-        "ifu.executed",
-        "ifu.stall_cycles",
-        "ieu.idle_empty_cycles",
-        "feu.idle_empty_cycles",
-        "scu.startup_wait_cycles",
-        "scu.port_contention_cycles",
-        "store.port_contention_cycles",
-    };
-    WS_ASSERT(names.size() == kTsScalars, "channel layout drift");
-    for (const char *u : {"ieu", "feu", "ifu"})
-        for (size_t c = 1; c < static_cast<size_t>(StallCause::kCount);
-             ++c)
-            names.push_back(std::string(u) + ".stall." +
-                            stallCauseName(static_cast<StallCause>(c)));
-    for (int i = 0; i < kNumOcc; ++i)
-        names.push_back(std::string("occ.") + kOccNames[i]);
-    names.push_back("scu.active");
-    WS_ASSERT(names.size() == kTsChannels, "channel layout drift");
-    return names;
 }
 
 struct Simulator::Impl
@@ -277,7 +210,6 @@ struct Simulator::Impl
         int64_t seq;
         /** Enqueue attributed to an active output stream at dispatch. */
         bool streamEnq = false;
-        int32_t ev = -1; ///< critpath dispatch event
     };
     Ring<QEntry> unitQ[2]; // 0 = IEU, 1 = FEU
     uint64_t unitBusyUntil[2] = {0, 0};
@@ -290,8 +222,6 @@ struct Simulator::Impl
         DataType type;
         int64_t seq;
         int scu = -1; // owning stream, or -1 for a scalar load
-        int32_t ev = -1;   ///< critpath issue event
-        int loop = -1;     ///< loop id of the issuing instruction
         bool ordered = false; ///< was ever held behind an older store
     };
     /** Not capped by any depth: scalar loads reserve no FIFO slot. */
@@ -303,8 +233,6 @@ struct Simulator::Impl
         int size;
         DataType type;
         int64_t seq;
-        int32_t ev = -1; ///< critpath address-generation event
-        int loop = -1;
     };
     Ring<StoreReq> storeQ[2];
 
@@ -334,16 +262,6 @@ struct Simulator::Impl
         Ring<int64_t> enqSeqs;
         int64_t dispatchedEnqueues = 0;
         uint64_t readyAt = 0; ///< SCU startup latency gate
-
-        /** @name Critpath bookkeeping (unused when recording is off) */
-        /// @{
-        int loopId = -1;        ///< loop of the starting instruction
-        int32_t startEv = -1;   ///< stream-start dispatch event
-        int32_t lastIssueEv = -1; ///< serial chain through this SCU
-        int32_t lastElemEv = -1;  ///< last delivery/write event
-        /** Retire event of this *slot's* previous occupant. */
-        int32_t slotRetireEv = -1;
-        /// @}
     };
     std::vector<Stream> scus;
 
@@ -410,203 +328,10 @@ struct Simulator::Impl
                stats.loadsIssued + deliveredValues + scuReadsIssued;
     }
 
-    // ---- observability state ----
-    obs::Histogram occ[kNumOcc];
-
-    /**
-     * Cumulative-counter snapshot from the previous tsSample() call;
-     * sized kTsCumulative when cfg.timeseries is set, else empty.
-     */
-    std::vector<uint64_t> tsPrev;
-
-    /** Per-series last emitted trace counter value (dedup on change). */
-    double traceLast[kNumOcc + 5];
-    /** Trace track ids for the SCU slots; stream start bookkeeping. */
-    std::vector<int> scuTid;
-    std::vector<uint64_t> scuStartCycle;
-    std::vector<std::string> scuEventName;
-    std::vector<bool> scuWasActive;
-
-    // ---- critical-path DAG recording ----
-    /**
-     * Alias of cfg.critpath; null when recording is off, which keeps
-     * every instrumentation site behind one predictable branch.
-     *
-     * Mapping of machine actions to DAG events (one per unit of
-     * forward progress, created in phase order so arena order is
-     * topological):
-     *  - IFU: one event per instruction the IFU processes (control
-     *    transfer, sync conversion, stream start/stop, vec-op, or a
-     *    dispatch into a unit queue), serially chained with latency
-     *    1/fetchWidth.
-     *  - IEU/FEU: one event per executed instruction, with deps on
-     *    its dispatch (latency 1: dispatch is the last phase), the
-     *    unit's previous exec (1, or divLatency after a divide), and
-     *    every FIFO operand it pops.
-     *  - mem: one event per delivered read (dep on the issue event
-     *    with memLatency) and per committed store.
-     *  - scu: one event per issued stream read / written element,
-     *    chained at 1/scuBurst with a scu_startup dep on the start.
-     *  - veu: one event per vector element, chained at 1/veuLanes.
-     * Queue back-pressure is recorded as capacity deps against the 14
-     * occupancy queues (kOccNames order); pops are recorded at the
-     * consuming event so depth-changing what-ifs re-resolve honestly.
-     */
-    obs::CritPath *cp = nullptr;
-    /** Unit ids (registered in the ctor). */
-    uint8_t cpuIfu = 0, cpuIeu = 0, cpuFeu = 0, cpuScu = 0,
-            cpuVeu = 0, cpuMem = 0, cpuEnd = 0;
-    /** StallCause -> recorder cause id ([0] = reserved start). */
-    uint8_t cpCause[static_cast<size_t>(StallCause::kCount)] = {};
-    /** Model-edge causes outside the stall taxonomy. */
-    uint8_t cpcExec = 0, cpcFetch = 0, cpcMemLat = 0, cpcMemOrder = 0,
-            cpcScuStartup = 0, cpcScuIssue = 0, cpcVeuLane = 0,
-            cpcStoreAddr = 0, cpcDrain = 0;
-    /** Queue ids, kOccNames index order. */
-    int cpQ[kNumOcc] = {};
-
-    /** Producer event per buffered value, parallel to the FIFOs. */
-    Ring<int32_t> inFifoEv[2][2];
-    Ring<int32_t> outFifoEv[2][2];
-    Ring<int32_t> ccFifoEv[2];
-
-    int32_t cpCurEv = -1;      ///< latest event (deps attach to it)
-    int32_t lastIfuEv = -1;
-    int32_t lastExecEv[2] = {-1, -1};
-    float nextSerialLat[2] = {1.0f, 1.0f}; ///< divLatency after a div
-    int32_t lastStoreCommitEv = -1;
-    int32_t lastDeliveryEv = -1;
-    int32_t lastVeuEv = -1;
-    int32_t veuOpEv = -1;      ///< VecOp dispatch event
-    int32_t veuPrevElemEv = -1;
-    int veuLoop = -1;
-    /** Retire event of the last retired stream per [side][fifo][in]. */
-    int32_t lastRetire[2][2][2] = {{{-1, -1}, {-1, -1}},
-                                   {{-1, -1}, {-1, -1}}};
-    /** Last stall observed per unit since its previous exec. */
-    StallCause unitWaitCause[2] = {StallCause::None, StallCause::None};
-    /** Last IFU stall observed before the next IFU event. */
-    StallCause ifuWaitCauseCp = StallCause::None;
-
-    int cpQIn(int s, int f) const { return cpQ[s * 2 + f]; }
-    int cpQOut(int s, int f) const { return cpQ[4 + s * 2 + f]; }
-    int cpQCc(int s) const { return cpQ[8 + s]; }
-    int cpQInst(int u) const { return cpQ[10 + u]; }
-    int cpQStore(int s) const { return cpQ[12 + s]; }
-
-    uint8_t
-    cpWait(StallCause c) const
-    {
-        return c == StallCause::None ? 0
-                                     : cpCause[static_cast<size_t>(c)];
-    }
-
-    int32_t
-    cpEvent(uint8_t unit, int loop, uint8_t wait)
-    {
-        cpCurEv = cp->event(now, unit, loop, wait);
-        return cpCurEv;
-    }
-
-    /**
-     * Record the latest event popping one value from inFifo[s][f]:
-     * a data dep on the producer plus the capacity pop that frees the
-     * slot. Called right where the simulator pops the value ring.
-     */
-    void
-    cpPopIn(int s, int f)
-    {
-        int32_t prod = -1;
-        if (!inFifoEv[s][f].empty()) {
-            prod = inFifoEv[s][f].front();
-            inFifoEv[s][f].pop_front();
-        }
-        cp->dep(prod,
-                cpCause[static_cast<size_t>(StallCause::DataFifoEmpty)],
-                0.0f);
-        cp->pop(cpQIn(s, f), cpCurEv);
-    }
-
-    /** Same for outFifo[s][f] (store commit, out-stream write). */
-    void
-    cpPopOut(int s, int f)
-    {
-        int32_t prod = -1;
-        if (!outFifoEv[s][f].empty()) {
-            prod = outFifoEv[s][f].front();
-            outFifoEv[s][f].pop_front();
-        }
-        cp->dep(prod,
-                cpCause[static_cast<size_t>(StallCause::DataFifoEmpty)],
-                0.0f);
-        cp->pop(cpQOut(s, f), cpCurEv);
-    }
-
-    /**
-     * Note a register write by event @p ev that lands in a CC or
-     * output FIFO: capacity dep plus producer bookkeeping. Pops for
-     * these queues happen in *later* phases of the cycle, so a pop at
-     * cycle t frees the slot for a push at t+1 (latency 1).
-     */
-    void
-    cpNoteWrite(const InstFacts &f, int32_t ev)
-    {
-        if (f.dst == Dst::Cc) {
-            cp->pushDep(
-                cpQCc(f.side),
-                cpCause[static_cast<size_t>(StallCause::CcFifoFull)],
-                1.0f);
-            ccFifoEv[f.side].push_back(ev);
-        } else if (f.dst == Dst::Fifo) {
-            cp->pushDep(
-                cpQOut(f.side, f.index),
-                cpCause[static_cast<size_t>(StallCause::DataFifoFull)],
-                1.0f);
-            outFifoEv[f.side][f.index].push_back(ev);
-        }
-    }
-
-    /** Exec event for the head of unit queue @p u (IEU/FEU). */
-    int32_t
-    cpUnitExecEvent(int u, const Inst &inst)
-    {
-        uint8_t wait = cpWait(unitWaitCause[u]);
-        unitWaitCause[u] = StallCause::None;
-        int32_t ev = cpEvent(u ? cpuFeu : cpuIeu, inst.loopId, wait);
-        // Dispatch happens in the cycle's *last* phase, so the
-        // earliest exec is the next cycle (latency 1).
-        cp->dep(unitQ[u].front().ev,
-                cpCause[static_cast<size_t>(
-                    StallCause::InstQueueEmpty)],
-                1.0f);
-        cp->dep(lastExecEv[u], cpcExec, nextSerialLat[u]);
-        nextSerialLat[u] = 1.0f;
-        lastExecEv[u] = ev;
-        cp->pop(cpQInst(u), ev);
-        return ev;
-    }
-
-    /** IFU event for the instruction at pc (serial fetch chain). */
-    int32_t
-    cpIfuEvent(const Inst &inst)
-    {
-        uint8_t wait = cpWait(ifuWaitCauseCp);
-        ifuWaitCauseCp = StallCause::None;
-        int32_t ev = cpEvent(cpuIfu, inst.loopId, wait);
-        cp->dep(lastIfuEv, cpcFetch,
-                1.0f / static_cast<float>(cfg.fetchWidth));
-        lastIfuEv = ev;
-        return ev;
-    }
-
-    /** Mark stream @p s retired by @p ev (slot and FIFO ownership). */
-    void
-    cpRetire(Stream &s, int32_t ev)
-    {
-        int32_t r = ev >= 0 ? ev : s.startEv;
-        lastRetire[s.side][s.fifo][s.input ? 1 : 0] = r;
-        s.slotRetireEv = r;
-    }
+    /** cfg's observability sinks, or null (wmsim/probe.h). */
+    std::unique_ptr<Probe> probe;
+    /** Per-slot stream state for CycleView, refilled each cycle. */
+    std::vector<StreamView> streamViews;
 
     Impl(const rtl::Program &p, SimConfig c)
         : cfg(c), exe(p), chaos(c.chaosSeed != 0),
@@ -625,54 +350,9 @@ struct Simulator::Impl
             storeQ[s].reserve(depth(cfg.storeQueueDepth));
         }
         scus.resize(cfg.numSCUs);
+        streamViews.resize(scus.size());
         rreg[30] = rtl::kInitialSp;
-        for (double &v : traceLast)
-            v = -1.0;
-        if (cfg.trace) {
-            scuStartCycle.resize(scus.size(), 0);
-            scuEventName.resize(scus.size());
-            scuWasActive.resize(scus.size(), false);
-            for (size_t i = 0; i < scus.size(); ++i)
-                scuTid.push_back(
-                    cfg.trace->track(strFormat("SCU %zu", i)));
-        }
-        if (cfg.timeseries) {
-            WS_ASSERT(cfg.timeseries->channels() == kTsChannels,
-                      "time series not built from "
-                      "simTimeSeriesChannels()");
-            tsPrev.assign(kTsCumulative, 0);
-        }
-        if (cfg.critpath) {
-            cp = cfg.critpath;
-            cpuIfu = cp->unit("ifu");
-            cpuIeu = cp->unit("ieu");
-            cpuFeu = cp->unit("feu");
-            cpuScu = cp->unit("scu");
-            cpuVeu = cp->unit("veu");
-            cpuMem = cp->unit("mem");
-            cpuEnd = cp->unit("end");
-            cpCause[0] = obs::CritPath::kCauseStart;
-            for (size_t c2 = 1;
-                 c2 < static_cast<size_t>(StallCause::kCount); ++c2)
-                cpCause[c2] = cp->cause(
-                    stallCauseName(static_cast<StallCause>(c2)));
-            cpcExec = cp->cause("execute");
-            cpcFetch = cp->cause("fetch");
-            cpcMemLat = cp->cause("mem_latency");
-            cpcMemOrder = cp->cause("mem_order");
-            cpcScuStartup = cp->cause("scu_startup");
-            cpcScuIssue = cp->cause("scu_issue");
-            cpcVeuLane = cp->cause("veu_lane");
-            cpcStoreAddr = cp->cause("store_addr");
-            cpcDrain = cp->cause("drain");
-            for (int i = 0; i < kNumOcc; ++i) {
-                int depth = i < 8    ? cfg.dataFifoDepth
-                            : i < 10 ? cfg.ccFifoDepth
-                            : i < 12 ? cfg.instQueueDepth
-                                     : cfg.storeQueueDepth;
-                cpQ[i] = cp->queue(kOccNames[i], depth, i < 8);
-            }
-        }
+        probe = makeProbes(cfg, exe);
     }
 
     /** Fill facts and loopBuckets from the decoded program. */
@@ -729,7 +409,7 @@ struct Simulator::Impl
         }
     }
 
-    /** Current occupancy of series @p i (see kOccNames). */
+    /** Current occupancy of queue @p i (see kQueueNames). */
     size_t
     occValue(int i) const
     {
@@ -744,141 +424,19 @@ struct Simulator::Impl
         return storeQ[i - 12].size();
     }
 
-    void
-    sampleOccupancy()
+    /** The end-of-cycle view the probe's cycleEnd() receives. */
+    CycleView
+    cycleView()
     {
-        for (int i = 0; i < kNumOcc; ++i)
-            occ[i].add(static_cast<int64_t>(occValue(i)));
-    }
-
-    /**
-     * Emit this cycle's trace samples: occupancy / activity counters
-     * (deduplicated on change) and stream duration events on the SCU
-     * tracks.
-     */
-    void
-    traceCycle(uint64_t dispatched, uint64_t ieuExec, uint64_t feuExec)
-    {
-        obs::TraceWriter &tw = *cfg.trace;
-        auto sample = [&](int slot, const char *name, double v) {
-            if (traceLast[slot] != v) {
-                traceLast[slot] = v;
-                tw.counter(name, now, v);
-            }
-        };
-        for (int i = 0; i < kNumOcc; ++i)
-            sample(i, kOccNames[i],
-                   static_cast<double>(occValue(i)));
-        sample(kNumOcc + 0, "ifu.dispatched",
-               static_cast<double>(dispatched));
-        sample(kNumOcc + 1, "busy.ieu", static_cast<double>(ieuExec));
-        sample(kNumOcc + 2, "busy.feu", static_cast<double>(feuExec));
-        sample(kNumOcc + 3, "busy.veu", veu.active ? 1.0 : 0.0);
-        int activeStreams = 0;
-        for (const Stream &s : scus)
-            activeStreams += s.active ? 1 : 0;
-        sample(kNumOcc + 4, "scu.active",
-               static_cast<double>(activeStreams));
-
+        CycleView v{now, {}, streamViews, veu.active, stats};
+        for (int q = 0; q < kNumQueues; ++q)
+            v.levels[q] = static_cast<uint32_t>(occValue(q));
         for (size_t i = 0; i < scus.size(); ++i) {
             const Stream &s = scus[i];
-            if (s.active && !scuWasActive[i]) {
-                scuStartCycle[i] = now;
-                scuEventName[i] = strFormat(
-                    "%s %s.f%d n=%lld stride=%lld",
-                    s.input ? "Sin" : "Sout",
-                    s.side ? "flt" : "int", s.fifo,
-                    static_cast<long long>(s.count),
-                    static_cast<long long>(s.stride));
-            } else if (!s.active && scuWasActive[i]) {
-                tw.complete(scuTid[i], scuEventName[i],
-                            scuStartCycle[i],
-                            std::max<uint64_t>(now - scuStartCycle[i],
-                                               1));
-            }
-            scuWasActive[i] = s.active;
+            streamViews[i] = {s.active, s.input, s.side, s.fifo, s.count,
+                              s.stride};
         }
-    }
-
-    /**
-     * Fill @p out with the cumulative counters in channel order (the
-     * first kTsCumulative entries of simTimeSeriesChannels()).
-     */
-    void
-    tsCumulative(uint64_t out[kTsCumulative]) const
-    {
-        size_t i = 0;
-        out[i++] = stats.instsDispatched;
-        out[i++] = stats.loadsIssued;
-        out[i++] = stats.storesCommitted;
-        out[i++] = stats.streamElementsIn;
-        out[i++] = stats.streamElementsOut;
-        out[i++] = stats.vectorElements;
-        out[i++] = stats.ieuExecuted;
-        out[i++] = stats.ieuStallCycles;
-        out[i++] = stats.feuExecuted;
-        out[i++] = stats.feuStallCycles;
-        out[i++] = stats.ifuExecuted;
-        out[i++] = stats.ifuStallCycles;
-        out[i++] = stats.ieuIdleCycles;
-        out[i++] = stats.feuIdleCycles;
-        out[i++] = stats.scuStartupWaitCycles;
-        out[i++] = stats.scuPortContentionCycles;
-        out[i++] = stats.storePortContentionCycles;
-        const UnitStallStats *units[3] = {&stats.ieuStalls,
-                                          &stats.feuStalls,
-                                          &stats.ifuStalls};
-        for (const UnitStallStats *u : units)
-            for (size_t c = 1;
-                 c < static_cast<size_t>(StallCause::kCount); ++c)
-                out[i++] = u->byCause[c];
-        WS_ASSERT(i == kTsCumulative, "channel layout drift");
-    }
-
-    /**
-     * Flight-recorder sample at the end of cycle `now`: cumulative
-     * deltas against the previous snapshot plus the level channels.
-     * Deltas telescope, so per-window sums equal the end-of-run
-     * aggregates exactly — the invariant wmreport --timeline checks.
-     */
-    void
-    tsSample()
-    {
-        obs::TimeSeries &ts = *cfg.timeseries;
-        ts.advanceTo(now);
-        uint64_t cum[kTsCumulative];
-        tsCumulative(cum);
-        for (size_t i = 0; i < kTsCumulative; ++i) {
-            uint64_t d = cum[i] - tsPrev[i];
-            if (d) {
-                ts.add(i, d);
-                tsPrev[i] = cum[i];
-            }
-        }
-        for (int i = 0; i < kNumOcc; ++i) {
-            size_t v = occValue(i);
-            if (v)
-                ts.add(kTsCumulative + static_cast<size_t>(i),
-                       static_cast<uint64_t>(v));
-        }
-        uint64_t active = 0;
-        for (const Stream &s : scus)
-            active += s.active ? 1 : 0;
-        if (active)
-            ts.add(kTsChannels - 1, active);
-    }
-
-    /** Close out duration events for streams still active at exit. */
-    void
-    traceFinish()
-    {
-        if (!cfg.trace)
-            return;
-        for (size_t i = 0; i < scus.size(); ++i)
-            if (scuWasActive[i])
-                cfg.trace->complete(
-                    scuTid[i], scuEventName[i], scuStartCycle[i],
-                    std::max<uint64_t>(now - scuStartCycle[i], 1));
+        return v;
     }
 
     // ---- register / FIFO access during evaluation ----
@@ -906,8 +464,7 @@ struct Simulator::Impl
                           "FIFO underflow (availability pre-checked)");
                 v = inFifo[s][idx].front();
                 inFifo[s][idx].pop_front();
-                if (cp)
-                    cpPopIn(s, idx);
+                if (probe) probe->pop(qIn(s, idx));
                 v.isFloat = s == 1;
             } else if (s == 1) {
                 v.isFloat = true;
@@ -928,6 +485,7 @@ struct Simulator::Impl
             return; // hardwired zero
           case Dst::Cc:
             ccFifo[f.side].push_back(v.isFloat ? v.f != 0.0 : v.i != 0);
+            if (probe) probe->push(qCc(f.side));
             return;
           case Dst::Fifo: {
             Val out = v;
@@ -941,6 +499,7 @@ struct Simulator::Impl
                     out.i = truncToInt64(v.f);
             }
             outFifo[f.side][f.index].push_back(out);
+            if (probe) probe->push(qOut(f.side, f.index));
             return;
           }
           case Dst::Reg:
@@ -1031,22 +590,7 @@ struct Simulator::Impl
         if (input) {
             // Cancel: discard prefetched and in-flight data.
             s->active = false;
-            if (cp) {
-                // The discarded values (buffered and still in flight)
-                // were all capacity pushes; record the stop event as
-                // their freeing pop so ordinal bookkeeping matches
-                // the machine's occupancy.
-                // Scalar loads reserve no slot until delivery, so
-                // only stream requests count as outstanding pushes.
-                size_t discarded = inFifo[side][inst.fifo].size();
-                for (const ReadReq &rq : inflight[side][inst.fifo])
-                    if (rq.scu >= 0)
-                        ++discarded;
-                for (size_t k = 0; k < discarded; ++k)
-                    cp->pop(cpQIn(side, inst.fifo), cpCurEv);
-                inFifoEv[side][inst.fifo].clear();
-                cpRetire(*s, cpCurEv);
-            }
+            if (probe) probe->streamCancel(static_cast<int>(s - scus.data()));
             inFifo[side][inst.fifo].clear();
             inflight[side][inst.fifo].clear();
         } else {
@@ -1070,14 +614,7 @@ struct Simulator::Impl
                     if (req.scu >= 0 && !scus[req.scu].active) {
                         // Stream cancelled after retiring via the
                         // out-of-bounds clamp: free the reserved slot.
-                        if (cp) {
-                            int32_t ev = cpEvent(
-                                cpuMem, scus[req.scu].loopId, 0);
-                            cp->dep(ev >= 0 ? req.ev : -1, cpcMemLat,
-                                    static_cast<float>(
-                                        cfg.memLatency));
-                            cp->pop(cpQIn(side, f), ev);
-                        }
+                        if (probe) probe->readDiscard(side, f);
                         q.pop_front(); // stream cancelled: discard
                         continue;
                     }
@@ -1092,34 +629,8 @@ struct Simulator::Impl
                     }
                     Val v = exe.read(req.addr, req.type);
                     inFifo[side][f].push_back(v);
-                    if (cp) {
-                        int32_t ev = cpEvent(
-                            cpuMem,
-                            req.scu >= 0 ? scus[req.scu].loopId
-                                         : req.loop,
-                            0);
-                        cp->dep(req.ev, cpcMemLat,
-                                static_cast<float>(cfg.memLatency));
-                        if (req.ordered)
-                            // Held behind an older overlapping store;
-                            // the most recent commit bounds the wait.
-                            cp->dep(lastStoreCommitEv, cpcMemOrder,
-                                    1.0f);
-                        if (req.scu < 0)
-                            // Scalar loads reserve their FIFO slot at
-                            // delivery; the freeing pop (stepUnit, a
-                            // later phase) enables delivery next
-                            // cycle.
-                            cp->pushDep(
-                                cpQIn(side, f),
-                                cpCause[static_cast<size_t>(
-                                    StallCause::DataFifoFull)],
-                                1.0f);
-                        inFifoEv[side][f].push_back(ev);
-                        lastDeliveryEv = ev;
-                        if (req.scu >= 0)
-                            scus[req.scu].lastElemEv = ev;
-                    }
+                    if (probe) probe->readDeliver(side, f, req.ordered);
+                    if (probe) probe->push(qIn(side, f));
                     ++deliveredValues;
                     if (req.scu >= 0) {
                         ++scus[req.scu].done;
@@ -1148,18 +659,11 @@ struct Simulator::Impl
                 continue;
             if (outFifo[side][0].empty())
                 continue;
-            StoreReq st = storeQ[side].front();
+            const StoreReq &st = storeQ[side].front();
             exe.write(st.addr, st.type, outFifo[side][0].front());
-            if (cp) {
-                // Commit runs after stepUnit in the same cycle, so
-                // both the address generation and the data enqueue
-                // can commit the cycle they execute (latency 0).
-                int32_t ev = cpEvent(cpuMem, st.loop, 0);
-                cp->dep(st.ev, cpcStoreAddr, 0.0f);
-                cpPopOut(side, 0);
-                cp->pop(cpQStore(side), ev);
-                lastStoreCommitEv = ev;
-            }
+            if (probe) probe->storeCommit(side);
+            if (probe) probe->pop(qOut(side, 0));
+            if (probe) probe->pop(qStore(side));
             storeQ[side].pop_front();
             outFifo[side][0].pop_front();
             ++portsUsed;
@@ -1170,7 +674,7 @@ struct Simulator::Impl
     void
     stepSCUs()
     {
-        for (size_t i = 0; i < scus.size(); ++i) {
+        for (int i = 0; i < static_cast<int>(scus.size()); ++i) {
             Stream &s = scus[i];
             if (!s.active)
                 continue;
@@ -1185,8 +689,7 @@ struct Simulator::Impl
             if (s.input) {
                 if (s.closed) {
                     s.active = false;
-                    if (cp)
-                        cpRetire(s, s.lastElemEv);
+                    if (probe) probe->streamRetire(i);
                     continue;
                 }
                 int64_t limit = s.count >= 0 ? s.count
@@ -1209,7 +712,7 @@ struct Simulator::Impl
                     req.size = rtl::dataTypeSize(s.type);
                     req.type = s.type;
                     req.seq = s.seq;
-                    req.scu = static_cast<int>(i);
+                    req.scu = i;
                     // Bounds are checked at delivery; unbounded streams
                     // may legitimately run past the data they will
                     // never deliver, so clamp errors here.
@@ -1219,36 +722,15 @@ struct Simulator::Impl
                         s.closed = true; // stop prefetching
                         break;
                     }
-                    if (cp) {
-                        int32_t ev = cpEvent(cpuScu, s.loopId, 0);
-                        if (s.lastIssueEv >= 0)
-                            cp->dep(s.lastIssueEv, cpcScuIssue,
-                                    1.0f / static_cast<float>(
-                                               cfg.scuBurst));
-                        else
-                            cp->dep(s.startEv, cpcScuStartup,
-                                    static_cast<float>(
-                                        cfg.scuStartupCycles));
-                        // Issue reserves the FIFO slot; the freeing
-                        // pop (stepUnit, an earlier phase) enables
-                        // issue the same cycle.
-                        cp->pushDep(
-                            cpQIn(s.side, s.fifo),
-                            cpCause[static_cast<size_t>(
-                                StallCause::DataFifoFull)],
-                            0.0f);
-                        req.ev = ev;
-                        s.lastIssueEv = ev;
-                    }
                     inflight[s.side][s.fifo].push_back(req);
+                    if (probe) probe->streamIssue(i);
                     ++s.issued;
                     ++scuReadsIssued;
                     ++portsUsed;
                 }
                 if (s.issued >= limit && s.done >= limit) {
                     s.active = false; // retires when fully delivered
-                    if (cp)
-                        cpRetire(s, s.lastElemEv);
+                    if (probe) probe->streamRetire(i);
                 }
             } else {
                 auto &q = outFifo[s.side][s.fifo];
@@ -1261,20 +743,8 @@ struct Simulator::Impl
                         break;
                     Val v = q.front();
                     q.pop_front();
-                    if (cp) {
-                        int32_t ev = cpEvent(cpuScu, s.loopId, 0);
-                        if (s.lastIssueEv >= 0)
-                            cp->dep(s.lastIssueEv, cpcScuIssue,
-                                    1.0f / static_cast<float>(
-                                               cfg.scuBurst));
-                        else
-                            cp->dep(s.startEv, cpcScuStartup,
-                                    static_cast<float>(
-                                        cfg.scuStartupCycles));
-                        cpPopOut(s.side, s.fifo);
-                        s.lastIssueEv = ev;
-                        s.lastElemEv = ev;
-                    }
+                    if (probe) probe->streamWrite(i);
+                    if (probe) probe->pop(qOut(s.side, s.fifo));
                     exe.write(s.base + s.done * s.stride, s.type, v);
                     ++s.done;
                     if (!s.enqSeqs.empty())
@@ -1285,8 +755,7 @@ struct Simulator::Impl
                 if ((s.count >= 0 && s.done >= s.count) ||
                         (s.closed && q.empty())) {
                     s.active = false;
-                    if (cp)
-                        cpRetire(s, s.lastElemEv);
+                    if (probe) probe->streamRetire(i);
                 }
             }
         }
@@ -1310,28 +779,10 @@ struct Simulator::Impl
             auto &out = outFifo[veu.dstSide][veu.dstFifo];
             if (static_cast<int>(out.size()) >= cfg.dataFifoDepth)
                 break;
-            int32_t vev = -1;
-            if (cp) {
-                vev = cpEvent(cpuVeu, veuLoop, 0);
-                if (veuPrevElemEv >= 0)
-                    cp->dep(veuPrevElemEv, cpcVeuLane,
-                            1.0f / static_cast<float>(cfg.veuLanes));
-                else
-                    // Dispatch is the cycle's last phase; the first
-                    // element runs the next cycle at the earliest.
-                    cp->dep(veuOpEv, cpcExec, 1.0f);
-                veuPrevElemEv = vev;
-                lastVeuEv = vev;
-                cp->pushDep(
-                    cpQOut(veu.dstSide, veu.dstFifo),
-                    cpCause[static_cast<size_t>(
-                        StallCause::DataFifoFull)],
-                    1.0f);
-            }
+            if (probe) probe->veuElement();
             Val a = in1.front();
             in1.pop_front();
-            if (cp)
-                cpPopIn(veu.s1Side, veu.s1Fifo);
+            if (probe) probe->pop(qIn(veu.s1Side, veu.s1Fifo));
             Val r;
             if (veu.copy) {
                 r = a;
@@ -1341,8 +792,7 @@ struct Simulator::Impl
                             : veu.src2Val;
                 if (veu.src2IsFifo) {
                     inFifo[veu.s2Side][veu.s2Fifo].pop_front();
-                    if (cp)
-                        cpPopIn(veu.s2Side, veu.s2Fifo);
+                    if (probe) probe->pop(qIn(veu.s2Side, veu.s2Fifo));
                 }
                 if (const char *err = rtl::applyBin(veu.op, a, b, r))
                     throw ExecError(err);
@@ -1352,8 +802,7 @@ struct Simulator::Impl
                 r.isFloat = true;
             }
             out.push_back(r);
-            if (cp)
-                outFifoEv[veu.dstSide][veu.dstFifo].push_back(vev);
+            if (probe) probe->push(qOut(veu.dstSide, veu.dstFifo));
             --veu.remaining;
             ++stats.vectorElements;
         }
@@ -1395,26 +844,10 @@ struct Simulator::Impl
                     static_cast<int>(outFifo[f.side][f.index].size()) >=
                         cfg.dataFifoDepth)
                 return StallCause::DataFifoFull;
-            int32_t ev = -1;
-            if (cp) {
-                ev = cpUnitExecEvent(u, inst);
-                // An ordinary enqueue had to wait for any prior
-                // out-stream on its FIFO to retire (retire is a later
-                // phase: latency 1). Stale retires are never binding.
-                if (!q.streamEnq && f.dst == Dst::Fifo)
-                    cp->dep(lastRetire[f.side][f.index][0],
-                            cpCause[static_cast<size_t>(
-                                StallCause::StreamOwnership)],
-                            1.0f);
-            }
+            if (probe) probe->exec(u, q.pc, f.divides);
             writeReg(f, eval(d.src));
-            if (cp)
-                cpNoteWrite(f, ev);
-            if (f.divides) {
+            if (f.divides)
                 unitBusyUntil[u] = now + cfg.divLatency;
-                nextSerialLat[u] =
-                    static_cast<float>(cfg.divLatency);
-            }
             break;
           }
           case InstKind::Load: {
@@ -1427,14 +860,7 @@ struct Simulator::Impl
             // the two data sources cannot interleave.
             if (findStream(side, 0, /*input=*/true))
                 return StallCause::StreamOwnership;
-            int32_t ev = -1;
-            if (cp) {
-                ev = cpUnitExecEvent(u, inst);
-                cp->dep(lastRetire[side][0][1],
-                        cpCause[static_cast<size_t>(
-                            StallCause::StreamOwnership)],
-                        1.0f);
-            }
+            if (probe) probe->exec(u, q.pc, false);
             Val a = eval(d.addr);
             ReadReq req;
             req.deliverAt = now + cfg.memLatency + chaosLatency();
@@ -1442,10 +868,9 @@ struct Simulator::Impl
             req.size = rtl::dataTypeSize(inst.memType);
             req.type = inst.memType;
             req.seq = q.seq;
-            req.ev = ev;
-            req.loop = inst.loopId;
             exe.checkAddr(req.addr, req.size);
             inflight[side][0].push_back(req);
+            if (probe) probe->readIssue(side);
             ++portsUsed;
             ++stats.loadsIssued;
             break;
@@ -1457,22 +882,12 @@ struct Simulator::Impl
                     cfg.storeQueueDepth) {
                 return StallCause::StoreQueueFull;
             }
-            int32_t ev = -1;
-            if (cp)
-                ev = cpUnitExecEvent(u, inst);
+            if (probe) probe->exec(u, q.pc, false);
             Val a = eval(d.addr);
             int size = rtl::dataTypeSize(inst.memType);
             exe.checkAddr(a.i, size);
-            storeQ[side].push_back(
-                {a.i, size, inst.memType, q.seq, ev, inst.loopId});
-            if (cp)
-                // Commit (the freeing pop) is a later phase: a pop at
-                // cycle t admits the next store address at t+1.
-                cp->pushDep(
-                    cpQStore(side),
-                    cpCause[static_cast<size_t>(
-                        StallCause::StoreQueueFull)],
-                    1.0f);
+            storeQ[side].push_back({a.i, size, inst.memType, q.seq});
+            if (probe) probe->push(qStore(side));
             break;
           }
           default:
@@ -1498,13 +913,27 @@ struct Simulator::Impl
     ifuStall(StallCause c)
     {
         lastIfuCause = c;
-        ifuWaitCauseCp = c;
-        ++stats.ifuStallCycles;
-        ++stats.ifuStalls[c];
-        if (curBucket) {
-            ++curBucket->ifuStallCycles;
-            ++curBucket->stalls[c];
+        stall(kIfu, c);
+    }
+
+    /**
+     * Count a cycle unit @p u (0 IEU, 1 FEU, kIfu) lost to @p c; an
+     * empty IEU/FEU queue is idleness, not a stall.
+     */
+    void
+    stall(int u, StallCause c)
+    {
+        if (probe) probe->stall(u, c);
+        if (c == StallCause::InstQueueEmpty) {
+            ++(u ? stats.feuIdleCycles : stats.ieuIdleCycles);
+            return;
         }
+        LoopCycleStats &b = *curBucket;
+        ++(u == 0 ? stats.ieuStalls : u == 1 ? stats.feuStalls
+                                             : stats.ifuStalls)[c];
+        ++(u == 0 ? b.ieuStallCycles : u == 1 ? b.feuStallCycles
+                                              : b.ifuStallCycles);
+        ++b.stalls[c];
     }
 
     // ---- per-loop cycle attribution ----
@@ -1539,8 +968,7 @@ struct Simulator::Impl
               case Engine::IFU: {
                 switch (inst.kind) {
                   case InstKind::Jump:
-                    if (cp)
-                        cpIfuEvent(inst);
+                    if (probe) probe->ifu(pc);
                     pc = exe.target(pc);
                     break;
                   case InstKind::CondJump: {
@@ -1551,21 +979,8 @@ struct Simulator::Impl
                     }
                     bool cc = ccFifo[side].front();
                     ccFifo[side].pop_front();
-                    if (cp) {
-                        int32_t ev = cpIfuEvent(inst);
-                        int32_t prod = -1;
-                        if (!ccFifoEv[side].empty()) {
-                            prod = ccFifoEv[side].front();
-                            ccFifoEv[side].pop_front();
-                        }
-                        // The compare executes in an earlier phase:
-                        // same-cycle consumption is possible.
-                        cp->dep(prod,
-                                cpCause[static_cast<size_t>(
-                                    StallCause::CcFifoEmpty)],
-                                0.0f);
-                        cp->pop(cpQCc(side), ev);
-                    }
+                    if (probe) probe->ifu(pc);
+                    if (probe) probe->pop(qCc(side));
                     if (cc == inst.when)
                         pc = exe.target(pc);
                     else
@@ -1573,8 +988,7 @@ struct Simulator::Impl
                     break;
                   }
                   case InstKind::JumpStream: {
-                    if (cp)
-                        cpIfuEvent(inst);
+                    if (probe) probe->ifu(pc);
                     int side = inst.side == UnitSide::Flt ? 1 : 0;
                     int64_t &m = mirror[side][inst.fifo];
                     if (m < 0)
@@ -1590,15 +1004,13 @@ struct Simulator::Impl
                   }
                   case InstKind::Call: {
                     int64_t callee = exe.target(pc);
-                    if (cp)
-                        cpIfuEvent(inst);
+                    if (probe) probe->ifu(pc);
                     raStack.push_back(pc + 1);
                     pc = callee;
                     break;
                   }
                   case InstKind::Return:
-                    if (cp)
-                        cpIfuEvent(inst);
+                    if (probe) probe->ifu(pc);
                     if (raStack.empty()) {
                         returned = true;
                     } else {
@@ -1617,22 +1029,7 @@ struct Simulator::Impl
                         ifuStall(StallCause::SyncWait);
                         return;
                     }
-                    if (cp) {
-                        int32_t ev = cpIfuEvent(inst);
-                        if (inst.when) {
-                            // Cancelling waited for the units to
-                            // drain (same cycle: exec is earlier).
-                            cp->dep(lastExecEv[0],
-                                    cpCause[static_cast<size_t>(
-                                        StallCause::SyncWait)],
-                                    0.0f);
-                            cp->dep(lastExecEv[1],
-                                    cpCause[static_cast<size_t>(
-                                        StallCause::SyncWait)],
-                                    0.0f);
-                        }
-                        (void)ev; // applyStreamStop uses cpCurEv
-                    }
+                    if (probe) probe->ifu(pc);
                     applyStreamStop(inst);
                     ++pc;
                     break;
@@ -1647,21 +1044,8 @@ struct Simulator::Impl
                         ifuStall(StallCause::DataFifoEmpty);
                         return;
                     }
-                    int32_t ev = -1;
-                    if (cp) {
-                        ev = cpIfuEvent(inst);
-                        cp->dep(lastExecEv[0],
-                                cpCause[static_cast<size_t>(
-                                    StallCause::SyncWait)],
-                                0.0f);
-                        cp->dep(lastExecEv[1],
-                                cpCause[static_cast<size_t>(
-                                    StallCause::SyncWait)],
-                                0.0f);
-                    }
+                    if (probe) probe->ifu(pc);
                     writeReg(f, eval(d.src));
-                    if (cp)
-                        cpNoteWrite(f, ev);
                     ++pc;
                     break;
                   }
@@ -1681,26 +1065,7 @@ struct Simulator::Impl
                                             : StallCause::SyncWait);
                         return;
                     }
-                    if (cp) {
-                        int32_t ev = cpIfuEvent(inst);
-                        cp->dep(lastExecEv[0],
-                                cpCause[static_cast<size_t>(
-                                    StallCause::SyncWait)],
-                                0.0f);
-                        cp->dep(lastExecEv[1],
-                                cpCause[static_cast<size_t>(
-                                    StallCause::SyncWait)],
-                                0.0f);
-                        // The previous vector op's last element ran
-                        // in an earlier phase this cycle.
-                        cp->dep(lastVeuEv,
-                                cpCause[static_cast<size_t>(
-                                    StallCause::VeuBusy)],
-                                0.0f);
-                        veuOpEv = ev;
-                        veuPrevElemEv = -1;
-                        veuLoop = inst.loopId;
-                    }
+                    if (probe) probe->ifu(pc);
                     VeuState v;
                     v.active = true;
                     v.op = inst.vecOp;
@@ -1765,30 +1130,9 @@ struct Simulator::Impl
                     ifuStall(StallCause::ScuFifoBusy);
                     return; // previous stream still draining
                 }
-                int32_t startEv = -1;
-                if (cp) {
-                    startEv = cpIfuEvent(inst);
-                    // Start gated on the IEU drain, a free SCU slot,
-                    // and the FIFO's previous stream having retired —
-                    // all resolved in earlier phases of this cycle.
-                    cp->dep(lastExecEv[0],
-                            cpCause[static_cast<size_t>(
-                                StallCause::ScuDrainWait)],
-                            0.0f);
-                    cp->dep(free->slotRetireEv,
-                            cpCause[static_cast<size_t>(
-                                StallCause::ScuUnavailable)],
-                            0.0f);
-                    cp->dep(lastRetire[side][inst.fifo]
-                                      [inst.kind == InstKind::StreamIn
-                                           ? 1
-                                           : 0],
-                            cpCause[static_cast<size_t>(
-                                StallCause::ScuFifoBusy)],
-                            0.0f);
-                }
+                int slot = static_cast<int>(free - scus.data());
+                if (probe) probe->streamStart(slot, pc);
                 Stream s;
-                s.active = true;
                 s.input = inst.kind == InstKind::StreamIn;
                 s.side = side;
                 s.fifo = inst.fifo;
@@ -1799,22 +1143,15 @@ struct Simulator::Impl
                 s.seq = seqCounter++;
                 s.readyAt = now + cfg.scuStartupCycles +
                             (chaos ? chaosRng.nextBelow(4) : 0);
-                s.loopId = inst.loopId;
-                s.startEv = startEv;
-                s.slotRetireEv = free->slotRetireEv;
-                if (s.count == 0) {
-                    // Empty stream: nothing to do, but the mirror must
-                    // still say "exhausted".
-                    s.active = false;
-                }
+                // Empty stream: nothing to do, but the mirror must still
+                // say "exhausted"; it retires the cycle it starts.
+                s.active = s.count != 0;
                 if (findStream(side, inst.fifo, s.input))
                     throw ExecError("stream already active on FIFO");
                 s.enqSeqs = std::move(free->enqSeqs); // keep the ring
                 s.enqSeqs.clear();
                 *free = std::move(s);
-                if (cp && !free->active)
-                    // Empty stream: retires the cycle it starts.
-                    cpRetire(*free, startEv);
+                if (probe && !free->active) probe->streamRetire(slot);
                 // Starting a stream program re-arms the IFU's count
                 // mirror unconditionally. The mirror may still hold a
                 // positive leftover from an earlier multi-stream loop
@@ -1853,18 +1190,8 @@ struct Simulator::Impl
                         streamEnq = true;
                     }
                 }
-                int32_t dev = -1;
-                if (cp) {
-                    dev = cpIfuEvent(inst);
-                    // Exec (the freeing pop) is an earlier phase, so
-                    // a pop at cycle t admits a dispatch at t.
-                    cp->pushDep(
-                        cpQInst(u),
-                        cpCause[static_cast<size_t>(
-                            StallCause::InstQueueFull)],
-                        0.0f);
-                }
-                unitQ[u].push_back({pc, mySeq, streamEnq, dev});
+                if (probe) probe->dispatch(u, pc, streamEnq);
+                unitQ[u].push_back({pc, mySeq, streamEnq});
                 ++pc;
                 ++stats.instsDispatched;
                 break;
@@ -1890,45 +1217,6 @@ struct Simulator::Impl
         if (veu.active)
             return false;
         return true;
-    }
-
-    /** Move collected occupancy histograms into the result stats. */
-    void
-    finalizeStats()
-    {
-        // Close the flight recorder's final (possibly partial) window
-        // so its window cycles sum to stats.cycles. On a RuntimeError
-        // the partial faulting cycle was never sampled, so cumulative
-        // channel totals may undercount — consumers skip the sum
-        // check when the run faulted.
-        if (cfg.timeseries)
-            cfg.timeseries->finish(now);
-        if (cp) {
-            // Terminal event: the run ends when the last of every
-            // unit's final activity has drained. The backward walk
-            // starts here; the binding drain edge names the unit that
-            // finished last.
-            int32_t ev = cp->event(now, cpuEnd, -1, 0);
-            cp->dep(lastIfuEv, cpcDrain, 0.0f);
-            cp->dep(lastExecEv[0], cpcDrain, 0.0f);
-            cp->dep(lastExecEv[1], cpcDrain, 0.0f);
-            cp->dep(lastStoreCommitEv, cpcDrain, 0.0f);
-            cp->dep(lastDeliveryEv, cpcDrain, 0.0f);
-            cp->dep(lastVeuEv, cpcDrain, 0.0f);
-            for (auto &s : scus)
-                cp->dep(s.lastElemEv, cpcDrain, 0.0f);
-            cp->setEnd(ev);
-        }
-        stats.cycles = now;
-        stats.loops.clear();
-        for (const LoopCycleStats &b : loopBuckets)
-            if (b.cycles)
-                stats.loops.push_back(b);
-        if (!cfg.collectOccupancy || !stats.occupancy.empty())
-            return;
-        stats.occupancy.reserve(kNumOcc);
-        for (int i = 0; i < kNumOcc; ++i)
-            stats.occupancy.push_back({kOccNames[i], occ[i]});
     }
 
     // ---- deadlock forensics ----
@@ -2299,14 +1587,11 @@ struct Simulator::Impl
             }
 
         // Queue occupancies.
-        for (int i = 0; i < kNumOcc; ++i) {
+        for (int i = 0; i < kNumQueues; ++i) {
             FaultQueueState q;
-            q.name = kOccNames[i];
+            q.name = kQueueNames[i];
             q.occupancy = static_cast<int>(occValue(i));
-            q.capacity = i < 8 ? cfg.dataFifoDepth
-                         : i < 10 ? cfg.ccFifoDepth
-                         : i < 12 ? cfg.instQueueDepth
-                                  : cfg.storeQueueDepth;
+            q.capacity = queueDepth(cfg, i);
             r.queues.push_back(q);
         }
 
@@ -2415,6 +1700,64 @@ struct Simulator::Impl
         return r;
     }
 
+    /**
+     * Run cycles until main has returned and the machine drained
+     * (None), the watchdog sees no progress (Deadlock), or the cycle
+     * limit is reached (Livelock).
+     */
+    SimFault
+    runCycles()
+    {
+        while (now < cfg.maxCycles) {
+            portsUsed = 0;
+            // Chaos withholds a random subset of memory ports this
+            // cycle (always granting at least one).
+            if (chaos)
+                portsUsed = cfg.memPorts - 1 -
+                            static_cast<int>(chaosRng.nextBelow(
+                                static_cast<uint64_t>(cfg.memPorts)));
+            // Attribute this whole cycle to the loop owning the fetch
+            // PC as the cycle begins (bucket -1 outside any loop /
+            // after return). One bucket per cycle is what makes the
+            // buckets sum exactly to total cycles.
+            curBucket = &loopBuckets[
+                !returned && pc >= 0 &&
+                        pc < static_cast<int64_t>(exe.code.size())
+                    ? facts[pc].bucket
+                    : 0];
+            ++curBucket->cycles;
+            deliverReads();
+            for (int u = 0; u < 2; ++u)
+                lastUnitCause[u] = stepUnit(u);
+            for (int u = 0; u < 2; ++u)
+                if (lastUnitCause[u] != StallCause::None)
+                    stall(u, lastUnitCause[u]);
+            commitStores();
+            stepVEU();
+            stepSCUs();
+            fetchAndDispatch();
+            if (probe) probe->cycleEnd(cycleView());
+            ++now;
+            if (returned && drained())
+                break;
+            // Watchdog: the progress sum moves whenever anything
+            // architectural or memory-visible happens. A full window
+            // without movement is a deadlock; snapshot and diagnose
+            // instead of burning to the cycle limit.
+            uint64_t p = progressSum();
+            if (p != lastProgressSum) {
+                lastProgressSum = p;
+                lastProgressCycle = now;
+            } else if (cfg.watchdogWindow != 0 &&
+                       now - lastProgressCycle >= cfg.watchdogWindow) {
+                return SimFault::Deadlock;
+            }
+        }
+        // Still making progress at the limit (the watchdog would have
+        // fired otherwise): a livelock or an unreasonably long program.
+        return now >= cfg.maxCycles ? SimFault::Livelock : SimFault::None;
+    }
+
     SimResult
     run()
     {
@@ -2425,131 +1768,26 @@ struct Simulator::Impl
             return res;
         }
         pc = exe.mainEntry;
-        // Instrumentation branches are hoisted out of the common path:
-        // with both knobs off the per-cycle cost is two predictable
-        // untaken branches.
-        const bool sampleOcc = cfg.collectOccupancy;
-        const bool tracing = cfg.trace != nullptr;
-        const bool sampling = cfg.timeseries != nullptr;
         try {
-            while (now < cfg.maxCycles) {
-                portsUsed = 0;
-                // Chaos withholds a random subset of memory ports
-                // this cycle (always granting at least one).
-                if (chaos)
-                    portsUsed =
-                        cfg.memPorts -
-                        1 -
-                        static_cast<int>(chaosRng.nextBelow(
-                            static_cast<uint64_t>(cfg.memPorts)));
-                // Attribute this whole cycle to the loop owning the
-                // fetch PC as the cycle begins (bucket -1 outside any
-                // loop / after return). One bucket per cycle is what
-                // makes the buckets sum exactly to total cycles.
-                curBucket = &loopBuckets[
-                    !returned && pc >= 0 &&
-                            pc < static_cast<int64_t>(exe.code.size())
-                        ? facts[pc].bucket
-                        : 0];
-                ++curBucket->cycles;
-                uint64_t dispatched0 = stats.instsDispatched +
-                                       stats.ifuExecuted;
-                uint64_t ieuExec0 = stats.ieuExecuted;
-                uint64_t feuExec0 = stats.feuExecuted;
-                deliverReads();
-                StallCause c0 = stepUnit(0);
-                StallCause c1 = stepUnit(1);
-                lastUnitCause[0] = c0;
-                lastUnitCause[1] = c1;
-                if (cp) {
-                    // Remember the most recent stall per unit; the
-                    // next exec event consumes it as its wait cause.
-                    if (c0 != StallCause::None)
-                        unitWaitCause[0] = c0;
-                    if (c1 != StallCause::None)
-                        unitWaitCause[1] = c1;
-                }
-                if (c0 != StallCause::None) {
-                    if (c0 == StallCause::InstQueueEmpty)
-                        ++stats.ieuIdleCycles;
-                    else {
-                        ++stats.ieuStallCycles;
-                        ++stats.ieuStalls[c0];
-                        ++curBucket->ieuStallCycles;
-                        ++curBucket->stalls[c0];
-                    }
-                }
-                if (c1 != StallCause::None) {
-                    if (c1 == StallCause::InstQueueEmpty)
-                        ++stats.feuIdleCycles;
-                    else {
-                        ++stats.feuStallCycles;
-                        ++stats.feuStalls[c1];
-                        ++curBucket->feuStallCycles;
-                        ++curBucket->stalls[c1];
-                    }
-                }
-                commitStores();
-                stepVEU();
-                stepSCUs();
-                fetchAndDispatch();
-                if (sampleOcc)
-                    sampleOccupancy();
-                if (tracing)
-                    traceCycle(stats.instsDispatched +
-                                   stats.ifuExecuted - dispatched0,
-                               stats.ieuExecuted - ieuExec0,
-                               stats.feuExecuted - feuExec0);
-                if (sampling)
-                    tsSample();
-                ++now;
-                if (returned && drained())
-                    break;
-                // Watchdog: the progress sum moves whenever anything
-                // architectural or memory-visible happens. A full
-                // window without movement is a deadlock; snapshot and
-                // diagnose instead of burning to the cycle limit.
-                uint64_t p = progressSum();
-                if (p != lastProgressSum) {
-                    lastProgressSum = p;
-                    lastProgressCycle = now;
-                } else if (cfg.watchdogWindow != 0 &&
-                           now - lastProgressCycle >=
-                               cfg.watchdogWindow) {
-                    res.fault = SimFault::Deadlock;
-                    res.faultReport =
-                        buildFaultReport(SimFault::Deadlock);
-                    res.error = "deadlock: " + res.faultReport.message;
-                    traceFinish();
-                    finalizeStats();
-                    res.stats = stats;
-                    return res;
-                }
-            }
-            if (now >= cfg.maxCycles) {
-                // Still making progress at the limit (the watchdog
-                // would have fired otherwise): a livelock or an
-                // unreasonably long program.
-                res.fault = SimFault::Livelock;
-                res.faultReport = buildFaultReport(SimFault::Livelock);
-                res.error = "livelock: " + res.faultReport.message;
-                traceFinish();
-                finalizeStats();
-                res.stats = stats;
-                return res;
+            res.fault = runCycles();
+            if (res.fault == SimFault::None) {
+                res.ok = true;
+                res.returnValue = rreg[2];
+            } else {
+                res.faultReport = buildFaultReport(res.fault);
+                res.error = (res.fault == SimFault::Deadlock ? "deadlock: "
+                                                             : "livelock: ") +
+                            res.faultReport.message;
             }
         } catch (const ExecError &e) {
             res.error = e.what();
             res.fault = SimFault::RuntimeError;
-            traceFinish();
-            finalizeStats();
-            res.stats = stats;
-            return res;
         }
-        res.ok = true;
-        res.returnValue = rreg[2];
-        traceFinish();
-        finalizeStats();
+        stats.cycles = now;
+        for (const LoopCycleStats &b : loopBuckets)
+            if (b.cycles)
+                stats.loops.push_back(b);
+        if (probe) probe->runEnd(now, stats);
         res.stats = stats;
         return res;
     }

@@ -35,6 +35,7 @@
 #ifndef WMSTREAM_WMSIM_SIM_H
 #define WMSTREAM_WMSIM_SIM_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -89,50 +90,48 @@ struct SimConfig
      */
     uint64_t chaosSeed = 0;
 
-    /** @name Observability (off by default: the hot loop stays lean) */
+    /**
+     * @name Observability (off by default: the hot loop stays lean)
+     * Each field turns on one probe sink (wmsim/probe.h) that the
+     * simulator builds from it. The caller owns every recorder passed
+     * here; it must outlive the run.
+     */
     /// @{
     /** Sample per-FIFO/queue occupancy histograms every cycle. */
     bool collectOccupancy = false;
     /**
-     * Emit a per-cycle pipeline trace (Chrome trace_event format,
-     * one counter track per unit/FIFO, one duration event per
-     * stream) into this sink. The caller owns the writer and its
-     * lifetime must cover the run.
+     * Per-cycle pipeline trace (Chrome trace_event format, one
+     * counter track per unit/FIFO, one duration event per stream).
      */
     obs::TraceWriter *trace = nullptr;
     /**
-     * Flight recorder: once per cycle, feed per-window counts (unit
+     * Flight recorder: once per cycle, per-window counts (unit
      * busy/stall-cause, FIFO occupancy sums, dispatch/retire rates,
-     * live streams) into this interval sampler. Construct it with
-     * simTimeSeriesChannels() — the simulator addresses channels by
-     * that fixed layout. The caller owns the series and calls
-     * nothing: the simulator advances and finishes it. Channel
-     * totals sum exactly to the SimStats aggregates.
+     * live streams). Construct it with simTimeSeriesChannels(), the
+     * fixed layout the sink addresses; the simulator advances and
+     * finishes it. Channel totals sum exactly to the SimStats
+     * aggregates.
      */
     obs::TimeSeries *timeseries = nullptr;
     /**
-     * Causal critical-path recorder: when set, the simulator appends
-     * one DAG event per unit of forward progress (dispatch, execute,
-     * FIFO push/pop, CC produce/consume, stream start/element/stop,
-     * store commit, memory delivery), with edges typed by the stall
-     * taxonomy and tagged with the remarks loop id. Pass a
-     * freshly-constructed recorder; the simulator registers its
-     * unit/cause/queue taxonomy and marks the end event when the run
-     * finishes (also on faults, up to the last progress). The caller
-     * owns the recorder and runs the analyses after the run.
+     * Causal critical-path recorder: one DAG event per unit of forward
+     * progress, with edges typed by the stall taxonomy and tagged with
+     * the remarks loop id. Pass a freshly-constructed recorder; the
+     * sink registers its unit/cause/queue taxonomy and marks the end
+     * event when the run finishes (also on faults). Run the analyses
+     * after the run.
      */
     obs::CritPath *critpath = nullptr;
     /// @}
 };
 
 /**
- * Channel layout for SimConfig::timeseries, in index order. The
- * cumulative channels reuse the exact dotted names SimStats::
- * exportCounters emits ("ieu.executed", "ifu.stall.cc_fifo_empty",
- * ...), so a consumer can verify per-window sums against the stats
- * document by name alone. Level channels ("occ.<series>" occupancy
- * sums and "scu.active" live-stream count) are per-cycle samples
- * whose window mean is count / window cycles.
+ * Channel layout for SimConfig::timeseries, in index order: the
+ * SimStats::counters() table (its scalar rows, then every per-cause
+ * split), so a consumer can verify per-window sums against the stats
+ * document by name alone; then the level channels ("occ.<series>"
+ * occupancy sums and "scu.active" live-stream count), per-cycle
+ * samples whose window mean is count / window cycles.
  */
 std::vector<std::string> simTimeSeriesChannels();
 
@@ -188,6 +187,19 @@ struct LoopCycleStats
     StallCause dominantStall() const;
 };
 
+/** One row of the counter table (SimStats::counters()). */
+struct SimCounter
+{
+    const char *name;
+    uint64_t value;
+    /**
+     * For a unit's stall total: the per-cause split it sums, exported
+     * as causePrefix + stallCauseName(cause) for each cause.
+     */
+    const UnitStallStats *causes = nullptr;
+    const char *causePrefix = nullptr;
+};
+
 /** Aggregate run statistics. */
 struct SimStats
 {
@@ -201,11 +213,11 @@ struct SimStats
     uint64_t streamElementsIn = 0;
     uint64_t streamElementsOut = 0;
     uint64_t vectorElements = 0;
-    uint64_t ieuStallCycles = 0;
-    uint64_t feuStallCycles = 0;
-    uint64_t ifuStallCycles = 0;
 
-    /** @name Stall attribution (always on; sums match the totals above) */
+    /**
+     * @name Stall attribution (always on)
+     * A unit's stall cycles are the total() of its per-cause split.
+     */
     /// @{
     UnitStallStats ieuStalls;
     UnitStallStats feuStalls;
@@ -225,6 +237,12 @@ struct SimStats
      * -1 first when present). Always collected; see LoopCycleStats.
      */
     std::vector<LoopCycleStats> loops;
+
+    /**
+     * The cumulative counters, in the one order the stats document,
+     * the metrics and the time-series channels all use.
+     */
+    std::array<SimCounter, 17> counters() const;
 
     /**
      * Export every counter (and histogram summary stats) into @p reg

@@ -15,7 +15,10 @@
 
 #include "driver/compiler.h"
 #include "fuzz/generator.h"
+#include "obs/counters.h"
 #include "obs/critpath.h"
+#include "obs/timeseries.h"
+#include "obs/trace.h"
 #include "programs/programs.h"
 #include "support/rng.h"
 #include "wmsim/sim.h"
@@ -199,24 +202,86 @@ TEST(CritPathSim, ExactSumOnTableII)
     }
 }
 
+namespace {
+
+/** Every counter the stats document exports except occupancy.*. */
+std::vector<std::pair<std::string, uint64_t>>
+exportedCounters(const wmsim::SimStats &st)
+{
+    obs::CounterRegistry reg;
+    st.exportCounters(reg);
+    std::vector<std::pair<std::string, uint64_t>> out;
+    for (const auto &e : reg.entries())
+        if (e.first.rfind("occupancy.", 0) != 0)
+            out.push_back(e);
+    return out;
+}
+
+/** Simulate @p prog with all four probe sinks on. */
+wmsim::SimResult
+simulateObserved(const rtl::Program &prog)
+{
+    obs::TraceWriter trace;
+    obs::TimeSeries ts(wmsim::simTimeSeriesChannels(), 64);
+    obs::CritPath cp;
+    wmsim::SimConfig cfg;
+    cfg.collectOccupancy = true;
+    cfg.trace = &trace;
+    cfg.timeseries = &ts;
+    cfg.critpath = &cp;
+    auto res = wmsim::simulate(prog, cfg);
+    EXPECT_GT(trace.eventCount(), 0u);
+    EXPECT_GT(cp.eventCount(), 0u);
+    EXPECT_FALSE(res.stats.occupancy.empty());
+    return res;
+}
+
+} // namespace
+
 TEST(CritPathSim, RecordingDoesNotChangeTiming)
 {
-    for (const auto &p : programs::tableIIPrograms()) {
-        SCOPED_TRACE(p.name);
-        driver::CompileOptions opts;
-        auto cr = driver::compileSource(p.source, opts);
-        ASSERT_TRUE(cr.ok) << cr.diagnostics;
-        wmsim::SimConfig plain;
-        auto base = wmsim::simulate(*cr.program, plain);
-        ASSERT_TRUE(base.ok) << base.error;
-        obs::CritPath cp;
-        wmsim::SimConfig rec;
-        rec.critpath = &cp;
-        auto instr = wmsim::simulate(*cr.program, rec);
-        ASSERT_TRUE(instr.ok) << instr.error;
-        EXPECT_EQ(base.stats.cycles, instr.stats.cycles);
-        EXPECT_EQ(base.returnValue, instr.returnValue);
-    }
+    // The probe sinks are passive: with occupancy, trace, time series
+    // and critical path all on, every exported counter but the
+    // occupancy histograms matches the sink-free run, on every Table II
+    // program with streaming off and on.
+    for (const auto &p : programs::tableIIPrograms())
+        for (bool streaming : {false, true}) {
+            SCOPED_TRACE(p.name + (streaming ? " streamed" : " base"));
+            driver::CompileOptions opts;
+            opts.streaming = streaming;
+            auto cr = driver::compileSource(p.source, opts);
+            ASSERT_TRUE(cr.ok) << cr.diagnostics;
+            auto base = wmsim::simulate(*cr.program);
+            ASSERT_TRUE(base.ok) << base.error;
+            auto observed = simulateObserved(*cr.program);
+            ASSERT_TRUE(observed.ok) << observed.error;
+            EXPECT_EQ(base.returnValue, observed.returnValue);
+            EXPECT_EQ(exportedCounters(base.stats),
+                      exportedCounters(observed.stats));
+        }
+
+    // A deadlocking run leaves through the same exit path with and
+    // without sinks: same fault, message and stats.
+    driver::CompileOptions opts;
+    opts.injectStreamCountBug = true;
+    auto cr = driver::compileSource(R"(
+int a[64]; int b[64]; int c[64];
+int main(void) {
+    int i;
+    for (i = 0; i < 64; i = i + 1)
+        a[i] = b[i] + c[i];
+    return 0;
+})",
+                                    opts);
+    ASSERT_TRUE(cr.ok) << cr.diagnostics;
+    auto base = wmsim::simulate(*cr.program);
+    auto observed = simulateObserved(*cr.program);
+    EXPECT_EQ(base.fault, wmsim::SimFault::Deadlock);
+    EXPECT_EQ(observed.fault, base.fault);
+    EXPECT_EQ(observed.error, base.error);
+    EXPECT_EQ(observed.faultReport.message, base.faultReport.message);
+    EXPECT_EQ(exportedCounters(base.stats),
+              exportedCounters(observed.stats));
 }
 
 TEST(CritPathSim, ExactSumOnFuzzCorpus)

@@ -1,7 +1,9 @@
-# Golden-output test for one wmreport view. Runs wmc from inside the
-# source's directory with a relative path (so every source location in
-# the output is path-independent), renders the requested view, and
-# byte-compares stdout against the checked-in golden.
+# Golden-output test for one wmreport view, or for wmc's Chrome trace.
+# Runs wmc from inside the source's directory with a relative path (so
+# every source location in the output is path-independent), renders
+# the requested view, and byte-compares it against the checked-in
+# golden. VIEW=--trace-out compares the `wmc --run --trace-out` file
+# instead of a wmreport view.
 #
 # The simulator is deterministic, wmreport prints no wall-clock data,
 # and the relative-path trick keeps build-tree paths out — so the
@@ -9,15 +11,22 @@
 # output change with -DUPDATE=1, then review the diff like any other
 # source change.
 #
-# Arguments: WMC, WMREPORT, SOURCE (absolute), VIEW (e.g. --timeline),
-# GOLDEN (checked-in file), OUT_DIR, optional UPDATE.
+# Arguments: WMC, WMREPORT (not needed for --trace-out), SOURCE
+# (absolute), VIEW (e.g. --timeline, or --trace-out), GOLDEN
+# (checked-in file), OUT_DIR, optional UPDATE.
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(MANIFEST ${OUT_DIR}/manifest.json)
+set(TRACE ${OUT_DIR}/trace.json)
 get_filename_component(src_dir ${SOURCE} DIRECTORY)
 get_filename_component(src_name ${SOURCE} NAME)
+if(VIEW STREQUAL "--trace-out")
+    set(run_args --run --trace-out=${TRACE})
+else()
+    set(run_args --run --sample-window=64 --critpath --critpath-validate
+                 --manifest=${MANIFEST})
+endif()
 execute_process(
-    COMMAND ${WMC} --run --sample-window=64 --critpath
-            --critpath-validate --manifest=${MANIFEST} ${src_name}
+    COMMAND ${WMC} ${run_args} ${src_name}
     WORKING_DIRECTORY ${src_dir}
     RESULT_VARIABLE run_rc
     OUTPUT_VARIABLE run_out
@@ -27,14 +36,18 @@ if(NOT run_rc EQUAL 0)
             "wmc failed on ${src_name} (rc=${run_rc}):\n${run_out}${run_err}")
 endif()
 
-execute_process(
-    COMMAND ${WMREPORT} ${VIEW} ${MANIFEST}
-    RESULT_VARIABLE view_rc
-    OUTPUT_VARIABLE view_out
-    ERROR_VARIABLE view_err)
-if(NOT view_rc EQUAL 0)
-    message(FATAL_ERROR
-            "wmreport ${VIEW} failed (rc=${view_rc}):\n${view_err}")
+if(VIEW STREQUAL "--trace-out")
+    file(READ ${TRACE} view_out)
+else()
+    execute_process(
+        COMMAND ${WMREPORT} ${VIEW} ${MANIFEST}
+        RESULT_VARIABLE view_rc
+        OUTPUT_VARIABLE view_out
+        ERROR_VARIABLE view_err)
+    if(NOT view_rc EQUAL 0)
+        message(FATAL_ERROR
+                "wmreport ${VIEW} failed (rc=${view_rc}):\n${view_err}")
+    endif()
 endif()
 
 if(UPDATE)
@@ -55,9 +68,9 @@ if(NOT view_out STREQUAL want)
     execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
                             ${GOLDEN} ${GOT})
     message(FATAL_ERROR
-            "wmreport ${VIEW} output differs from ${GOLDEN}\n"
+            "${VIEW} output differs from ${GOLDEN}\n"
             "--- got (${GOT}):\n${view_out}\n"
             "--- want:\n${want}\n"
             "If the change is intentional, regenerate with -DUPDATE=1.")
 endif()
-message(STATUS "golden ok: wmreport ${VIEW} matches ${GOLDEN}")
+message(STATUS "golden ok: ${VIEW} matches ${GOLDEN}")
