@@ -1,7 +1,6 @@
 #include "cfg/dominators.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "support/diag.h"
 
@@ -13,19 +12,25 @@ DominatorTree::DominatorTree(rtl::Function &fn)
 {
     Block *entry = fn.entry();
     WS_ASSERT(entry, "dominators of empty function");
+    auto id = [](const Block *b) { return static_cast<size_t>(b->id()); };
+    size_t ids = static_cast<size_t>(fn.blockIdBound());
+    idom_.assign(ids, nullptr);
+    rpoNum_.assign(ids, -1);
 
-    // Depth-first post-order, then reverse.
-    std::unordered_set<const Block *> visited;
+    // Depth-first post-order, then reverse. rpoNum_ marks visits
+    // until the numbering below overwrites it.
     std::vector<Block *> post;
     std::vector<std::pair<Block *, size_t>> stack;
     stack.emplace_back(entry, 0);
-    visited.insert(entry);
+    rpoNum_[id(entry)] = 0;
     while (!stack.empty()) {
         auto &[b, i] = stack.back();
         if (i < b->succs.size()) {
             Block *s = b->succs[i++];
-            if (visited.insert(s).second)
+            if (rpoNum_[id(s)] < 0) {
+                rpoNum_[id(s)] = 0;
                 stack.emplace_back(s, 0);
+            }
         } else {
             post.push_back(b);
             stack.pop_back();
@@ -33,16 +38,16 @@ DominatorTree::DominatorTree(rtl::Function &fn)
     }
     rpo_.assign(post.rbegin(), post.rend());
     for (size_t i = 0; i < rpo_.size(); ++i)
-        rpoNum_[rpo_[i]] = static_cast<int>(i);
+        rpoNum_[id(rpo_[i])] = static_cast<int>(i);
 
     // Cooper-Harvey-Kennedy iteration.
-    idom_[entry] = entry;
+    idom_[id(entry)] = entry;
     auto intersect = [&](Block *a, Block *b) {
         while (a != b) {
-            while (rpoNum_.at(a) > rpoNum_.at(b))
-                a = idom_.at(a);
-            while (rpoNum_.at(b) > rpoNum_.at(a))
-                b = idom_.at(b);
+            while (rpoNum_[id(a)] > rpoNum_[id(b)])
+                a = idom_[id(a)];
+            while (rpoNum_[id(b)] > rpoNum_[id(a)])
+                b = idom_[id(b)];
         }
         return a;
     };
@@ -55,12 +60,12 @@ DominatorTree::DominatorTree(rtl::Function &fn)
                 continue;
             Block *newIdom = nullptr;
             for (Block *p : b->preds) {
-                if (!rpoNum_.count(p) || !idom_.count(p))
+                if (rpoNum_[id(p)] < 0 || !idom_[id(p)])
                     continue; // unreachable or not yet processed
                 newIdom = newIdom ? intersect(newIdom, p) : p;
             }
-            if (newIdom && (!idom_.count(b) || idom_[b] != newIdom)) {
-                idom_[b] = newIdom;
+            if (newIdom && idom_[id(b)] != newIdom) {
+                idom_[id(b)] = newIdom;
                 changed = true;
             }
         }
@@ -70,10 +75,10 @@ DominatorTree::DominatorTree(rtl::Function &fn)
 Block *
 DominatorTree::idom(const Block *b) const
 {
-    auto it = idom_.find(b);
-    if (it == idom_.end())
+    size_t i = static_cast<size_t>(b->id());
+    if (i >= idom_.size() || idom_[i] == b)
         return nullptr;
-    return it->second == b ? nullptr : it->second;
+    return idom_[i];
 }
 
 bool
@@ -83,10 +88,10 @@ DominatorTree::dominates(const Block *a, const Block *b) const
     for (;;) {
         if (x == a)
             return true;
-        auto it = idom_.find(x);
-        if (it == idom_.end() || it->second == x)
+        size_t i = static_cast<size_t>(x->id());
+        if (i >= idom_.size() || !idom_[i] || idom_[i] == x)
             return false;
-        x = it->second;
+        x = idom_[i];
     }
 }
 

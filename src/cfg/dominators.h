@@ -13,7 +13,6 @@
 #ifndef WMSTREAM_CFG_DOMINATORS_H
 #define WMSTREAM_CFG_DOMINATORS_H
 
-#include <unordered_map>
 #include <vector>
 
 #include "rtl/inst.h"
@@ -40,8 +39,11 @@ class DominatorTree
     }
 
   private:
-    std::unordered_map<const rtl::Block *, rtl::Block *> idom_;
-    std::unordered_map<const rtl::Block *, int> rpoNum_;
+    /** Indexed by block id; null for blocks not reached from the entry
+     *  (or created after the tree), the entry its own. */
+    std::vector<rtl::Block *> idom_;
+    /** Reverse post-order number by block id; -1 when not reached. */
+    std::vector<int> rpoNum_;
     std::vector<rtl::Block *> rpo_;
 };
 

@@ -81,4 +81,39 @@ Liveness::liveAfter(const rtl::Block *b, size_t idx, const RegKey &key) const
     return liveOut(b, key);
 }
 
+bool
+liveOnEntry(const rtl::Function &fn, const std::vector<rtl::Block *> &from,
+            const RegKey &key, const rtl::MachineTraits &traits)
+{
+    if (isZeroReg(key, traits))
+        return false;
+    std::vector<uint8_t> seen(static_cast<size_t>(fn.blockIdBound()), 0);
+    std::vector<const rtl::Block *> work;
+    auto reach = [&](const rtl::Block *b) {
+        if (!seen[static_cast<size_t>(b->id())]) {
+            seen[static_cast<size_t>(b->id())] = 1;
+            work.push_back(b);
+        }
+    };
+    for (const rtl::Block *b : from)
+        reach(b);
+    while (!work.empty()) {
+        const rtl::Block *b = work.back();
+        work.pop_back();
+        bool killed = false;
+        for (const Inst &inst : b->insts) {
+            if (readsKey(inst, key))
+                return true;
+            if (writesKey(inst, traits, key)) {
+                killed = true;
+                break;
+            }
+        }
+        if (!killed)
+            for (const rtl::Block *s : b->succs)
+                reach(s);
+    }
+    return false;
+}
+
 } // namespace wmstream::cfg

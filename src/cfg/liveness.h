@@ -104,6 +104,17 @@ class Liveness
     std::unique_ptr<dataflow::BitsetSolver> solver_;
 };
 
+/**
+ * True if @p key is live on entry to some block of @p from: a path
+ * from its top reads @p key before anything writes it. This is
+ * Liveness::liveIn for one key, found by a forward walk that stops at
+ * the key's definitions, so it costs the blocks it reaches rather than
+ * a whole-function solve. The CFG edges must be current.
+ */
+bool liveOnEntry(const rtl::Function &fn,
+                 const std::vector<rtl::Block *> &from, const RegKey &key,
+                 const rtl::MachineTraits &traits);
+
 } // namespace wmstream::cfg
 
 #endif // WMSTREAM_CFG_LIVENESS_H

@@ -109,15 +109,17 @@ ensurePreheader(rtl::Function &fn, Loop &loop)
         return outPred;
     }
 
+    auto &blocks = fn.blocks();
+    size_t hIdx = 0;
+    while (blocks[hIdx].get() != header)
+        ++hIdx;
+
     // Layout-predecessor handling: if the block laid out just before the
     // header falls through into it and is *inside* the loop, give it an
     // explicit jump (via a stub block) so the new preheader does not
-    // capture the back edge.
-    auto &blocks = fn.blocks();
-    size_t hIdx = 0;
-    for (size_t i = 0; i < blocks.size(); ++i)
-        if (blocks[i].get() == header)
-            hIdx = i;
+    // capture the back edge. The stub stays on the back edge: its jump
+    // is not retargeted below.
+    Block *stub = nullptr;
     if (hIdx > 0) {
         Block *prev = blocks[hIdx - 1].get();
         bool fallsThrough = true;
@@ -126,50 +128,112 @@ ensurePreheader(rtl::Function &fn, Loop &loop)
                            t->kind != InstKind::Return;
         if (fallsThrough && loop.contains(prev)) {
             if (!prev->terminator()) {
+                // The fallthrough edge becomes a jump edge: same edges.
                 prev->insts.push_back(rtl::makeJump(header->label()));
             } else {
-                // Conditional fallthrough: route it through a stub.
-                Block *stub = fn.insertBlockBefore(header);
+                // Conditional fallthrough: route it through a stub. The
+                // fallthrough edge is prev's last successor edge and
+                // its last entry among the header's predecessors.
+                stub = fn.insertBlockBefore(header);
                 stub->insts.push_back(rtl::makeJump(header->label()));
                 ++hIdx;
+                prev->succs.back() = stub;
+                stub->preds.push_back(prev);
+                stub->succs.push_back(header);
+                *std::find(header->preds.rbegin(), header->preds.rend(),
+                           prev) = stub;
             }
         }
     }
 
     Block *pre = fn.insertBlockBefore(header);
 
-    // Redirect out-of-loop branches aimed at the header.
-    for (auto &bp : fn.blocks()) {
-        Block *b = bp.get();
-        if (b == pre || loop.contains(b))
+    // Every edge into the header from outside the loop now enters the
+    // preheader: a branch is retargeted, and the fallthrough from the
+    // block laid out before the header now falls into the preheader.
+    std::vector<Block *> inside;
+    for (Block *p : header->preds) {
+        if (loop.contains(p) || p == stub) {
+            inside.push_back(p);
             continue;
-        for (auto &inst : b->insts)
-            if (inst.isBranch() && inst.target == header->label())
-                inst.target = pre->label();
+        }
+        *std::find(p->succs.begin(), p->succs.end(), header) = pre;
+        pre->preds.push_back(p);
+        if (Inst *t = p->terminator();
+                t && t->isBranch() && t->target == header->label())
+            t->target = pre->label();
     }
-
-    fn.recomputeCfg();
+    // The header lists its sources in layout order; the preheader sits
+    // right before it, after every block laid out before the header.
+    size_t before = 0;
+    for (size_t i = 0; i < hIdx; ++i)
+        before += static_cast<size_t>(
+            std::count(inside.begin(), inside.end(), blocks[i].get()));
+    inside.insert(inside.begin() + static_cast<ptrdiff_t>(before), pre);
+    header->preds = std::move(inside);
+    pre->succs.push_back(header);
+#ifndef NDEBUG
+    WS_ASSERT(fn.cfgIsCurrent(), "preheader insertion left stale edges");
+#endif
     return pre;
 }
 
+namespace {
+
+/** Re-scan the blocks a visit of @p loop may have edited. */
 void
-forEachLoop(rtl::Function &fn, bool innermostOnly, const LoopVisitor &visit)
+rescanFootprint(DefUseTable &table, const Loop &loop)
+{
+    std::vector<Block *> outside;
+    auto once = [&](Block *b) {
+        if (std::find(outside.begin(), outside.end(), b) == outside.end()) {
+            outside.push_back(b);
+            table.rescan(b);
+        }
+    };
+    for (Block *b : loop.blocks)
+        table.rescan(b);
+    for (Block *p : loop.header->preds)
+        if (!loop.contains(p))
+            once(p);
+    for (Block *b : loop.blocks)
+        for (Block *s : b->succs)
+            if (!loop.contains(s))
+                once(s);
+}
+
+} // anonymous namespace
+
+void
+forEachLoop(rtl::Function &fn, const rtl::MachineTraits &traits,
+            bool innermostOnly, const LoopVisitor &visit)
 {
     fn.recomputeCfg();
     DominatorTree dt(fn);
     LoopInfo li(fn, dt);
+    DefUseTable table(fn, traits);
     std::vector<Block *> order;
     for (const Loop &loop : li.loops())
         if (!innermostOnly || li.isInnermost(loop))
             order.push_back(loop.header);
     for (Block *header : order) {
-        for (bool again = true; again;) {
+        for (LoopVisit v = LoopVisit::Again; v == LoopVisit::Again;) {
             Loop *loop = li.find(header);
             WS_ASSERT(loop, "loop sweep lost a loop header");
             size_t blocks = fn.blocks().size();
-            again = visit(*loop, dt);
+            v = visit(*loop, dt, table);
+            if (v == LoopVisit::Unchanged) {
+                WS_ASSERT(fn.blocks().size() == blocks,
+                          "an unchanged loop visit added blocks");
+                continue;
+            }
+            rescanFootprint(table, *loop);
+#ifndef NDEBUG
+            WS_ASSERT(fn.cfgIsCurrent(), "a loop visit left stale edges");
+            WS_ASSERT(table.matchesFunction(),
+                      "def/use table out of date after a loop visit");
+#endif
             if (fn.blocks().size() != blocks) {
-                fn.recomputeCfg();
                 dt = DominatorTree(fn);
                 li = LoopInfo(fn, dt);
             }

@@ -12,25 +12,27 @@
 #ifndef WMSTREAM_CFG_LOOPS_H
 #define WMSTREAM_CFG_LOOPS_H
 
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
+#include "cfg/defuse.h"
 #include "cfg/dominators.h"
 #include "rtl/inst.h"
+#include "rtl/machine.h"
 
 namespace wmstream::cfg {
 
 /**
  * Set of blocks with deterministic (insertion-order) iteration.
  *
- * Passes iterate loop blocks and emit code in that order; a plain
- * unordered_set of pointers would make the iteration order depend on
- * heap addresses, so two compiles of the same source in one process
- * could produce differently-ordered (but equivalent) output. The
- * vector preserves the discovery order, which is a pure function of
- * the CFG; the hash set keeps membership tests O(1).
+ * Passes iterate loop blocks and emit code in that order; a set keyed
+ * by block address would make the iteration order depend on heap
+ * addresses, so two compiles of the same source in one process could
+ * produce differently-ordered (but equivalent) output. The vector
+ * preserves the discovery order, which is a pure function of the CFG;
+ * a bit per block id keeps membership tests O(1).
  */
 class BlockSet
 {
@@ -38,14 +40,19 @@ class BlockSet
     /** Insert @p b; returns true when it was not already present. */
     bool insert(rtl::Block *b)
     {
-        if (!set_.insert(b).second)
+        auto id = static_cast<size_t>(b->id());
+        if (id >= bits_.size())
+            bits_.resize(id + 1, 0);
+        if (bits_[id])
             return false;
+        bits_[id] = 1;
         vec_.push_back(b);
         return true;
     }
     size_t count(const rtl::Block *b) const
     {
-        return set_.count(const_cast<rtl::Block *>(b));
+        auto id = static_cast<size_t>(b->id());
+        return id < bits_.size() ? bits_[id] : 0;
     }
     size_t size() const { return vec_.size(); }
     bool empty() const { return vec_.empty(); }
@@ -60,7 +67,7 @@ class BlockSet
 
   private:
     std::vector<rtl::Block *> vec_;
-    std::unordered_set<rtl::Block *> set_;
+    std::vector<uint8_t> bits_;
 };
 
 /** One natural loop. */
@@ -102,31 +109,54 @@ class LoopInfo
 
 /**
  * Return the preheader of @p loop: the unique out-of-loop predecessor
- * of the header whose only successor is the header. Creates one (and
- * fixes up CFG edges) when it does not exist.
+ * of the header whose only successor is the header. Creates one when
+ * it does not exist, and then updates the CFG edges of the blocks it
+ * touches itself (the header, its predecessors, the new block and a
+ * stub), in the order Function::recomputeCfg would give them. The
+ * CFG edges must be current on entry.
  */
 rtl::Block *ensurePreheader(rtl::Function &fn, Loop &loop);
 
+/** What a loop visit did to the code. */
+enum class LoopVisit : uint8_t
+{
+    Unchanged, ///< nothing
+    Changed,   ///< edited its footprint; the loop is done
+    Again,     ///< edited its footprint; visit the loop again
+};
+
 /**
- * Visit a loop; return true if it changed the loop and wants to visit
- * it again.
+ * Visit a loop, with the sweep's dominator tree and def/use table.
+ *
+ * The footprint contract (DESIGN §17): a visit may edit the
+ * instructions of the loop's blocks, of its preheader and of its exit
+ * targets, create a preheader or stub with ensurePreheader, and
+ * retarget branches; it keeps the CFG edges current and deletes no
+ * block. The table is current when the visit starts; the sites it
+ * gives in a block the visit has edited are stale.
  */
-using LoopVisitor = std::function<bool(Loop &, const DominatorTree &)>;
+using LoopVisitor = std::function<LoopVisit(Loop &, const DominatorTree &,
+                                            const DefUseTable &)>;
 
 /**
  * The loop-pass driver: one sweep over the loops of @p fn, innermost
  * first (innermost loops only when @p innermostOnly), in the order of
  * the LoopInfo built on entry. Each loop is visited until @p visit
- * returns false.
+ * stops returning LoopVisit::Again.
  *
- * The analyses are built once and rebuilt only when a visit adds
- * blocks (a new preheader or stub); the loop is then found again by
- * its header. Reuse is sound because a visit deletes no block and
- * keeps its loop's edges, and a new block only splits an edge, which
- * leaves dominance between the existing blocks unchanged.
+ * The analyses are built once. After a visit that changed code the
+ * def/use table re-scans only the visit's footprint: the loop's
+ * blocks, the header's out-of-loop predecessors (the preheader) and
+ * the loop's exit targets. The dominator tree and loops are rebuilt
+ * only when a visit adds blocks (a new preheader or stub); the loop is
+ * then found again by its header. Reuse is sound because a visit
+ * deletes no block and keeps its loop's edges, and a new block only
+ * splits an edge, which leaves dominance between the existing blocks
+ * unchanged. Builds without NDEBUG check the table and the edges
+ * against fresh ones after every changed visit.
  */
-void forEachLoop(rtl::Function &fn, bool innermostOnly,
-                 const LoopVisitor &visit);
+void forEachLoop(rtl::Function &fn, const rtl::MachineTraits &traits,
+                 bool innermostOnly, const LoopVisitor &visit);
 
 } // namespace wmstream::cfg
 

@@ -14,6 +14,7 @@
 #ifndef WMSTREAM_CFG_REGKEY_H
 #define WMSTREAM_CFG_REGKEY_H
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <vector>
@@ -143,6 +144,22 @@ class RegKeyTable
         if (i >= v.size())
             v.resize(i + 1, absent_);
         return v[i];
+    }
+
+    /** True if every key reads the same in both tables. */
+    bool operator==(const RegKeyTable &o) const
+    {
+        for (size_t f = 0; f < files_.size(); ++f) {
+            const std::vector<T> &a = files_[f];
+            const std::vector<T> &b = o.files_[f];
+            for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+                const T &x = i < a.size() ? a[i] : absent_;
+                const T &y = i < b.size() ? b[i] : o.absent_;
+                if (!(x == y))
+                    return false;
+            }
+        }
+        return true;
     }
 
   private:

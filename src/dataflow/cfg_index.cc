@@ -5,8 +5,10 @@ namespace wmstream::dataflow {
 CfgIndex::CfgIndex(rtl::Function &fn)
 {
     blocks_.reserve(fn.blocks().size());
+    indexMap_.assign(static_cast<size_t>(fn.blockIdBound()), -1);
     for (auto &b : fn.blocks()) {
-        indexMap_.emplace(b.get(), blocks_.size());
+        indexMap_[static_cast<size_t>(b->id())] =
+            static_cast<int>(blocks_.size());
         blocks_.push_back(b.get());
     }
     size_t n = blocks_.size();
@@ -15,10 +17,10 @@ CfgIndex::CfgIndex(rtl::Function &fn)
     for (size_t i = 0; i < n; ++i) {
         succs_[i].reserve(blocks_[i]->succs.size());
         for (rtl::Block *s : blocks_[i]->succs)
-            succs_[i].push_back(indexMap_.at(s));
+            succs_[i].push_back(indexOf(s));
         preds_[i].reserve(blocks_[i]->preds.size());
         for (rtl::Block *p : blocks_[i]->preds)
-            preds_[i].push_back(indexMap_.at(p));
+            preds_[i].push_back(indexOf(p));
     }
 
     // Iterative DFS post-order from entry. A "visited" mark per block

@@ -16,10 +16,10 @@
 #define WMSTREAM_DATAFLOW_CFG_INDEX_H
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "rtl/inst.h"
+#include "support/diag.h"
 
 namespace wmstream::dataflow {
 
@@ -34,11 +34,13 @@ class CfgIndex
      *  numbered (layout order covers every block). */
     size_t indexOf(const rtl::Block *b) const
     {
-        return indexMap_.at(b);
+        WS_ASSERT(contains(b), "block not in the CFG index");
+        return static_cast<size_t>(indexMap_[static_cast<size_t>(b->id())]);
     }
     bool contains(const rtl::Block *b) const
     {
-        return indexMap_.count(b) != 0;
+        size_t id = static_cast<size_t>(b->id());
+        return id < indexMap_.size() && indexMap_[id] >= 0;
     }
 
     const std::vector<size_t> &succs(size_t i) const { return succs_[i]; }
@@ -53,7 +55,8 @@ class CfgIndex
 
   private:
     std::vector<rtl::Block *> blocks_;
-    std::unordered_map<const rtl::Block *, size_t> indexMap_;
+    /** Layout index by block id; -1 for ids not in the function. */
+    std::vector<int> indexMap_;
     std::vector<std::vector<size_t>> succs_;
     std::vector<std::vector<size_t>> preds_;
     std::vector<size_t> rpo_;

@@ -68,6 +68,33 @@ countInsts(const rtl::Program &prog)
     return n;
 }
 
+rtl::WorkCounts
+totalWork(const rtl::Program &prog)
+{
+    rtl::WorkCounts w;
+    for (const auto &fp : prog.functions()) {
+        w.cfgRecomputes += fp->work.cfgRecomputes;
+        w.defUseBuilds += fp->work.defUseBuilds;
+        w.defUseBlockRescans += fp->work.defUseBlockRescans;
+    }
+    return w;
+}
+
+/** Report the analysis work pass @p pass did as its counters. */
+void
+addWorkCounters(obs::PassProfiler &prof, const std::string &pass,
+                const rtl::WorkCounts &before, const rtl::WorkCounts &after)
+{
+    auto add = [&](const char *key, int64_t delta) {
+        if (delta)
+            prof.addCounter(pass, key, delta);
+    };
+    add("cfg_recomputes", after.cfgRecomputes - before.cfgRecomputes);
+    add("defuse_builds", after.defUseBuilds - before.defUseBuilds);
+    add("defuse_block_rescans",
+        after.defUseBlockRescans - before.defUseBlockRescans);
+}
+
 /** First stamped source position in the loop (header first). */
 SourcePos
 loopPos(const cfg::Loop &loop)
@@ -188,6 +215,8 @@ compile(const CompileRequest &req)
             expand::expandUnit(*unit, res.traits, *res.program,
                                &res.remarks);
         });
+    addWorkCounters(prof, "expand", {}, totalWork(*res.program));
+    unit.reset(); // the passes read only the RTL
     checkpoint();
     if (options.injectPanicTu)
         WS_PANIC("injected panic (batch-isolation self-test)");
@@ -234,6 +263,18 @@ compile(const CompileRequest &req)
                                             res.program.get()));
     };
     constexpr auto kPostOpt = verify::Stage::PostOpt;
+    // A pass that reports no change leaves the IR that the PostOpt
+    // checkpoint before it saw, so its own checkpoint is skipped (and
+    // counted); the cancellation checkpoint still runs.
+    auto verifyIfChanged = [&](rtl::Function &fn, const char *passName,
+                               bool changed) {
+        if (changed || options.verify != VerifyMode::Each) {
+            verifyAfter(fn, passName, kPostOpt);
+            return;
+        }
+        checkpoint();
+        ++res.verifySkipped;
+    };
     // A cleanup that stopped at its round cap while still changing
     // code is made loud: a missed remark, which wmfuzz counts as a
     // divergence.
@@ -261,13 +302,18 @@ compile(const CompileRequest &req)
 
     for (auto &fn : res.program->functions()) {
         auto insts = [&] { return countInsts(*fn); };
+        auto measure = [&](const char *label, auto &&body) {
+            rtl::WorkCounts before = fn->work;
+            prof.measure(label, insts, body);
+            addWorkCounters(prof, label, before, fn->work);
+        };
 
         // The one cleanup rule: the cleanup fixpoint runs again after
         // a pass only when that pass changed code. Otherwise the
         // function is still at the last cleanup's fixpoint.
         auto cleanupAfter = [&](const char *label) {
             bool converged = true;
-            prof.measure(label, insts, [&] {
+            measure(label, [&] {
                 converged = opt::runCleanup(*fn, res.traits).converged;
             });
             noteCleanup(*fn, converged, label);
@@ -276,21 +322,20 @@ compile(const CompileRequest &req)
 
         if (options.optimize) {
             bool converged = true;
-            prof.measure("cleanup", insts, [&] {
+            measure("cleanup", [&] {
                 converged = opt::runCleanupPipeline(*fn, res.traits,
                                                     res.program.get());
             });
             noteCleanup(*fn, converged, "cleanup");
             verifyAfter(*fn, "cleanup", kPostOpt);
         } else {
-            prof.measure("legalize", insts, [&] {
-                opt::runLegalize(*fn, res.traits);
-            });
+            measure("legalize",
+                    [&] { opt::runLegalize(*fn, res.traits); });
             verifyAfter(*fn, "legalize", kPostOpt);
         }
 
         if (options.recurrence) {
-            prof.measure("recurrence", insts, [&] {
+            measure("recurrence", [&] {
                 res.recurrenceReports.push_back(
                     recurrence::runRecurrenceOpt(
                         *fn, res.traits, options.maxRecurrenceDegree,
@@ -304,7 +349,8 @@ compile(const CompileRequest &req)
                             rr.recurrencesOptimized);
             prof.addCounter("recurrence", "loads_deleted",
                             rr.loadsDeleted);
-            verifyAfter(*fn, "recurrence", kPostOpt);
+            verifyIfChanged(*fn, "recurrence",
+                            rr.recurrencesOptimized > 0);
             // The chain shape only exists right after the pass: copy
             // propagation legitimately dissolves it, so legality is
             // checked here regardless of mode (the check is cheap and
@@ -320,7 +366,7 @@ compile(const CompileRequest &req)
         }
 
         if (options.streaming && res.traits.hasStreams) {
-            prof.measure("streaming", insts, [&] {
+            measure("streaming", [&] {
                 res.streamingReports.push_back(streaming::runStreaming(
                     *fn, res.traits, options.minStreamTripCount,
                     &res.remarks, options.injectStreamCountBug,
@@ -333,49 +379,51 @@ compile(const CompileRequest &req)
                             sr.loopsStreamed);
             prof.addCounter("streaming", "streams_in", sr.streamsIn);
             prof.addCounter("streaming", "streams_out", sr.streamsOut);
-            verifyAfter(*fn, "streaming", kPostOpt);
+            verifyIfChanged(*fn, "streaming", sr.loopsStreamed > 0);
             if (options.optimize && sr.loopsStreamed > 0)
                 cleanupAfter("streaming-cleanup");
             // Vectorization recognizes the post-cleanup single-
             // instruction loop bodies.
             if (options.vectorize) {
-                prof.measure("vectorize", insts, [&] {
+                measure("vectorize", [&] {
                     res.vectorizeReports.push_back(
                         streaming::runVectorize(*fn, res.traits));
                 });
-                prof.addCounter(
-                    "vectorize", "loops_vectorized",
-                    res.vectorizeReports.back().loopsVectorized);
-                verifyAfter(*fn, "vectorize", kPostOpt);
+                int vectorized = res.vectorizeReports.back().loopsVectorized;
+                prof.addCounter("vectorize", "loops_vectorized", vectorized);
+                verifyIfChanged(*fn, "vectorize", vectorized > 0);
             }
         }
 
         if (res.traits.isWM() && options.optimize) {
-            prof.measure("branch-anticipate", insts, [&] {
-                opt::runBranchAnticipate(*fn, res.traits);
+            int moved = 0;
+            measure("branch-anticipate", [&] {
+                moved = opt::runBranchAnticipate(*fn, res.traits);
             });
-            verifyAfter(*fn, "branch-anticipate", kPostOpt);
+            verifyIfChanged(*fn, "branch-anticipate", moved > 0);
         }
 
         if (options.strengthReduce && !res.traits.isWM()) {
             int rewritten = 0;
-            prof.measure("strength-reduce", insts, [&] {
+            measure("strength-reduce", [&] {
                 rewritten = opt::runStrengthReduce(*fn, res.traits);
             });
-            verifyAfter(*fn, "strength-reduce", kPostOpt);
+            verifyIfChanged(*fn, "strength-reduce", rewritten > 0);
             if (options.optimize && rewritten > 0)
                 cleanupAfter("strength-cleanup");
         }
 
-        prof.measure("regalloc", insts,
-                     [&] { opt::runRegAlloc(*fn, res.traits); });
+        measure("regalloc", [&] { opt::runRegAlloc(*fn, res.traits); });
         verifyAfter(*fn, "regalloc", verify::Stage::PostRegalloc);
     }
 
     if (res.traits.isWM() && options.lowerFifo) {
+        rtl::WorkCounts before = totalWork(*res.program);
         prof.measure(
             "lower-fifo", [&] { return countInsts(*res.program); },
             [&] { wm::lowerProgram(*res.program, res.traits); });
+        addWorkCounters(prof, "lower-fifo", before,
+                        totalWork(*res.program));
         checkpoint();
     }
 

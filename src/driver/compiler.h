@@ -183,6 +183,12 @@ struct CompileResult
     std::vector<verify::VerifyReport> verifyReports;
     int verifyCheckpoints = 0; ///< checkpoints run (clean included)
     /**
+     * Each-mode checkpoints skipped because the pass before them
+     * reported no change (recurrence, streaming, vectorize,
+     * branch-anticipate, strength-reduce).
+     */
+    int verifySkipped = 0;
+    /**
      * Whole-program FIFO verdict (CompileOptions::inferFifoDepth):
      * deadlock-freedom and per-queue minimal depths. `analyzed` is
      * false when the analysis did not run (option off, scalar

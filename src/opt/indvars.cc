@@ -35,31 +35,29 @@ LinForm::deeStr() const
 
 IndVarAnalysis::IndVarAnalysis(rtl::Function &fn, cfg::Loop &loop,
                                const cfg::DominatorTree &dt,
+                               const cfg::DefUseTable &defUse,
                                const rtl::MachineTraits &traits)
-    : fn_(fn), loop_(loop), dt_(dt), traits_(traits)
+    : fn_(fn), loop_(loop), dt_(dt), defUse_(defUse), traits_(traits)
 {
-    collectDefs();
+    collectLoopDefs();
     findBasicIVs();
 }
 
 void
-IndVarAnalysis::collectDefs()
+IndVarAnalysis::collectLoopDefs()
 {
+    // Walk the block list rather than the loop's set: only the
+    // instructions of the loop's blocks are read, in layout order.
     for (auto &bp : fn_.blocks()) {
         rtl::Block *b = bp.get();
-        bool inLoop = loop_.contains(b);
+        if (!loop_.contains(b))
+            continue;
         for (size_t i = 0; i < b->insts.size(); ++i) {
             cfg::forEachDef(b->insts[i], traits_, [&](const RegKey &k) {
-                auto &all = allDefs_.at(k);
-                all.block = b;
-                all.index = i;
-                ++all.count;
-                if (inLoop) {
-                    auto &ld = loopDefs_[k];
-                    ld.block = b;
-                    ld.index = i;
-                    ++ld.count;
-                }
+                auto &ld = loopDefs_[k];
+                ld.block = b;
+                ld.index = i;
+                ++ld.count;
             });
         }
     }
@@ -141,19 +139,6 @@ IndVarAnalysis::isInvariant(const ExprPtr &e) const
         }
     });
     return inv;
-}
-
-const Inst *
-IndVarAnalysis::uniqueDef(const RegKey &key, InstPoint *where) const
-{
-    DefSite site = allDefs_.get(key);
-    if (site.count != 1)
-        return nullptr;
-    if (where) {
-        where->block = site.block;
-        where->index = site.index;
-    }
-    return &site.block->insts[site.index];
 }
 
 bool
@@ -241,9 +226,9 @@ IndVarAnalysis::resolveInvariantReg(const ExprPtr &reg) const
     ExprPtr cur = reg;
     int64_t extra = 0;
     for (int depth = 0; depth < 16; ++depth) {
-        RegKey key{cur->regFile(), cur->regIndex()};
-        InstPoint where;
-        const Inst *def = uniqueDef(key, &where);
+        cfg::Site where = defUse_.uniqueDef({cur->regFile(), cur->regIndex()});
+        const Inst *def =
+            where.block ? &where.block->insts[where.index] : nullptr;
         if (!def || def->kind != InstKind::Assign ||
                 !dt_.dominates(where.block, loop_.header) ||
                 loop_.contains(where.block)) {
@@ -340,9 +325,8 @@ IndVarAnalysis::linearize(const ExprPtr &e, const BasicIV &iv,
             return resolveInvariantReg(e);
 
         // Defined inside the loop: chase a unique in-loop definition.
-        RegKey key{e->regFile(), e->regIndex()};
-        DefSite site = allDefs_.get(key);
-        if (site.count != 1)
+        cfg::Site site = defUse_.uniqueDef({e->regFile(), e->regIndex()});
+        if (!site.block)
             return invalid;
         InstPoint where{site.block, site.index};
         const Inst &def = where.block->insts[where.index];

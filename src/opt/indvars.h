@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cfg/defuse.h"
 #include "cfg/dominators.h"
 #include "cfg/liveness.h"
 #include "cfg/loops.h"
@@ -70,14 +71,17 @@ struct InstPoint
 /**
  * Induction-variable analysis for one loop.
  *
- * Construct once per loop (after the CFG and dominator tree are
- * current); then query basic IVs and linearize address expressions.
+ * Construct once per loop (after the CFG, dominator tree and def/use
+ * table are current); then query basic IVs and linearize address
+ * expressions. Whole-function def questions go to @p defUse; only the
+ * loop's own defs are collected here.
  */
 class IndVarAnalysis
 {
   public:
     IndVarAnalysis(rtl::Function &fn, cfg::Loop &loop,
                    const cfg::DominatorTree &dt,
+                   const cfg::DefUseTable &defUse,
                    const rtl::MachineTraits &traits);
 
     const std::vector<BasicIV> &basicIVs() const { return ivs_; }
@@ -115,12 +119,8 @@ class IndVarAnalysis
         int count = 0;
     };
 
-    void collectDefs();
+    void collectLoopDefs();
     void findBasicIVs();
-
-    /** Unique textual definition of a register in the whole function. */
-    const rtl::Inst *uniqueDef(const cfg::RegKey &key,
-                               InstPoint *where = nullptr) const;
 
     /** True if the IV increment executes before @p at in an iteration. */
     bool incrementedBefore(const BasicIV &iv, InstPoint at) const;
@@ -131,12 +131,14 @@ class IndVarAnalysis
     rtl::Function &fn_;
     cfg::Loop &loop_;
     const cfg::DominatorTree &dt_;
+    const cfg::DefUseTable &defUse_;
     const rtl::MachineTraits traits_;
 
-    /** Defs inside the loop; findBasicIVs visits them in map order. */
+    /**
+     * Defs inside the loop; findBasicIVs visits them in map order,
+     * which depends on the insertion order: layout order.
+     */
     std::unordered_map<cfg::RegKey, DefSite, cfg::RegKeyHash> loopDefs_;
-    /** Defs in the whole function; count 0 means none. */
-    cfg::RegKeyTable<DefSite> allDefs_;
     std::vector<BasicIV> ivs_;
 };
 

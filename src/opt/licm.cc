@@ -41,7 +41,7 @@ hasTrapOrFifo(const ExprPtr &e)
  * feeds the address.
  */
 void
-collectBaseSyms(rtl::Function &fn, const ExprPtr &e,
+collectBaseSyms(const cfg::DefUseTable &du, const ExprPtr &e,
                 std::unordered_set<std::string> *syms, bool *unknown,
                 int depth = 0)
 {
@@ -61,30 +61,24 @@ collectBaseSyms(rtl::Function &fn, const ExprPtr &e,
                 e->regIndex() >= 30) {
             return; // SP/zero never address globals of interest
         }
-        // Unique textual definition?
-        const Inst *def = nullptr;
-        int count = 0;
-        for (auto &bp : fn.blocks())
-            for (auto &inst : bp->insts)
-                if (auto d = rtl::instDef(inst))
-                    if (d->isReg(e->regFile(), e->regIndex())) {
-                        ++count;
-                        def = &inst;
-                    }
-        if (count != 1 || def->kind != InstKind::Assign) {
+        // Unique definition?
+        cfg::Site def = du.uniqueDef({e->regFile(), e->regIndex()});
+        if (!def.block ||
+                def.block->insts[def.index].kind != InstKind::Assign) {
             *unknown = true;
             return;
         }
-        collectBaseSyms(fn, def->src, syms, unknown, depth + 1);
+        collectBaseSyms(du, def.block->insts[def.index].src, syms, unknown,
+                        depth + 1);
         return;
       }
       case Expr::Kind::Bin:
-        collectBaseSyms(fn, e->lhs(), syms, unknown, depth + 1);
-        collectBaseSyms(fn, e->rhs(), syms, unknown, depth + 1);
+        collectBaseSyms(du, e->lhs(), syms, unknown, depth + 1);
+        collectBaseSyms(du, e->rhs(), syms, unknown, depth + 1);
         return;
       case Expr::Kind::Un:
       case Expr::Kind::Mem:
-        collectBaseSyms(fn, e->lhs(), syms, unknown, depth + 1);
+        collectBaseSyms(du, e->lhs(), syms, unknown, depth + 1);
         return;
     }
 }
@@ -107,20 +101,18 @@ moveToPreheader(rtl::Function &fn, cfg::Loop &loop,
     std::vector<Inst> moved;
     for (auto &[b, i] : order)
         moved.push_back(b->insts[i]);
-    // Delete from the loop blocks (per block, descending index).
-    for (auto &bp : fn.blocks()) {
-        rtl::Block *b = bp.get();
-        std::vector<size_t> del;
-        for (auto &[ob, oi] : order)
-            if (ob == b)
-                del.push_back(oi);
-        std::sort(del.rbegin(), del.rend());
-        for (size_t idx : del)
-            b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(idx));
-    }
+    // Delete from the loop blocks (per block, descending index). No
+    // branch moves, so the CFG edges stay as they are.
+    auto del = order;
+    std::sort(del.begin(), del.end(), [](const auto &x, const auto &y) {
+        if (x.first != y.first)
+            return x.first->id() < y.first->id();
+        return x.second > y.second;
+    });
+    for (auto &[b, i] : del)
+        b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(i));
     pre->insts.insert(pre->insts.begin() + static_cast<ptrdiff_t>(at),
                       moved.begin(), moved.end());
-    fn.recomputeCfg();
     return static_cast<int>(moved.size());
 }
 
@@ -130,9 +122,9 @@ moveToPreheader(rtl::Function &fn, cfg::Loop &loop,
  * direct symbol-addressed store, and we verify none targets it here.
  */
 int
-hoistLoads(rtl::Function &fn, cfg::Loop &loop, const rtl::Program &prog)
+hoistLoads(rtl::Function &fn, cfg::Loop &loop, const cfg::DefUseTable &du,
+           const rtl::MachineTraits &traits, const rtl::Program &prog)
 {
-    rtl::MachineTraits traits;
     // Registers defined in the loop (for invariance of addresses).
     cfg::RegKeyTable<uint8_t> loopDefs;
     bool hasCall = false;
@@ -151,15 +143,9 @@ hoistLoads(rtl::Function &fn, cfg::Loop &loop, const rtl::Program &prog)
         for (auto &inst : b->insts)
             if (inst.kind == InstKind::Store ||
                     inst.kind == InstKind::StreamOut) {
-                collectBaseSyms(fn, inst.addr, &storedSyms,
+                collectBaseSyms(du, inst.addr, &storedSyms,
                                 &storeUnknown);
             }
-
-    cfg::RegKeyTable<int> defCount;
-    for (auto &bp : fn.blocks())
-        for (auto &inst : bp->insts)
-            cfg::forEachDef(inst, traits,
-                            [&](const RegKey &k) { ++defCount.at(k); });
 
     std::vector<std::pair<rtl::Block *, size_t>> order;
     for (rtl::Block *b : loop.blocks) {
@@ -169,9 +155,10 @@ hoistLoads(rtl::Function &fn, cfg::Loop &loop, const rtl::Program &prog)
                 continue;
             if (!rtl::isVirtualFile(inst.dst->regFile()))
                 continue;
-            RegKey d{inst.dst->regFile(), inst.dst->regIndex()};
-            if (defCount.get(d) != 1)
+            if (du.defCount({inst.dst->regFile(), inst.dst->regIndex()}) !=
+                    1) {
                 continue;
+            }
             // Address must be invariant.
             bool invariant = true;
             rtl::forEachReg(inst.addr, [&](const Expr &r) {
@@ -184,7 +171,7 @@ hoistLoads(rtl::Function &fn, cfg::Loop &loop, const rtl::Program &prog)
             // store to it and no call in the loop.
             std::unordered_set<std::string> syms;
             bool unknown = false;
-            collectBaseSyms(fn, inst.addr, &syms, &unknown);
+            collectBaseSyms(du, inst.addr, &syms, &unknown);
             if (unknown || syms.size() != 1)
                 continue;
             const std::string &s = *syms.begin();
@@ -204,16 +191,9 @@ hoistLoads(rtl::Function &fn, cfg::Loop &loop, const rtl::Program &prog)
 
 /** Hoist every invariant computation out of @p loop. */
 int
-hoistLoop(rtl::Function &fn, cfg::Loop &loop)
+hoistLoop(rtl::Function &fn, cfg::Loop &loop, const cfg::DefUseTable &du,
+          const rtl::MachineTraits &traits)
 {
-    // Count defs per register (whole function, to prove single-def).
-    cfg::RegKeyTable<int> defCount;
-    rtl::MachineTraits traits; // clobber sets identical across targets
-    for (auto &bp : fn.blocks())
-        for (auto &inst : bp->insts)
-            cfg::forEachDef(inst, traits,
-                            [&](const RegKey &k) { ++defCount.at(k); });
-
     // Registers defined anywhere in the loop.
     cfg::RegKeyTable<uint8_t> loopDefs;
     for (rtl::Block *b : loop.blocks)
@@ -236,9 +216,11 @@ hoistLoop(rtl::Function &fn, cfg::Loop &loop)
                     continue;
                 if (!rtl::isVirtualFile(inst.dst->regFile()))
                     continue;
-                RegKey d{inst.dst->regFile(), inst.dst->regIndex()};
-                if (defCount.get(d) != 1)
+                // Defined once in the whole function.
+                if (du.defCount({inst.dst->regFile(),
+                                 inst.dst->regIndex()}) != 1) {
                     continue;
+                }
                 if (hasTrapOrFifo(inst.src))
                     continue;
                 bool invariant = true;
@@ -275,17 +257,17 @@ runLoopInvariantCodeMotion(rtl::Function &fn,
                            const rtl::MachineTraits &traits,
                            const rtl::Program *prog)
 {
-    (void)traits;
     int total = 0;
     // A hoist out of a loop may make more of it invariant, so revisit
     // the loop until nothing moves.
-    cfg::forEachLoop(fn, false, [&](cfg::Loop &loop,
-                                    const cfg::DominatorTree &) {
-        int moved = hoistLoop(fn, loop);
+    cfg::forEachLoop(fn, traits, false, [&](cfg::Loop &loop,
+                                            const cfg::DominatorTree &,
+                                            const cfg::DefUseTable &du) {
+        int moved = hoistLoop(fn, loop, du, traits);
         if (!moved && prog)
-            moved = hoistLoads(fn, loop, *prog);
+            moved = hoistLoads(fn, loop, du, traits, *prog);
         total += moved;
-        return moved != 0;
+        return moved ? cfg::LoopVisit::Again : cfg::LoopVisit::Unchanged;
     });
     return total;
 }

@@ -45,10 +45,10 @@ baseIdOf(const LinForm &l)
 }
 
 int
-reduceLoop(rtl::Function &fn, cfg::Loop &loop,
-           const cfg::DominatorTree &dt, const rtl::MachineTraits &traits)
+reduceLoop(rtl::Function &fn, cfg::Loop &loop, const cfg::DominatorTree &dt,
+           const cfg::DefUseTable &du, const rtl::MachineTraits &traits)
 {
-    IndVarAnalysis ivs(fn, loop, dt, traits);
+    IndVarAnalysis ivs(fn, loop, dt, du, traits);
     if (ivs.basicIVs().empty())
         return 0;
 
@@ -187,8 +187,7 @@ reduceLoop(rtl::Function &fn, cfg::Loop &loop,
                 static_cast<ptrdiff_t>(iv->defIndex + 1),
             std::move(bump));
     }
-
-    fn.recomputeCfg();
+    // Only straight-line code was added: the CFG edges stand.
     return rewritten;
 }
 
@@ -200,11 +199,12 @@ runStrengthReduce(rtl::Function &fn, const rtl::MachineTraits &traits)
     int total = 0;
     // reduceLoop rewrites one group per call, so revisit the loop
     // until no group is left.
-    cfg::forEachLoop(fn, true, [&](cfg::Loop &loop,
-                                   const cfg::DominatorTree &dt) {
-        int changed = reduceLoop(fn, loop, dt, traits);
+    cfg::forEachLoop(fn, traits, true, [&](cfg::Loop &loop,
+                                           const cfg::DominatorTree &dt,
+                                           const cfg::DefUseTable &du) {
+        int changed = reduceLoop(fn, loop, dt, du, traits);
         total += changed;
-        return changed != 0;
+        return changed ? cfg::LoopVisit::Again : cfg::LoopVisit::Unchanged;
     });
     return total;
 }

@@ -84,19 +84,6 @@ materializeAddress(rtl::Function &fn, rtl::Block *pre, const BasicIV &iv,
     return t;
 }
 
-/** Count textual uses of a register in the whole function. */
-int
-countUses(rtl::Function &fn, const ExprPtr &reg)
-{
-    int n = 0;
-    for (auto &bp : fn.blocks())
-        for (auto &inst : bp->insts)
-            rtl::forEachUseReg(inst, [&](const rtl::Expr &u) {
-                n += u.isReg(reg->regFile(), reg->regIndex());
-            });
-    return n;
-}
-
 struct PairInfo
 {
     MemRef *read;
@@ -144,7 +131,8 @@ struct RemarkSite
 
 bool
 optimizePartition(rtl::Function &fn, cfg::Loop &loop,
-                  const cfg::DominatorTree &dt, Partition &part,
+                  const cfg::DominatorTree &dt, const cfg::DefUseTable &du,
+                  Partition &part,
                   int maxDegree, bool skipDistanceCheck,
                   RecurrenceReport &report, const RemarkSite &site)
 {
@@ -279,28 +267,11 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
                 rtl::isVirtualFile(store.src->regFile())) {
             // Find a unique producing Assign in the same block before
             // the store, with no other use or redefinition between.
-            int uses = 0;
-            for (auto &bp2 : fn.blocks())
-                for (auto &inst2 : bp2->insts)
-                    rtl::forEachUseReg(inst2, [&](const rtl::Expr &u) {
-                        uses += u.isReg(store.src->regFile(),
-                                        store.src->regIndex());
-                    });
-            int defs = 0;
-            size_t defIdx = 0;
-            rtl::Block *defBlock = nullptr;
-            for (auto &bp2 : fn.blocks())
-                for (size_t k = 0; k < bp2->insts.size(); ++k)
-                    if (auto d = rtl::instDef(bp2->insts[k]))
-                        if (d->isReg(store.src->regFile(),
-                                     store.src->regIndex())) {
-                            ++defs;
-                            defBlock = bp2.get();
-                            defIdx = k;
-                        }
-            if (uses == 1 && defs == 1 && defBlock == write->block &&
-                    defIdx < write->index) {
-                Inst &producer = write->block->insts[defIdx];
+            cfg::RegKey value{store.src->regFile(), store.src->regIndex()};
+            cfg::Site def = du.uniqueDef(value);
+            if (du.useCount(value) == 1 && def.block == write->block &&
+                    def.index < write->index) {
+                Inst &producer = write->block->insts[def.index];
                 if (producer.kind == InstKind::Assign &&
                         producer.dst->isReg(store.src->regFile(),
                                             store.src->regIndex())) {
@@ -413,7 +384,6 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
 
     report.maxDegree = std::max(report.maxDegree, degree);
     ++report.recurrencesOptimized;
-    (void)countUses;
     return true;
 }
 
@@ -442,8 +412,9 @@ runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
     RecurrenceReport report;
     // Rewrite one partition per visit: the rewrite invalidates the
     // partition set, so the loop is examined again until none applies.
-    cfg::forEachLoop(fn, true, [&](cfg::Loop &loop,
-                                   const cfg::DominatorTree &dt) {
+    cfg::forEachLoop(fn, traits, true, [&](cfg::Loop &loop,
+                                           const cfg::DominatorTree &dt,
+                                           const cfg::DefUseTable &du) {
         ++report.loopsExamined;
 
         RemarkSite site;
@@ -458,7 +429,7 @@ runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
                 site.loopLoc = lr->loc;
         }
 
-        opt::IndVarAnalysis ivs(fn, loop, dt, traits);
+        opt::IndVarAnalysis ivs(fn, loop, dt, du, traits);
         PartitionSet parts = buildPartitions(fn, loop, dt, ivs, traits);
         report.partitionDumps.push_back(parts.str());
 
@@ -466,7 +437,7 @@ runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
         // partition, so no rewrite is safe.
         if (parts.unknownWriteExists()) {
             site.missed("unknown-memory-write");
-            return false;
+            return cfg::LoopVisit::Unchanged;
         }
         for (Partition &p : parts.parts) {
             // An unknown read may observe any write; rewriting a
@@ -475,11 +446,11 @@ runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
                 site.missed("unknown-memory-read", {}, p.key);
                 continue;
             }
-            if (optimizePartition(fn, loop, dt, p, maxDegree,
+            if (optimizePartition(fn, loop, dt, du, p, maxDegree,
                                   skipDistanceCheck, report, site))
-                return true;
+                return cfg::LoopVisit::Again;
         }
-        return false;
+        return cfg::LoopVisit::Unchanged;
     });
     fn.recomputeCfg();
     fn.renumber();

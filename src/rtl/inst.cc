@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
 
 #include "support/diag.h"
 #include "support/str.h"
@@ -266,7 +265,7 @@ Block *
 Function::addBlock(const std::string &label)
 {
     std::string l = label.empty() ? newLabel() : label;
-    blocks_.push_back(std::make_unique<Block>(l));
+    blocks_.push_back(std::make_unique<Block>(nextBlockId_++, l));
     return blocks_.back().get();
 }
 
@@ -276,7 +275,8 @@ Function::insertBlockBefore(Block *before, const std::string &label)
     std::string l = label.empty() ? newLabel() : label;
     for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
         if (it->get() == before) {
-            it = blocks_.insert(it, std::make_unique<Block>(l));
+            it = blocks_.insert(it,
+                                std::make_unique<Block>(nextBlockId_++, l));
             return it->get();
         }
     }
@@ -309,6 +309,7 @@ Function::newLabel()
 void
 Function::recomputeCfg()
 {
+    ++work.cfgRecomputes;
     // Label lookup through a sorted vector: one allocation per call,
     // where a hash map cost one per block. Among equal labels the last
     // block in layout order wins.
@@ -365,32 +366,74 @@ Function::recomputeCfg()
     }
 }
 
+bool
+Function::cfgIsCurrent() const
+{
+    // Successors block by block as recomputeCfg links them (branch
+    // edge, then fallthrough edge); each predecessor list must then
+    // list its sources in the same order.
+    std::vector<size_t> matched(static_cast<size_t>(nextBlockId_), 0);
+    for (size_t i = 0; i < blocks_.size(); ++i) {
+        const Block *b = blocks_[i].get();
+        const Inst *term = b->terminator();
+        bool branches = term && term->isBranch();
+        bool falls = !term || (term->kind != InstKind::Jump &&
+                               term->kind != InstKind::Return);
+        const Block *next =
+            falls && i + 1 < blocks_.size() ? blocks_[i + 1].get() : nullptr;
+        if (b->succs.size() != size_t{branches} + size_t{next != nullptr})
+            return false;
+        if (branches && b->succs.front()->label() != term->target)
+            return false;
+        if (next && b->succs.back() != next)
+            return false;
+        for (const Block *s : b->succs) {
+            size_t &at = matched[static_cast<size_t>(s->id())];
+            if (at >= s->preds.size() || s->preds[at] != b)
+                return false;
+            ++at;
+        }
+    }
+    for (const auto &b : blocks_)
+        if (matched[static_cast<size_t>(b->id())] != b->preds.size())
+            return false;
+    return true;
+}
+
 void
 Function::removeUnreachable()
 {
     recomputeCfg();
-    std::unordered_map<Block *, bool> reached;
-    std::vector<Block *> work;
+    std::vector<uint8_t> reached(static_cast<size_t>(nextBlockId_), 0);
+    std::vector<Block *> stack;
     if (entry()) {
-        work.push_back(entry());
-        reached[entry()] = true;
+        stack.push_back(entry());
+        reached[static_cast<size_t>(entry()->id())] = 1;
     }
-    while (!work.empty()) {
-        Block *b = work.back();
-        work.pop_back();
+    while (!stack.empty()) {
+        Block *b = stack.back();
+        stack.pop_back();
         for (Block *s : b->succs) {
-            if (!reached[s]) {
-                reached[s] = true;
-                work.push_back(s);
+            if (!reached[static_cast<size_t>(s->id())]) {
+                reached[static_cast<size_t>(s->id())] = 1;
+                stack.push_back(s);
             }
         }
     }
+    // A reachable block's successors are reachable, so the kept blocks
+    // keep their successor lists; their predecessor lists only lose
+    // the removed blocks, in order. That is what recomputeCfg would
+    // give for the kept layout.
     std::vector<std::unique_ptr<Block>> kept;
-    for (auto &b : blocks_)
-        if (reached[b.get()])
-            kept.push_back(std::move(b));
+    for (auto &b : blocks_) {
+        if (!reached[static_cast<size_t>(b->id())])
+            continue;
+        std::erase_if(b->preds, [&](const Block *p) {
+            return !reached[static_cast<size_t>(p->id())];
+        });
+        kept.push_back(std::move(b));
+    }
     blocks_ = std::move(kept);
-    recomputeCfg();
 }
 
 void

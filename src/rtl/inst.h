@@ -191,13 +191,19 @@ class Function;
  * A basic block: a label, straight-line instructions, and CFG edges.
  *
  * Edges are recomputed by Function::recomputeCfg(); phases that add or
- * remove branches must call it before relying on succs/preds again.
+ * remove branches must call it, or update succs/preds themselves in
+ * recomputeCfg's order, before relying on the edges again.
+ *
+ * The `id` is dense and stable: its Function assigns it at creation
+ * and never reuses it, so analyses index vectors by it instead of
+ * hashing block addresses.
  */
 class Block
 {
   public:
-    explicit Block(std::string label) : label_(std::move(label)) {}
+    Block(int id, std::string label) : id_(id), label_(std::move(label)) {}
 
+    int id() const { return id_; }
     const std::string &label() const { return label_; }
 
     std::vector<Inst> insts;
@@ -209,7 +215,19 @@ class Block
     Inst *terminator();
 
   private:
+    int id_;
     std::string label_;
+};
+
+/**
+ * Deterministic counts of analysis work done on one function: what the
+ * driver reports as pass counters (`--profile-passes`).
+ */
+struct WorkCounts
+{
+    int64_t cfgRecomputes = 0;      ///< Function::recomputeCfg calls
+    int64_t defUseBuilds = 0;       ///< whole-function def/use scans
+    int64_t defUseBlockRescans = 0; ///< blocks re-scanned after edits
 };
 
 /**
@@ -244,6 +262,9 @@ class Function
 
     Block *findBlock(const std::string &label);
 
+    /** One more than the largest block id handed out so far. */
+    int blockIdBound() const { return nextBlockId_; }
+
     /** Allocate a fresh virtual register of the given class. */
     ExprPtr newVReg(DataType t);
 
@@ -255,6 +276,13 @@ class Function
 
     /** Recompute succ/pred edges from terminators and layout order. */
     void recomputeCfg();
+
+    /**
+     * True if every block's succ/pred lists are exactly what
+     * recomputeCfg() would build, order included. Changes nothing and
+     * counts nothing: the check that local CFG edits are right.
+     */
+    bool cfgIsCurrent() const;
 
     /** Remove blocks unreachable from the entry. */
     void removeUnreachable();
@@ -274,9 +302,13 @@ class Function
     /** Render the whole function in RTL notation. */
     std::string str() const;
 
+    /** Analysis work done on this function so far. */
+    WorkCounts work;
+
   private:
     std::string name_;
     std::vector<std::unique_ptr<Block>> blocks_;
+    int nextBlockId_ = 0;
     int nextVInt_ = 0;
     int nextVFlt_ = 0;
     int nextLabel_ = 0;

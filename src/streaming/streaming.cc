@@ -248,9 +248,15 @@ materializeBase(rtl::Function &fn, rtl::Block *pre, const LinForm &base,
     }
 }
 
+/**
+ * Stream @p loop if it qualifies; true when it changed the code. Edits
+ * stay in the loop sweep's footprint: the loop, its preheader and its
+ * exit targets.
+ */
 bool
 streamLoop(rtl::Function &fn, cfg::Loop &loop,
-           const cfg::DominatorTree &dt, const rtl::MachineTraits &traits,
+           const cfg::DominatorTree &dt, const cfg::DefUseTable &du,
+           const rtl::MachineTraits &traits,
            int minTripCount, StreamingReport &report,
            obs::RemarkCollector *remarks, bool injectCountBug,
            bool injectPopBug)
@@ -290,7 +296,7 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
                 return false;
             }
 
-    opt::IndVarAnalysis ivs(fn, loop, dt, traits);
+    opt::IndVarAnalysis ivs(fn, loop, dt, du, traits);
     PartitionSet parts =
         recurrence::buildPartitions(fn, loop, dt, ivs, traits);
 
@@ -300,22 +306,14 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
     if (tc.kind == TripCount::Kind::Expr && tc.iv &&
             tc.bound.baseKind == LinForm::Base::None) {
         // The IV's initial value: the unique out-of-loop definition of
-        // the IV register that dominates the header, when constant.
-        const rtl::Inst *initDef = nullptr;
-        int outDefs = 0;
-        for (auto &bp : fn.blocks()) {
-            if (loop.contains(bp.get()))
-                continue;
-            for (const Inst &inst : bp->insts) {
-                auto d = rtl::instDef(inst);
-                if (d && d->isReg(tc.iv->reg->regFile(),
-                                  tc.iv->reg->regIndex())) {
-                    ++outDefs;
-                    initDef = &inst;
-                }
-            }
-        }
-        if (outDefs == 1 && initDef->kind == InstKind::Assign &&
+        // the IV register, when constant. The loop holds one def of
+        // the IV, its increment, so the function must hold two.
+        cfg::Site init = du.otherDef(
+            RegKey{tc.iv->reg->regFile(), tc.iv->reg->regIndex()},
+            {tc.iv->defBlock, tc.iv->defIndex});
+        const Inst *initDef =
+            init.block ? &init.block->insts[init.index] : nullptr;
+        if (initDef && initDef->kind == InstKind::Assign &&
                 initDef->src->isConst() &&
                 !rtl::isFloatType(initDef->src->type())) {
             tc.kind = TripCount::Kind::Const;
@@ -358,24 +356,6 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
             if (!dt.dominates(r.block, latch))
                 return false;
         return true;
-    };
-
-    // Use counts for single-use checking of load destinations.
-    auto countUses = [&](const ExprPtr &reg, rtl::Block **useBlock,
-                         size_t *useIndex) {
-        int n = 0;
-        for (auto &bp : fn.blocks()) {
-            for (size_t i = 0; i < bp->insts.size(); ++i) {
-                rtl::forEachUseReg(bp->insts[i], [&](const rtl::Expr &u) {
-                    if (u.isReg(reg->regFile(), reg->regIndex())) {
-                        ++n;
-                        *useBlock = bp.get();
-                        *useIndex = i;
-                    }
-                });
-            }
-        }
-        return n;
     };
 
     std::vector<PlannedStream> candidates;
@@ -468,9 +448,11 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
                                             refPos(ref)));
                     continue;
                 }
-                rtl::Block *ub = nullptr;
-                size_t ui = 0;
-                if (countUses(inst.dst, &ub, &ui) != 1) {
+                cfg::Site use = du.uniqueUse(
+                    RegKey{inst.dst->regFile(), inst.dst->regIndex()});
+                rtl::Block *ub = use.block;
+                size_t ui = use.index;
+                if (!ub) {
                     if (remarks)
                         remarks->add(missed("load-multiple-uses",
                                             refPos(ref)));
@@ -759,23 +741,22 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
                                  flt ? DataType::F64 : DataType::I64);
                 injectPopBug = false; // one stream is enough
             }
+            // The one use is still in the block planning found it in.
             bool replaced = false;
-            for (auto &bp : fn.blocks()) {
-                for (Inst &use : bp->insts) {
-                    if (&use == &inst)
-                        continue;
-                    auto replace = [&](ExprPtr &field) {
-                        if (field && rtl::usesReg(field, dst->regFile(),
-                                                  dst->regIndex())) {
-                            field = rtl::substReg(field, dst->regFile(),
-                                                  dst->regIndex(), f);
-                            replaced = true;
-                        }
-                    };
-                    replace(use.src);
-                    replace(use.addr);
-                    replace(use.count);
-                }
+            for (Inst &use : ps->useBlock->insts) {
+                if (&use == &inst)
+                    continue;
+                auto replace = [&](ExprPtr &field) {
+                    if (field && rtl::usesReg(field, dst->regFile(),
+                                              dst->regIndex())) {
+                        field = rtl::substReg(field, dst->regFile(),
+                                              dst->regIndex(), f);
+                        replaced = true;
+                    }
+                };
+                replace(use.src);
+                replace(use.addr);
+                replace(use.count);
             }
             WS_ASSERT(replaced, "streamed load use vanished");
             ps->ref.block->insts.erase(
@@ -831,16 +812,20 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
                     loopUses += u.isReg(iv->reg->regFile(),
                                         iv->reg->regIndex());
                 });
-        // The increment itself uses the IV once.
+        // The increment itself uses the IV once. Only the paths from
+        // the exits up to the IV's next definition are walked.
         if (loopUses == 1) {
-            fn.recomputeCfg();
+            RegKey key{iv->reg->regFile(), iv->reg->regIndex()};
+            bool liveOut = cfg::liveOnEntry(fn, exitTargets, key, traits);
+#ifndef NDEBUG
             cfg::Liveness lv(fn, traits);
-            bool liveOut = false;
-            for (rtl::Block *ex : exitTargets)
-                if (lv.liveIn(ex, RegKey{iv->reg->regFile(),
-                                         iv->reg->regIndex()})) {
-                    liveOut = true;
-                }
+            WS_ASSERT(liveOut == std::any_of(exitTargets.begin(),
+                                             exitTargets.end(),
+                                             [&](const rtl::Block *ex) {
+                                                 return lv.liveIn(ex, key);
+                                             }),
+                      "exit liveness walk disagrees with Liveness");
+#endif
             if (!liveOut) {
                 for (size_t i = 0; i < iv->defBlock->insts.size(); ++i) {
                     const Inst &inst = iv->defBlock->insts[i];
@@ -885,7 +870,6 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
         r.arg("finite", finite ? "true" : "false");
         remarks->add(std::move(r));
     }
-    fn.recomputeCfg();
     return true;
 }
 
@@ -901,12 +885,14 @@ runStreaming(rtl::Function &fn, const rtl::MachineTraits &traits,
         return report;
 
     // Each loop is streamed at most once.
-    cfg::forEachLoop(fn, true, [&](cfg::Loop &loop,
-                                   const cfg::DominatorTree &dt) {
+    cfg::forEachLoop(fn, traits, true, [&](cfg::Loop &loop,
+                                           const cfg::DominatorTree &dt,
+                                           const cfg::DefUseTable &du) {
         ++report.loopsExamined;
-        streamLoop(fn, loop, dt, traits, minTripCount, report, remarks,
-                   injectStreamCountBug, injectVerifierBug);
-        return false;
+        return streamLoop(fn, loop, dt, du, traits, minTripCount, report,
+                          remarks, injectStreamCountBug, injectVerifierBug)
+                   ? cfg::LoopVisit::Changed
+                   : cfg::LoopVisit::Unchanged;
     });
     fn.recomputeCfg();
     fn.renumber();

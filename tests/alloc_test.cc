@@ -6,8 +6,8 @@
  * temporary it builds is multiplied by the number of reinvocations.
  * This binary replaces the global operator new with one that counts
  * calls and forwards to malloc (so it also runs under AddressSanitizer)
- * and compiles one function with k streamable loops over global double
- * arrays, `c[i] = c[i] + a[i] * b[i]`, at k = 16 and k = 48. It pins
+ * and compiles one function with k streamable loops (stream_loops.h)
+ * at k = 16 and k = 48. It pins
  * the number of allocations of the large compile and how fast that
  * number grows with k.
  */
@@ -21,7 +21,7 @@
 #include <string>
 
 #include "driver/compiler.h"
-#include "support/str.h"
+#include "stream_loops.h"
 
 namespace {
 
@@ -98,26 +98,6 @@ operator delete[](void *p, const std::nothrow_t &) noexcept
 namespace {
 
 using namespace wmstream;
-
-/** One function: an initializing loop, then @p loops streamable loops. */
-std::string
-streamLoopsSource(int loops)
-{
-    constexpr int n = 256;
-    std::string src = strFormat("double a[%d];\ndouble b[%d];\n"
-                                "double c[%d];\n",
-                                n, n, n);
-    src += "int main() {\n  int i;\n";
-    src += strFormat("  for (i = 0; i < %d; i = i + 1) {\n"
-                     "    a[i] = i; b[i] = 0.5; c[i] = 1.0;\n  }\n",
-                     n);
-    for (int l = 0; l < loops; ++l)
-        src += strFormat("  for (i = 0; i < %d; i = i + 1) {\n"
-                         "    c[i] = c[i] + a[i] * b[i];\n  }\n",
-                         n);
-    src += strFormat("  return c[%d] + c[%d];\n}\n", n / 2, n - 1);
-    return src;
-}
 
 /** Allocations made by one default compile of @p loops loops. */
 uint64_t

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cfg/defuse.h"
 #include "cfg/dominators.h"
 #include "cfg/liveness.h"
 #include "cfg/loops.h"
@@ -115,6 +116,97 @@ TEST(Loops, EnsurePreheaderCreatesOne)
     EXPECT_EQ(cfg::ensurePreheader(fn, loop), pre);
 }
 
+TEST(Loops, EnsurePreheaderUpdatesEdgesInPlace)
+{
+    Function fn = makeLoopFunction();
+    cfg::DominatorTree dt(fn);
+    cfg::LoopInfo li(fn, dt);
+    int64_t relinks = fn.work.cfgRecomputes;
+    Block *pre = cfg::ensurePreheader(fn, li.loops()[0]);
+    EXPECT_EQ(fn.work.cfgRecomputes, relinks);
+    EXPECT_TRUE(fn.cfgIsCurrent());
+    ASSERT_EQ(pre->succs.size(), 1u);
+    EXPECT_EQ(pre->succs[0], fn.findBlock("header"));
+}
+
+TEST(Loops, EnsurePreheaderStubKeepsTheBackEdge)
+{
+    // An in-loop block laid out before the header falls into it on a
+    // conditional branch, and two blocks enter the loop from outside:
+    // entry, e2, body, header, exit.
+    Function fn("f");
+    Block *entry = fn.addBlock("entry");
+    Block *e2 = fn.addBlock("e2");
+    Block *body = fn.addBlock("body");
+    Block *header = fn.addBlock("header");
+    fn.addBlock("exit")->insts.push_back(makeReturn());
+    auto cc = makeReg(RegFile::CC, 0, DataType::I64);
+    auto r = makeReg(RegFile::VInt, 0, DataType::I64);
+    entry->insts.push_back(makeAssign(r, makeConst(0)));
+    entry->insts.push_back(makeAssign(cc, makeBin(Op::Lt, r, makeConst(5))));
+    entry->insts.push_back(makeCondJump(UnitSide::Int, true, "header"));
+    e2->insts.push_back(makeJump("header"));
+    body->insts.push_back(makeAssign(cc, makeBin(Op::Ge, r, makeConst(9))));
+    body->insts.push_back(makeCondJump(UnitSide::Int, true, "exit"));
+    header->insts.push_back(makeAssign(r, makeBin(Op::Add, r, makeConst(1))));
+    header->insts.push_back(makeJump("body"));
+    fn.recomputeCfg();
+
+    cfg::DominatorTree dt(fn);
+    cfg::LoopInfo li(fn, dt);
+    cfg::Loop *loop = li.find(header);
+    ASSERT_TRUE(loop != nullptr);
+    EXPECT_TRUE(loop->contains(body));
+    Block *pre = cfg::ensurePreheader(fn, *loop);
+    EXPECT_TRUE(fn.cfgIsCurrent());
+    // entry, e2, body, stub, pre, header, exit.
+    ASSERT_EQ(fn.blocks().size(), 7u);
+    Block *stub = fn.blocks()[3].get();
+    EXPECT_EQ(fn.blocks()[4].get(), pre);
+    // The back edge goes through the stub straight to the header; only
+    // the edges from outside the loop enter the preheader.
+    EXPECT_EQ(stub->insts.back().target, "header");
+    EXPECT_EQ(pre->preds, (std::vector<Block *>{entry, e2}));
+    EXPECT_EQ(header->preds, (std::vector<Block *>{stub, pre}));
+    EXPECT_EQ(entry->insts.back().target, pre->label());
+}
+
+TEST(DefUse, CountsSitesAndRescansOneBlock)
+{
+    Function fn = makeLoopFunction();
+    cfg::DefUseTable du(fn, wmTraits());
+    EXPECT_EQ(fn.work.defUseBuilds, 1);
+    Block *entry = fn.findBlock("entry");
+    Block *header = fn.findBlock("header");
+    cfg::RegKey iv{RegFile::VInt, 0};
+    // Defined in entry and by the increment; read by the increment and
+    // both compares.
+    EXPECT_EQ(du.defCount(iv), 2);
+    EXPECT_EQ(du.useCount(iv), 3);
+    EXPECT_EQ(du.uniqueDef(iv).block, nullptr);
+    cfg::Site init = du.otherDef(iv, {header, 0});
+    EXPECT_EQ(init.block, entry);
+    EXPECT_EQ(init.index, 0u);
+
+    // A new register with one def and one use in the header.
+    auto t = makeReg(RegFile::VInt, 1, DataType::I64);
+    header->insts.insert(header->insts.begin(),
+                         makeAssign(t, makeConst(7)));
+    header->insts.insert(header->insts.begin() + 1,
+                         makeAssign(makeReg(RegFile::VInt, 2, DataType::I64),
+                                    makeBin(Op::Add, t, makeConst(1))));
+    EXPECT_FALSE(du.matchesFunction());
+    du.rescan(header);
+    EXPECT_TRUE(du.matchesFunction());
+    EXPECT_EQ(fn.work.defUseBlockRescans, 1);
+    EXPECT_EQ(du.uniqueDef({RegFile::VInt, 1}).block, header);
+    cfg::Site use = du.uniqueUse({RegFile::VInt, 1});
+    EXPECT_EQ(use.block, header);
+    EXPECT_EQ(use.index, 1u);
+    // The increment moved down by two.
+    EXPECT_EQ(du.otherDef(iv, {entry, 0}).index, 2u);
+}
+
 TEST(Loops, NestedLoopsOrderedInnermostFirst)
 {
     Function fn("f");
@@ -208,6 +300,22 @@ TEST(Liveness, CallClobbersCallerSaved)
     EXPECT_TRUE(hasR2);
     EXPECT_TRUE(hasF2);
     EXPECT_TRUE(hasCC);
+}
+
+TEST(Liveness, LiveOnEntryWalkAgreesWithSolve)
+{
+    Function fn = makeLoopFunction();
+    auto traits = wmTraits();
+    cfg::Liveness lv(fn, traits);
+    for (cfg::RegKey k : {cfg::RegKey{RegFile::VInt, 0},
+                          cfg::RegKey{RegFile::CC, 0},
+                          cfg::RegKey{RegFile::VInt, 9}}) {
+        for (auto &b : fn.blocks()) {
+            EXPECT_EQ(cfg::liveOnEntry(fn, {b.get()}, k, traits),
+                      lv.liveIn(b.get(), k))
+                << b->label();
+        }
+    }
 }
 
 TEST(Liveness, CondJumpUsesCc)

@@ -203,7 +203,8 @@ TEST(IndVars, DetectsBasicIv)
     cfg::LoopInfo li(*fn, dt);
     ASSERT_GE(li.loops().size(), 1u);
     // The innermost (only) loop has exactly one basic IV with step 1.
-    opt::IndVarAnalysis ivs(*fn, li.loops()[0], dt, traits);
+    cfg::DefUseTable du(*fn, traits);
+    opt::IndVarAnalysis ivs(*fn, li.loops()[0], dt, du, traits);
     ASSERT_GE(ivs.basicIVs().size(), 1u);
     EXPECT_EQ(ivs.basicIVs()[0].step, 1);
 }
@@ -220,7 +221,8 @@ TEST(IndVars, LinearizesArrayAddress)
     cfg::DominatorTree dt(*fn);
     cfg::LoopInfo li(*fn, dt);
     cfg::Loop &loop = li.loops()[0];
-    opt::IndVarAnalysis ivs(*fn, loop, dt, traits);
+    cfg::DefUseTable du(*fn, traits);
+    opt::IndVarAnalysis ivs(*fn, loop, dt, du, traits);
     ASSERT_FALSE(ivs.basicIVs().empty());
 
     bool checked = false;

@@ -1,0 +1,94 @@
+/**
+ * @file
+ * Work-counter gate of the loop passes.
+ *
+ * A loop visit of LICM, recurrence, streaming or strength reduction
+ * must cost O(loop): the loop sweep builds one def/use table and then
+ * re-scans only the blocks a visit may have edited, and the passes
+ * update CFG edges in place instead of relinking the function. The
+ * driver reports that work as pass counters (`cfg_recomputes`,
+ * `defuse_builds`, `defuse_block_rescans`). This test compiles one
+ * function with k streamable loops (stream_loops.h) at k = 16 and
+ * k = 48 and pins that the whole-function work is the same at both,
+ * and that the re-scans grow no faster than the loops.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+
+#include "driver/compiler.h"
+#include "stream_loops.h"
+
+namespace {
+
+using namespace wmstream;
+
+struct Work
+{
+    int64_t cfgRecomputes = 0;
+    int64_t defUseBuilds = 0;
+    int64_t defUseBlockRescans = 0;
+    int loopsStreamed = 0;
+};
+
+/** The work counters of one compile of @p loops loops, summed. */
+Work
+compileWork(int loops, rtl::MachineKind target)
+{
+    driver::CompileOptions opts;
+    opts.target = target;
+    opts.profilePasses = true;
+    driver::CompileResult cr =
+        driver::compileSource(streamLoopsSource(loops), opts);
+    EXPECT_TRUE(cr.ok) << cr.diagnostics;
+    Work w;
+    for (const obs::PassProfile &p : cr.passProfiles) {
+        for (const auto &[key, value] : p.counters) {
+            if (key == "cfg_recomputes")
+                w.cfgRecomputes += value;
+            else if (key == "defuse_builds")
+                w.defUseBuilds += value;
+            else if (key == "defuse_block_rescans")
+                w.defUseBlockRescans += value;
+        }
+    }
+    for (const auto &sr : cr.streamingReports)
+        w.loopsStreamed += sr.loopsStreamed;
+    return w;
+}
+
+class LoopWork : public testing::TestWithParam<rtl::MachineKind>
+{};
+
+TEST_P(LoopWork, WholeFunctionWorkIsFlatInTheLoopCount)
+{
+    Work w16 = compileWork(16, GetParam());
+    Work w48 = compileWork(48, GetParam());
+    if (GetParam() == rtl::MachineKind::WM) {
+        // Every loop streamed: the passes did their per-loop work.
+        EXPECT_EQ(w16.loopsStreamed, 17);
+        EXPECT_EQ(w48.loopsStreamed, 49);
+    }
+    EXPECT_GT(w16.defUseBuilds, 0);
+    EXPECT_EQ(w16.defUseBuilds, w48.defUseBuilds);
+    EXPECT_GT(w16.cfgRecomputes, 0);
+    EXPECT_EQ(w16.cfgRecomputes, w48.cfgRecomputes);
+    // Re-scans are per changed visit and so per loop: at 3x the loops
+    // there are at most 3x as many.
+    EXPECT_GT(w16.defUseBlockRescans, 0);
+    EXPECT_LE(w48.defUseBlockRescans * 16, w16.defUseBlockRescans * 48)
+        << w48.defUseBlockRescans << " vs " << w16.defUseBlockRescans;
+}
+
+INSTANTIATE_TEST_SUITE_P(Targets, LoopWork,
+                         testing::Values(rtl::MachineKind::WM,
+                                         rtl::MachineKind::Scalar),
+                         [](const auto &info) {
+                             return info.param == rtl::MachineKind::WM
+                                        ? std::string("wm")
+                                        : std::string("m68020");
+                         });
+
+} // anonymous namespace

@@ -76,7 +76,8 @@ TEST(Partitions, Livermore5HasThreePartitions)
     cfg::Loop *loop = busiestLoop(*fn, li);
     ASSERT_TRUE(loop != nullptr);
 
-    opt::IndVarAnalysis ivs(*fn, *loop, dt, traits);
+    cfg::DefUseTable du(*fn, traits);
+    opt::IndVarAnalysis ivs(*fn, *loop, dt, du, traits);
     auto parts = recurrence::buildPartitions(*fn, *loop, dt, ivs, traits);
 
     const recurrence::Partition *px = nullptr, *py = nullptr,
@@ -301,7 +302,8 @@ int main(void) {
     cfg::Loop *loop = busiestLoop(*fn, li);
     ASSERT_TRUE(loop != nullptr);
     auto traits = wmTraits();
-    opt::IndVarAnalysis ivs(*fn, *loop, dt, traits);
+    cfg::DefUseTable du(*fn, traits);
+    opt::IndVarAnalysis ivs(*fn, *loop, dt, du, traits);
     auto parts = recurrence::buildPartitions(*fn, *loop, dt, ivs, traits);
     // Two walking pointers -> two "iv:" partitions, coefficient 1.
     int ivParts = 0;
@@ -338,7 +340,8 @@ int main(void) { return sum(g); }
     cfg::Loop *loop = busiestLoop(*fn, li);
     ASSERT_TRUE(loop != nullptr);
     auto traits = wmTraits();
-    opt::IndVarAnalysis ivs(*fn, *loop, dt, traits);
+    cfg::DefUseTable du(*fn, traits);
+    opt::IndVarAnalysis ivs(*fn, *loop, dt, du, traits);
     auto parts = recurrence::buildPartitions(*fn, *loop, dt, ivs, traits);
     bool regPart = false;
     for (const auto &p : parts.parts)
