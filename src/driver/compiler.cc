@@ -8,6 +8,7 @@
 #include "expand/expander.h"
 #include "frontend/parser.h"
 #include "opt/passes.h"
+#include "support/str.h"
 #include "wm/lowering.h"
 
 namespace wmstream::driver {
@@ -275,20 +276,28 @@ compile(const CompileRequest &req)
         checkpoint();
         ++res.verifySkipped;
     };
-    // A cleanup that stopped at its round cap while still changing
-    // code is made loud: a missed remark, which wmfuzz counts as a
-    // divergence.
-    auto noteCleanup = [&](const rtl::Function &fn, bool converged,
-                           const char *label) {
-        if (converged)
-            return;
+    // A fixpoint that stopped at its cap is made loud: a missed
+    // remark, which wmfuzz counts as a divergence.
+    auto capHitRemark = [](const char *pass, const rtl::Function &fn,
+                           int cap) {
         obs::Remark r;
-        r.pass = "cleanup";
+        r.pass = pass;
         r.function = fn.name();
         r.verdict = obs::RemarkVerdict::Missed;
         r.reason = "fixpoint-cap-hit";
-        r.arg("cap", int64_t{opt::kCleanupRoundCap})
-            .arg("after_pass", label);
+        r.arg("cap", int64_t{cap});
+        return r;
+    };
+    // Every cleanup reports its rounds as a work counter; one that
+    // stopped at the round cap still changing code gets the remark.
+    auto noteCleanup = [&](const rtl::Function &fn,
+                           const opt::CleanupResult &cr,
+                           const char *label) {
+        prof.addCounter(label, "cleanup_rounds", cr.rounds);
+        if (cr.converged)
+            return;
+        obs::Remark r = capHitRemark("cleanup", fn, opt::kCleanupRoundCap);
+        r.arg("after_pass", label);
         res.remarks.add(std::move(r));
     };
 
@@ -312,21 +321,20 @@ compile(const CompileRequest &req)
         // a pass only when that pass changed code. Otherwise the
         // function is still at the last cleanup's fixpoint.
         auto cleanupAfter = [&](const char *label) {
-            bool converged = true;
-            measure(label, [&] {
-                converged = opt::runCleanup(*fn, res.traits).converged;
-            });
-            noteCleanup(*fn, converged, label);
+            opt::CleanupResult cr;
+            measure(label,
+                    [&] { cr = opt::runCleanup(*fn, res.traits); });
+            noteCleanup(*fn, cr, label);
             verifyAfter(*fn, label, kPostOpt);
         };
 
         if (options.optimize) {
-            bool converged = true;
+            opt::CleanupResult cr;
             measure("cleanup", [&] {
-                converged = opt::runCleanupPipeline(*fn, res.traits,
-                                                    res.program.get());
+                cr = opt::runCleanupPipeline(*fn, res.traits,
+                                             res.program.get());
             });
-            noteCleanup(*fn, converged, "cleanup");
+            noteCleanup(*fn, cr, "cleanup");
             verifyAfter(*fn, "cleanup", kPostOpt);
         } else {
             measure("legalize",
@@ -413,7 +421,20 @@ compile(const CompileRequest &req)
                 cleanupAfter("strength-cleanup");
         }
 
-        measure("regalloc", [&] { opt::runRegAlloc(*fn, res.traits); });
+        bool allocated = false;
+        measure("regalloc",
+                [&] { allocated = opt::runRegAlloc(*fn, res.traits); });
+        if (!allocated) {
+            res.remarks.add(
+                capHitRemark("regalloc", *fn, opt::kRegAllocAttemptCap));
+            diag.error({}, strFormat("register allocation of '%s' did not "
+                                     "converge in %d attempts",
+                                     fn->name().c_str(),
+                                     opt::kRegAllocAttemptCap));
+            res.diagnostics = diag.str();
+            res.passProfiles = prof.profiles();
+            return res;
+        }
         verifyAfter(*fn, "regalloc", verify::Stage::PostRegalloc);
     }
 

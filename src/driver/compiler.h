@@ -168,7 +168,9 @@ struct CompileResult
      * passes plus the loop-id registry, and a `cleanup`
      * `fixpoint-cap-hit` remark for any cleanup that stopped at
      * opt::kCleanupRoundCap still changing code (args `cap` and
-     * `after_pass`, the profiler label of that cleanup). After
+     * `after_pass`, the profiler label of that cleanup), and a
+     * `regalloc` one (arg `cap`) for a register allocation that did
+     * not converge in opt::kRegAllocAttemptCap attempts. After
      * compilation every RTL
      * instruction inside a loop carries the matching loop id
      * (Inst::loopId), so simulator cycle buckets join remarks on it.
@@ -225,7 +227,8 @@ struct CompileRequest
 /**
  * Compile @p req. Lays the program out.
  *
- * Failure contract: user errors (diagnostics) return ok == false;
+ * Failure contract: user errors (diagnostics) and a register
+ * allocation that stops at its attempt cap return ok == false;
  * internal invariant violations throw InternalError; a tripped
  * CompileOptions::cancel flag or maxRtlInsts budget throws
  * CancelledError. Library embedders catch both exception types per

@@ -12,25 +12,6 @@ using rtl::InstKind;
 using rtl::Op;
 using rtl::RegFile;
 
-namespace {
-
-bool
-srcReadsFifo(const ExprPtr &e)
-{
-    bool found = false;
-    rtl::forEachNode(e, [&](const Expr &n) {
-        if (n.kind() == Expr::Kind::Reg &&
-                (n.regFile() == RegFile::Int ||
-                 n.regFile() == RegFile::Flt) &&
-                (n.regIndex() == 0 || n.regIndex() == 1)) {
-            found = true;
-        }
-    });
-    return found;
-}
-
-} // anonymous namespace
-
 int
 runBranchAnticipate(rtl::Function &fn, const rtl::MachineTraits &traits)
 {
@@ -55,7 +36,7 @@ runBranchAnticipate(rtl::Function &fn, const rtl::MachineTraits &traits)
         if (ccWrites != 1 || cmpIdx + 1 >= b->insts.size() + 1)
             continue;
         Inst cmp = b->insts[cmpIdx];
-        if (srcReadsFifo(cmp.src))
+        if (rtl::readsDataFifo(cmp.src))
             continue; // dequeues cannot be reordered
 
         // Try to fuse a trailing induction-variable increment into the

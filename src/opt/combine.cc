@@ -14,22 +14,6 @@ using rtl::RegFile;
 
 namespace {
 
-/** True if @p e reads a data-FIFO register (volatile on WM). */
-bool
-readsFifo(const ExprPtr &e)
-{
-    bool found = false;
-    rtl::forEachNode(e, [&](const Expr &n) {
-        if (n.kind() == Expr::Kind::Reg &&
-                (n.regFile() == RegFile::Int ||
-                 n.regFile() == RegFile::Flt) &&
-                (n.regIndex() == 0 || n.regIndex() == 1)) {
-            found = true;
-        }
-    });
-    return found;
-}
-
 /**
  * Use and def counts of the virtual registers. Counted once per
  * runCombine call and kept equal to a full recount at every fold: the
@@ -73,7 +57,7 @@ tryCombineAt(rtl::Block *b, size_t defIdx, UseDefCounts &counts,
     // A source that dequeues a data FIFO may only move to the
     // immediately following instruction, and only when that instruction
     // reads none of the same queues (so no per-queue read reorders).
-    bool fifoSrc = readsFifo(def.src);
+    bool fifoSrc = rtl::readsDataFifo(def.src);
 
     // Registers the source depends on; the fold is blocked if any is
     // redefined between the definition and the use.
@@ -90,9 +74,7 @@ tryCombineAt(rtl::Block *b, size_t defIdx, UseDefCounts &counts,
                 // The use must not touch any queue the source reads.
                 bool sharesQueue = false;
                 rtl::forEachUseReg(use, [&](const Expr &r) {
-                    if ((r.regFile() == RegFile::Int ||
-                         r.regFile() == RegFile::Flt) &&
-                            (r.regIndex() == 0 || r.regIndex() == 1) &&
+                    if (rtl::isDataFifoReg(r) &&
                             srcReads({r.regFile(), r.regIndex()})) {
                         sharesQueue = true;
                     }

@@ -1,4 +1,5 @@
 #include <unordered_map>
+#include <vector>
 
 #include "cfg/liveness.h"
 #include "dataflow/cfg_index.h"
@@ -18,14 +19,6 @@ using rtl::InstKind;
 using rtl::RegFile;
 
 namespace {
-
-bool
-isFifoReg(const ExprPtr &e)
-{
-    return e->isReg() &&
-           (e->regFile() == RegFile::Int || e->regFile() == RegFile::Flt) &&
-           (e->regIndex() == 0 || e->regIndex() == 1);
-}
 
 /** A forward map from register to an equivalent leaf. Seeded per
  *  block from the reaching-copies solve, then updated in-place while
@@ -88,6 +81,51 @@ class CopyTable
     std::unordered_map<RegKey, ExprPtr, RegKeyHash> map_;
 };
 
+/**
+ * The expressions or memory cells a block has computed so far, each
+ * with the virtual register that holds it. Keys are in the form the
+ * walk left them, already rewritten through the copy table.
+ */
+class AvailTable
+{
+  public:
+    void clear() { entries_.clear(); }
+
+    void
+    invalidate(const RegKey &k)
+    {
+        for (auto it = entries_.begin(); it != entries_.end();) {
+            bool kill = rtl::usesReg(it->expr, k.file, k.index) ||
+                        it->reg->isReg(k.file, k.index);
+            it = kill ? entries_.erase(it) : ++it;
+        }
+    }
+
+    void
+    record(ExprPtr expr, ExprPtr reg)
+    {
+        entries_.push_back({std::move(expr), std::move(reg)});
+    }
+
+    /** The register holding @p e, or null. */
+    const ExprPtr *
+    find(const ExprPtr &e) const
+    {
+        for (const Entry &entry : entries_)
+            if (rtl::exprEqual(entry.expr, e))
+                return &entry.reg;
+        return nullptr;
+    }
+
+  private:
+    struct Entry
+    {
+        ExprPtr expr;
+        ExprPtr reg;
+    };
+    std::vector<Entry> entries_;
+};
+
 /** True when an Assign qualifies as a propagatable copy: non-CC,
  *  non-FIFO destination; leaf source that is a same-file plain
  *  register or a non-float constant. */
@@ -95,10 +133,11 @@ bool
 isCopyInst(const Inst &inst)
 {
     if (inst.kind != InstKind::Assign ||
-            inst.dst->regFile() == RegFile::CC || isFifoReg(inst.dst))
+            inst.dst->regFile() == RegFile::CC ||
+            rtl::isDataFifoReg(*inst.dst))
         return false;
     const ExprPtr &s = inst.src;
-    bool leaf = (s->isReg() && !isFifoReg(s) &&
+    bool leaf = (s->isReg() && !rtl::isDataFifoReg(*s) &&
                  s->regFile() != RegFile::CC) ||
                 (s->isConst() && !rtl::isFloatType(s->type()));
     if (!leaf)
@@ -215,79 +254,160 @@ class ReachingCopies
     std::vector<CopyRecord> records_;
 };
 
+
+/**
+ * Rewrite @p inst 's operands through @p copies wherever the result is
+ * still a legal target instruction.
+ * @return number of operands rewritten.
+ */
+int
+rewriteOperands(Inst &inst, const CopyTable &copies,
+                const rtl::MachineTraits &traits)
+{
+    int changes = 0;
+    auto substitute = [&](ExprPtr &field, auto &&legal) {
+        ExprPtr n = copies.apply(field);
+        if (n != field && legal(n)) {
+            field = std::move(n);
+            ++changes;
+        }
+    };
+    auto isReg = [](const ExprPtr &e) { return e->isReg(); };
+    auto isAddr = [&](const ExprPtr &e) { return fitsAddr(e, traits); };
+    switch (inst.kind) {
+      case InstKind::Assign:
+        substitute(inst.src, [&](const ExprPtr &e) {
+            return inst.dst->regFile() == RegFile::CC
+                       ? fitsCompareSrc(e, traits)
+                       : fitsAssignSrc(e, traits);
+        });
+        break;
+      case InstKind::Load:
+        substitute(inst.addr, isAddr);
+        break;
+      case InstKind::Store:
+        substitute(inst.addr, isAddr);
+        substitute(inst.src, isReg);
+        break;
+      case InstKind::StreamIn:
+      case InstKind::StreamOut:
+        substitute(inst.addr, isReg);
+        if (inst.count) // null count = unbounded stream
+            substitute(inst.count, isReg);
+        break;
+      default:
+        break;
+    }
+    return changes;
+}
+
+/**
+ * Replace a computation the block already holds by the register that
+ * holds it: an expression hit makes the source that register, a load
+ * hit turns the load into a copy (keeping its id and comment).
+ * @return 1 on a hit, else 0.
+ */
+int
+reuseAvailable(Inst &inst, const AvailTable &exprs,
+               const AvailTable &loads)
+{
+    if (inst.kind == InstKind::Assign) {
+        if (inst.dst->regFile() == RegFile::CC ||
+                inst.src->kind() != Expr::Kind::Bin ||
+                rtl::readsDataFifo(inst.src))
+            return 0;
+        const ExprPtr *reg = exprs.find(inst.src);
+        if (!reg)
+            return 0;
+        inst.src = *reg;
+        return 1;
+    }
+    if (inst.kind == InstKind::Load && !rtl::readsDataFifo(inst.addr)) {
+        const ExprPtr *reg =
+            loads.find(rtl::makeMem(inst.addr, inst.memType));
+        if (!reg)
+            return 0;
+        Inst copy = rtl::makeAssign(inst.dst, *reg, inst.comment);
+        copy.id = inst.id;
+        inst = std::move(copy);
+        return 1;
+    }
+    return 0;
+}
+
+/** Record what @p inst leaves available to the rest of its block. */
+void
+recordAvailable(const Inst &inst, AvailTable &exprs, AvailTable &loads)
+{
+    auto holds = [&](const ExprPtr &from) {
+        return rtl::isVirtualFile(inst.dst->regFile()) &&
+               !rtl::readsDataFifo(from) &&
+               !rtl::usesReg(from, inst.dst->regFile(),
+                             inst.dst->regIndex());
+    };
+    switch (inst.kind) {
+      case InstKind::Assign:
+        if (inst.src->kind() == Expr::Kind::Bin && holds(inst.src))
+            exprs.record(inst.src, inst.dst);
+        break;
+      case InstKind::Load:
+        if (holds(inst.addr))
+            loads.record(rtl::makeMem(inst.addr, inst.memType), inst.dst);
+        break;
+      case InstKind::Store:
+        // Store-to-load forwarding. Only full 8-byte cells: a narrow
+        // store truncates, so the register is not the stored value.
+        if (inst.src->isReg() && rtl::dataTypeSize(inst.memType) == 8 &&
+                rtl::isVirtualFile(inst.src->regFile()) &&
+                !rtl::readsDataFifo(inst.addr))
+            loads.record(rtl::makeMem(inst.addr, inst.memType), inst.src);
+        break;
+      default:
+        break;
+    }
+}
+
 } // anonymous namespace
 
 int
-runCopyPropagate(rtl::Function &fn, const rtl::MachineTraits &traits)
+runValuePropagation(rtl::Function &fn, const rtl::MachineTraits &traits)
 {
     int changes = 0;
-    CopyTable table;
+    CopyTable copies;
+    AvailTable exprs;
+    AvailTable loads; // keys are Mem(addr) cells
     ReachingCopies reaching(fn, traits);
     const dataflow::CfgIndex &cfg = reaching.cfg();
 
     for (size_t bi = 0; bi < cfg.size(); ++bi) {
-        rtl::Block *bp = cfg.block(bi);
-        reaching.seed(bi, table);
-        for (Inst &inst : bp->insts) {
-            // Substitute into operand positions when still legal.
+        reaching.seed(bi, copies);
+        exprs.clear();
+        loads.clear();
+        for (Inst &inst : cfg.block(bi)->insts) {
+            changes += rewriteOperands(inst, copies, traits);
+            changes += reuseAvailable(inst, exprs, loads);
+
+            cfg::forEachDef(inst, traits, [&](const RegKey &k) {
+                copies.invalidate(k);
+                exprs.invalidate(k);
+                loads.invalidate(k);
+            });
             switch (inst.kind) {
-              case InstKind::Assign: {
-                ExprPtr ns = table.apply(inst.src);
-                bool legal = inst.dst->regFile() == RegFile::CC
-                                 ? fitsCompareSrc(ns, traits)
-                                 : fitsAssignSrc(ns, traits);
-                if (ns != inst.src && legal) {
-                    inst.src = ns;
-                    ++changes;
-                }
-                break;
-              }
-              case InstKind::Load: {
-                ExprPtr na = table.apply(inst.addr);
-                if (na != inst.addr && fitsAddr(na, traits)) {
-                    inst.addr = na;
-                    ++changes;
-                }
-                break;
-              }
-              case InstKind::Store: {
-                ExprPtr na = table.apply(inst.addr);
-                if (na != inst.addr && fitsAddr(na, traits)) {
-                    inst.addr = na;
-                    ++changes;
-                }
-                ExprPtr nsrc = table.apply(inst.src);
-                if (nsrc != inst.src && nsrc->isReg()) {
-                    inst.src = nsrc;
-                    ++changes;
-                }
-                break;
-              }
+              case InstKind::Store:
               case InstKind::StreamIn:
-              case InstKind::StreamOut: {
-                ExprPtr na = table.apply(inst.addr);
-                if (na != inst.addr && na->isReg()) {
-                    inst.addr = na;
-                    ++changes;
-                }
-                if (inst.count) { // null count = unbounded stream
-                    ExprPtr nc = table.apply(inst.count);
-                    if (nc != inst.count && nc->isReg()) {
-                        inst.count = nc;
-                        ++changes;
-                    }
-                }
+              case InstKind::StreamOut:
+              case InstKind::Call:
+                loads.clear(); // conservative: any memory may change
                 break;
-              }
               default:
                 break;
             }
 
-            // Update the table with this instruction's effect.
-            cfg::forEachDef(inst, traits,
-                            [&](const RegKey &k) { table.invalidate(k); });
+            // A hit above left a copy, so the rest of the block reads
+            // through it at once.
             if (isCopyInst(inst))
-                table.record(inst.dst, inst.src);
+                copies.record(inst.dst, inst.src);
+            recordAvailable(inst, exprs, loads);
         }
     }
     return changes;

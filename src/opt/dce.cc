@@ -6,7 +6,6 @@ namespace wmstream::opt {
 using cfg::RegKey;
 using rtl::Inst;
 using rtl::InstKind;
-using rtl::RegFile;
 
 namespace {
 
@@ -17,10 +16,7 @@ consumesFifo(const Inst &inst)
 {
     bool found = false;
     rtl::forEachUseReg(inst, [&](const rtl::Expr &r) {
-        if ((r.regFile() == RegFile::Int || r.regFile() == RegFile::Flt) &&
-                (r.regIndex() == 0 || r.regIndex() == 1)) {
-            found = true;
-        }
+        found |= rtl::isDataFifoReg(r);
     });
     return found;
 }
@@ -30,9 +26,7 @@ bool
 producesFifo(const Inst &inst)
 {
     auto d = rtl::instDef(inst);
-    return d &&
-           (d->regFile() == RegFile::Int || d->regFile() == RegFile::Flt) &&
-           (d->regIndex() == 0 || d->regIndex() == 1);
+    return d && rtl::isDataFifoReg(*d);
 }
 
 } // anonymous namespace

@@ -25,12 +25,8 @@ hasTrapOrFifo(const ExprPtr &e)
                 (n.op() == Op::Div || n.op() == Op::Rem)) {
             bad = true; // hoisting may introduce a divide fault
         }
-        if (n.kind() == Expr::Kind::Reg &&
-                (n.regFile() == RegFile::Int ||
-                 n.regFile() == RegFile::Flt) &&
-                (n.regIndex() == 0 || n.regIndex() == 1)) {
+        if (rtl::isDataFifoReg(n))
             bad = true; // FIFO reads are not movable
-        }
     });
     return bad;
 }

@@ -35,12 +35,28 @@ int runCombine(rtl::Function &fn, const rtl::MachineTraits &traits);
 int runLegalize(rtl::Function &fn, const rtl::MachineTraits &traits);
 
 /**
- * Block-local copy and constant propagation over register copies
- * (a := b) and immediates (a := c). Deleting the then-dead copies is
- * left to dead-code elimination.
- * @return number of operand replacements.
+ * Value propagation: copy and constant propagation and local common-
+ * subexpression elimination in one forward walk per block. Each block
+ * starts from the copies (a := b, a := c) that reach its entry on
+ * every path, from a whole-function must-reaching-copies solve made
+ * before the walk. For each instruction the walk
+ *  1. rewrites operands through the known copies, where the result is
+ *     still a legal instruction;
+ *  2. replaces a pure expression or a load the block already holds in a
+ *     virtual register by that register (a load becomes a copy); a
+ *     full 8-byte store forwards its register to later loads of the
+ *     cell;
+ *  3. forgets what the instruction's defs change (stores, streams and
+ *     calls forget every load);
+ *  4. records its own copy, expression or load.
+ * A replaced computation is itself a copy, so a chain of common
+ * subexpressions inside a block collapses in one walk. A copy the walk
+ * creates reaches later blocks only in the next call. Deleting the
+ * then-dead copies is left to dead-code elimination.
+ * @return number of operand rewrites plus replaced computations.
  */
-int runCopyPropagate(rtl::Function &fn, const rtl::MachineTraits &traits);
+int runValuePropagation(rtl::Function &fn,
+                        const rtl::MachineTraits &traits);
 
 /**
  * Global dead-code elimination of assignments and loads whose result
@@ -56,13 +72,6 @@ int runDeadCodeElim(rtl::Function &fn, const rtl::MachineTraits &traits);
  * @return number of simplifications.
  */
 int runBranchOpt(rtl::Function &fn);
-
-/**
- * Block-local common-subexpression elimination over pure assignments
- * and loads (loads are invalidated by stores, streams, and calls).
- * @return number of rewrites.
- */
-int runLocalCSE(rtl::Function &fn, const rtl::MachineTraits &traits);
 
 /**
  * Loop-invariant code motion of pure assignments into loop preheaders
@@ -100,30 +109,37 @@ int runBranchAnticipate(rtl::Function &fn,
 /**
  * Register assignment: map virtual registers onto the architectural
  * files, inserting spill code when needed, and emit prologue/epilogue
- * (stack-pointer adjustment plus callee-saved save/restore).
- * Panics if coloring fails after the spill-iteration cap.
+ * (stack-pointer adjustment plus callee-saved save/restore). Each
+ * attempt that cannot color spills one more virtual register.
+ * @return false if coloring still failed after kRegAllocAttemptCap
+ *         attempts; the function then still has virtual registers and
+ *         must not be emitted.
  */
-void runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits);
+bool runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits);
 
 /** How a runCleanup call ended. */
 struct CleanupResult
 {
     int changes = 0;        ///< sub-pass changes summed over all rounds
+    int rounds = 0;         ///< rounds run, a confirming one included
     bool converged = true;  ///< false: stopped at the cap, still changing
 };
 
 /**
  * Rounds one runCleanup call runs at most. No compile of the Table II
  * programs, Livermore 5 or 3,000 generated programs needs more than
- * four: three that change code and one that confirms (DESIGN §6).
+ * three: two that change code and one that confirms (DESIGN §6).
  */
 inline constexpr int kCleanupRoundCap = 4;
 
+/** Coloring attempts one runRegAlloc call makes at most. */
+inline constexpr int kRegAllocAttemptCap = 200;
+
 /**
- * The one cleanup fixpoint: branch optimization, combine, copy
- * propagation, local CSE and dead-code elimination, repeated until a
- * round changes nothing or kCleanupRoundCap rounds have run. The
- * driver runs it after every pass that changed code.
+ * The one cleanup fixpoint: branch optimization, combine, value
+ * propagation and dead-code elimination, repeated until a round
+ * changes nothing or kCleanupRoundCap rounds have run. The driver runs
+ * it after every pass that changed code.
  */
 CleanupResult runCleanup(rtl::Function &fn,
                          const rtl::MachineTraits &traits);
@@ -133,9 +149,10 @@ CleanupResult runCleanup(rtl::Function &fn,
  * runCleanup, LICM, and runCleanup again if LICM hoisted anything.
  * When @p prog is given, loop-invariant loads of unaliased globals
  * (the classic "loop bound lives in memory" case) are hoisted too.
- * @return false if a cleanup stopped at its round cap.
+ * @return both cleanups' changes and rounds summed; `converged` is
+ *         false if either stopped at its round cap.
  */
-bool runCleanupPipeline(rtl::Function &fn,
+CleanupResult runCleanupPipeline(rtl::Function &fn,
                         const rtl::MachineTraits &traits,
                         const rtl::Program *prog = nullptr);
 

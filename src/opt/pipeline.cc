@@ -13,12 +13,12 @@ runCleanup(rtl::Function &fn, const rtl::MachineTraits &traits)
 {
     CleanupResult res;
     res.converged = false;
-    for (int round = 0; round < kCleanupRoundCap; ++round) {
+    while (res.rounds < kCleanupRoundCap) {
+        ++res.rounds;
         int changes = 0;
         changes += runBranchOpt(fn);
         changes += runCombine(fn, traits);
-        changes += runCopyPropagate(fn, traits);
-        changes += runLocalCSE(fn, traits);
+        changes += runValuePropagation(fn, traits);
         changes += runDeadCodeElim(fn, traits);
         if (!changes) {
             res.converged = true;
@@ -35,7 +35,7 @@ runCleanup(rtl::Function &fn, const rtl::MachineTraits &traits)
     return res;
 }
 
-bool
+CleanupResult
 runCleanupPipeline(rtl::Function &fn, const rtl::MachineTraits &traits,
                    const rtl::Program *prog)
 {
@@ -44,11 +44,15 @@ runCleanupPipeline(rtl::Function &fn, const rtl::MachineTraits &traits,
     // before code motion and again only if LICM hoisted anything.
     // Otherwise LICM left the function as it was, and a second run
     // could only confirm the first run's fixpoint.
-    bool converged = runCleanup(fn, traits).converged;
-    if (runLoopInvariantCodeMotion(fn, traits, prog))
-        converged &= runCleanup(fn, traits).converged;
+    CleanupResult res = runCleanup(fn, traits);
+    if (runLoopInvariantCodeMotion(fn, traits, prog)) {
+        CleanupResult again = runCleanup(fn, traits);
+        res.changes += again.changes;
+        res.rounds += again.rounds;
+        res.converged &= again.converged;
+    }
     fn.renumber();
-    return converged;
+    return res;
 }
 
 } // namespace wmstream::opt

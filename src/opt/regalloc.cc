@@ -4,7 +4,6 @@
 
 #include "cfg/liveness.h"
 #include "opt/passes.h"
-#include "support/diag.h"
 #include "support/str.h"
 
 namespace wmstream::opt {
@@ -152,10 +151,10 @@ spillRegister(rtl::Function &fn, const RegKey &victim,
 
 } // anonymous namespace
 
-void
+bool
 runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits)
 {
-    for (int attempt = 0; attempt < 200; ++attempt) {
+    for (int attempt = 0; attempt < kRegAllocAttemptCap; ++attempt) {
         // ---- build interference ----
         Allocator ia{RegFile::VInt, RegFile::Int, {}, {}, {}};
         Allocator fa{RegFile::VFlt, RegFile::Flt, {}, {}, {}};
@@ -323,10 +322,9 @@ runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits)
         }
         fn.recomputeCfg();
         fn.renumber();
-        return;
+        return true;
     }
-    WS_PANIC("register allocation failed after spill iterations in " +
-             fn.name());
+    return false;
 }
 
 } // namespace wmstream::opt

@@ -420,6 +420,22 @@ containsMem(const ExprPtr &e)
     return found;
 }
 
+bool
+isDataFifoReg(const Expr &e)
+{
+    return e.kind() == Expr::Kind::Reg &&
+           (e.regFile() == RegFile::Int || e.regFile() == RegFile::Flt) &&
+           (e.regIndex() == 0 || e.regIndex() == 1);
+}
+
+bool
+readsDataFifo(const ExprPtr &e)
+{
+    bool found = false;
+    forEachNode(e, [&](const Expr &n) { found |= isDataFifoReg(n); });
+    return found;
+}
+
 std::string
 Expr::str() const
 {

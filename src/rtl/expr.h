@@ -227,6 +227,16 @@ bool usesReg(const ExprPtr &e, RegFile file, int index);
 /** True if a Mem node occurs anywhere in @p e. */
 bool containsMem(const ExprPtr &e);
 
+/**
+ * True if @p e is a WM data-FIFO register: r0/r1 or f0/f1. Reading one
+ * dequeues an element and writing one enqueues, so such an operand is
+ * never a plain value.
+ */
+bool isDataFifoReg(const Expr &e);
+
+/** True if a data-FIFO register occurs anywhere in @p e. */
+bool readsDataFifo(const ExprPtr &e);
+
 } // namespace wmstream::rtl
 
 #endif // WMSTREAM_RTL_EXPR_H

@@ -13,14 +13,6 @@ using rtl::RegFile;
 
 namespace {
 
-bool
-isInFifoReg(const ExprPtr &e)
-{
-    return e && e->isReg() &&
-           (e->regFile() == RegFile::Int || e->regFile() == RegFile::Flt) &&
-           (e->regIndex() == 0 || e->regIndex() == 1);
-}
-
 /** Identity of a FIFO register: (side, index). */
 std::pair<int, int>
 fifoId(const ExprPtr &e)
@@ -106,18 +98,19 @@ runVectorize(rtl::Function &fn, const rtl::MachineTraits &traits)
                 jump.target != b->label()) {
             continue;
         }
-        if (body.kind != InstKind::Assign || !isInFifoReg(body.dst))
+        if (body.kind != InstKind::Assign ||
+                !rtl::isDataFifoReg(*body.dst))
             continue;
 
         ExprPtr src1, src2;
         Op op = Op::Or;
         const ExprPtr &s = body.src;
-        if (isInFifoReg(s)) {
+        if (rtl::isDataFifoReg(*s)) {
             src1 = s; // plain copy
             op = Op::Add;
             src2 = nullptr;
         } else if (s->kind() == Expr::Kind::Bin && isVecOperator(s->op())) {
-            if (!isInFifoReg(s->lhs()))
+            if (!rtl::isDataFifoReg(*s->lhs()))
                 continue; // first operand must be the element stream
             src1 = s->lhs();
             src2 = s->rhs();
@@ -127,11 +120,10 @@ runVectorize(rtl::Function &fn, const rtl::MachineTraits &traits)
             // would be a recurrence — but the loop body IS this single
             // instruction, whose only destination is the FIFO, so any
             // plain register here is invariant by construction.
-            bool ok = isInFifoReg(src2) || src2->isReg() || src2->isConst();
-            if (!ok)
+            if (!src2->isReg() && !src2->isConst())
                 continue;
             // Each queue may be consumed once per element.
-            if (isInFifoReg(src2) && fifoId(src2) == fifoId(src1))
+            if (rtl::isDataFifoReg(*src2) && fifoId(src2) == fifoId(src1))
                 continue;
         } else {
             continue;
@@ -140,7 +132,7 @@ runVectorize(rtl::Function &fn, const rtl::MachineTraits &traits)
         std::vector<std::pair<int, int>> used;
         used.push_back(fifoId(body.dst));
         used.push_back(fifoId(src1));
-        if (src2 && isInFifoReg(src2))
+        if (src2 && rtl::isDataFifoReg(*src2))
             used.push_back(fifoId(src2));
 
         ExprPtr count = sharedStreamCount(fn, b, used);

@@ -14,6 +14,7 @@ using rtl::Inst;
 using rtl::InstKind;
 using rtl::RegFile;
 using rtl::UnitSide;
+using rtl::isDataFifoReg;
 
 std::string
 queueName(int q)
@@ -25,15 +26,6 @@ queueName(int q)
     int fifo = q % 2;
     return strFormat("%s:%c%d", output ? "out" : "in",
                      side ? 'f' : 'r', fifo);
-}
-
-bool
-isDataFifoReg(const Expr &e)
-{
-    return e.kind() == Expr::Kind::Reg &&
-           (e.regFile() == RegFile::Int ||
-            e.regFile() == RegFile::Flt) &&
-           (e.regIndex() == 0 || e.regIndex() == 1);
 }
 
 const char *

@@ -52,8 +52,6 @@ ccQ(int side)
 /** Stable display name: "in:r0", "out:f1", "cc0", ... */
 std::string queueName(int q);
 
-bool isDataFifoReg(const rtl::Expr &e);
-
 inline int
 fifoSide(const rtl::Expr &e)
 {

@@ -56,6 +56,7 @@ using rtl::Inst;
 using rtl::InstKind;
 using rtl::RegFile;
 using rtl::UnitSide;
+using rtl::isDataFifoReg;
 
 using detail::addViolation;
 

@@ -134,6 +134,7 @@ using rtl::ExprPtr;
 using rtl::Inst;
 using rtl::InstKind;
 using rtl::RegFile;
+using rtl::isDataFifoReg;
 
 using detail::addViolation;
 
@@ -179,15 +180,6 @@ needsLabel(InstKind k)
 {
     return k == InstKind::Jump || k == InstKind::CondJump ||
            k == InstKind::JumpStream;
-}
-
-bool
-isDataFifoReg(const Expr &e)
-{
-    return e.kind() == Expr::Kind::Reg &&
-           (e.regFile() == RegFile::Int ||
-            e.regFile() == RegFile::Flt) &&
-           (e.regIndex() == 0 || e.regIndex() == 1);
 }
 
 /**

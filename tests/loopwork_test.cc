@@ -11,6 +11,11 @@
  * function with k streamable loops (stream_loops.h) at k = 16 and
  * k = 48 and pins that the whole-function work is the same at both,
  * and that the re-scans grow no faster than the loops.
+ *
+ * The cleanup fixpoint reports the rounds it ran as `cleanup_rounds`
+ * under each cleanup label. Those are pinned exactly, on the same
+ * function and summed over the nine Table II programs: a change that
+ * makes the cleanup need more rounds, or fewer, has to say so here.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +24,7 @@
 #include <string>
 
 #include "driver/compiler.h"
+#include "programs/programs.h"
 #include "stream_loops.h"
 
 namespace {
@@ -30,18 +36,18 @@ struct Work
     int64_t cfgRecomputes = 0;
     int64_t defUseBuilds = 0;
     int64_t defUseBlockRescans = 0;
+    int64_t cleanupRounds = 0;
     int loopsStreamed = 0;
 };
 
-/** The work counters of one compile of @p loops loops, summed. */
+/** The work counters of one compile of @p source, summed. */
 Work
-compileWork(int loops, rtl::MachineKind target)
+compileWork(const std::string &source, rtl::MachineKind target)
 {
     driver::CompileOptions opts;
     opts.target = target;
     opts.profilePasses = true;
-    driver::CompileResult cr =
-        driver::compileSource(streamLoopsSource(loops), opts);
+    driver::CompileResult cr = driver::compileSource(source, opts);
     EXPECT_TRUE(cr.ok) << cr.diagnostics;
     Work w;
     for (const obs::PassProfile &p : cr.passProfiles) {
@@ -52,11 +58,19 @@ compileWork(int loops, rtl::MachineKind target)
                 w.defUseBuilds += value;
             else if (key == "defuse_block_rescans")
                 w.defUseBlockRescans += value;
+            else if (key == "cleanup_rounds")
+                w.cleanupRounds += value;
         }
     }
     for (const auto &sr : cr.streamingReports)
         w.loopsStreamed += sr.loopsStreamed;
     return w;
+}
+
+Work
+compileWork(int loops, rtl::MachineKind target)
+{
+    return compileWork(streamLoopsSource(loops), target);
 }
 
 class LoopWork : public testing::TestWithParam<rtl::MachineKind>
@@ -80,6 +94,19 @@ TEST_P(LoopWork, WholeFunctionWorkIsFlatInTheLoopCount)
     EXPECT_GT(w16.defUseBlockRescans, 0);
     EXPECT_LE(w48.defUseBlockRescans * 16, w16.defUseBlockRescans * 48)
         << w48.defUseBlockRescans << " vs " << w16.defUseBlockRescans;
+}
+
+TEST_P(LoopWork, CleanupRoundsAreExact)
+{
+    bool wm = GetParam() == rtl::MachineKind::WM;
+    // The loops are independent, so the rounds do not grow with them.
+    EXPECT_EQ(compileWork(16, GetParam()).cleanupRounds, wm ? 5 : 6);
+    EXPECT_EQ(compileWork(48, GetParam()).cleanupRounds, wm ? 5 : 6);
+
+    int64_t tableII = 0;
+    for (const programs::BenchmarkProgram &p : programs::tableIIPrograms())
+        tableII += compileWork(p.source, GetParam()).cleanupRounds;
+    EXPECT_EQ(tableII, wm ? 81 : 90);
 }
 
 INSTANTIATE_TEST_SUITE_P(Targets, LoopWork,

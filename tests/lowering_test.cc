@@ -111,6 +111,31 @@ int main(void) {
     EXPECT_EQ(res.returnValue, 16);
 }
 
+TEST(RegAlloc, AttemptCapFailsWithoutPanicking)
+{
+    // With one allocatable integer register, `d := a + b` needs both
+    // operands live at once in any coloring: every attempt spills
+    // again, and the call gives up at the cap instead of panicking.
+    MachineTraits traits = wmTraits();
+    traits.lastAllocatableInt = traits.firstAllocatable;
+    Function fn("f");
+    Block *b = fn.addBlock("entry");
+    auto va = fn.newVReg(DataType::I64);
+    auto vb = fn.newVReg(DataType::I64);
+    auto vd = fn.newVReg(DataType::I64);
+    b->insts.push_back(makeAssign(va, makeConst(1)));
+    b->insts.push_back(makeAssign(vb, makeConst(2)));
+    b->insts.push_back(makeAssign(vd, makeBin(Op::Add, va, vb)));
+    Inst ret = makeReturn();
+    ret.extraUses.push_back(vd);
+    b->insts.push_back(ret);
+    fn.recomputeCfg();
+
+    bool converged = true;
+    EXPECT_NO_THROW(converged = opt::runRegAlloc(fn, traits));
+    EXPECT_FALSE(converged);
+}
+
 TEST(Lowering, SplitsLoadsAndStores)
 {
     driver::CompileOptions opts;

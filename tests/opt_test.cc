@@ -235,7 +235,7 @@ TEST(CopyProp, PropagatesRegisterCopies)
     b->insts.push_back(retWith(ret));
     fn.recomputeCfg();
 
-    EXPECT_GT(opt::runCopyPropagate(fn, traits), 0);
+    EXPECT_GT(opt::runValuePropagation(fn, traits), 0);
     // the add now reads `a` (or the constant), not `c`
     EXPECT_FALSE(usesReg(b->insts[2].src, c->regFile(), c->regIndex()));
 }
@@ -274,7 +274,7 @@ TEST(CopyProp, InvalidatedByRedefinition)
     b->insts.push_back(retWith(ret));
     fn.recomputeCfg();
 
-    opt::runCopyPropagate(fn, traits);
+    opt::runValuePropagation(fn, traits);
     // c must NOT be replaced by a after a was redefined
     EXPECT_FALSE(usesReg(b->insts[3].src, a->regFile(), a->regIndex()));
 }
@@ -434,9 +434,12 @@ TEST(Cse, ReusesAddressComputation)
     b->insts.push_back(retWith(ret));
     fn.recomputeCfg();
 
-    EXPECT_EQ(opt::runLocalCSE(fn, traits), 1);
-    // the second computation became a copy of the first
-    EXPECT_TRUE(b->insts[1].src->isReg());
+    EXPECT_GT(opt::runValuePropagation(fn, traits), 0);
+    // the second computation became a copy of the first, and the add
+    // reads through that copy
+    EXPECT_TRUE(b->insts[1].src->isReg(a->regFile(), a->regIndex()));
+    EXPECT_FALSE(usesReg(b->insts[2].src, c->regFile(), c->regIndex()));
+    EXPECT_EQ(opt::runValuePropagation(fn, traits), 0);
 }
 
 TEST(Cse, InvalidatedByOperandRedefinition)
@@ -454,7 +457,7 @@ TEST(Cse, InvalidatedByOperandRedefinition)
     b->insts.push_back(retWith(ret));
     fn.recomputeCfg();
 
-    EXPECT_EQ(opt::runLocalCSE(fn, traits), 0);
+    EXPECT_EQ(opt::runValuePropagation(fn, traits), 0);
 }
 
 TEST(Cse, RedundantLoadEliminated)
@@ -471,8 +474,10 @@ TEST(Cse, RedundantLoadEliminated)
     b->insts.push_back(retWith(ret));
     fn.recomputeCfg();
 
-    EXPECT_EQ(opt::runLocalCSE(fn, traits), 1);
+    EXPECT_GT(opt::runValuePropagation(fn, traits), 0);
     EXPECT_EQ(b->insts[1].kind, InstKind::Assign);
+    EXPECT_TRUE(b->insts[1].src->isReg(a->regFile(), a->regIndex()));
+    EXPECT_FALSE(usesReg(b->insts[2].src, c->regFile(), c->regIndex()));
 }
 
 TEST(Cse, LoadNotReusedAcrossStore)
@@ -494,6 +499,34 @@ TEST(Cse, LoadNotReusedAcrossStore)
     // Conservative: the second load must stay (q may alias p). The
     // store-to-load forwarding table may still rewrite it through q's
     // stored value only if addresses match structurally — they don't.
-    opt::runLocalCSE(fn, traits);
+    opt::runValuePropagation(fn, traits);
     EXPECT_EQ(b->insts[2].kind, InstKind::Load);
+}
+
+TEST(Cse, ChainCollapsesInOneWalk)
+{
+    // b repeats a, so d repeats c once b is read as a: one walk sees
+    // both, because the first hit leaves a copy the second reads
+    // through.
+    auto traits = wmTraits();
+    Function fn("f");
+    Block *blk = fn.addBlock("entry");
+    auto x = makeReg(RegFile::Int, 4, DataType::I64);
+    auto y = makeReg(RegFile::Int, 5, DataType::I64);
+    auto z = makeReg(RegFile::Int, 6, DataType::I64);
+    auto a = vi(fn), b = vi(fn), c = vi(fn), d = vi(fn);
+    blk->insts.push_back(makeAssign(a, makeBin(Op::Add, x, y)));
+    blk->insts.push_back(makeAssign(b, makeBin(Op::Add, x, y)));
+    blk->insts.push_back(makeAssign(c, makeBin(Op::Mul, a, z)));
+    blk->insts.push_back(makeAssign(d, makeBin(Op::Mul, b, z)));
+    auto ret = makeReg(RegFile::Int, 2, DataType::I64);
+    blk->insts.push_back(makeAssign(ret, makeBin(Op::Add, c, d)));
+    blk->insts.push_back(retWith(ret));
+    fn.recomputeCfg();
+
+    EXPECT_GT(opt::runValuePropagation(fn, traits), 0);
+    EXPECT_TRUE(blk->insts[1].src->isReg(a->regFile(), a->regIndex()));
+    EXPECT_TRUE(blk->insts[3].src->isReg(c->regFile(), c->regIndex()));
+    // Nothing is left for a second walk.
+    EXPECT_EQ(opt::runValuePropagation(fn, traits), 0);
 }

@@ -359,24 +359,31 @@ TEST(Remarks, CollectorDeduplicatesAndUpgradesLoc)
 
 TEST(Remarks, CleanupCapHitIsLoud)
 {
-    // Local CSE matches expressions structurally, so each level of
-    // this chain becomes common only after copy propagation has
-    // rewritten the level below it: one cleanup round per level. Six
-    // levels outrun the four-round cap, and the compile says so.
+    // Each level of this chain of common subexpressions sits in its own
+    // block. Value propagation turns u_n into a copy of t_n, but the
+    // copies reaching a block are solved before the walk, so u_n reads
+    // as t_n in the next block only one cleanup round later: one round
+    // per level. Six levels outrun the four-round cap, and the compile
+    // says so.
     const std::string src = R"(
 int a = 3;
 int b = 4;
 int c = 5;
 int main(void) {
-    int x, y, z, t1, u1, t2, u2, t3, u3, t4, u4, t5, u5, t6, u6;
-    x = a; y = b; z = c;
+    int x, y, z, g, t1, u1, t2, u2, t3, u3, t4, u4, t5, u5, t6, u6;
+    x = a; y = b; z = c; g = 0;
     t1 = x + y; u1 = x + y;
+    if (x < y) g = 1;
     t2 = t1 * z; u2 = u1 * z;
+    if (x < y) g = 2;
     t3 = t2 * z; u3 = u2 * z;
+    if (x < y) g = 3;
     t4 = t3 * z; u4 = u3 * z;
+    if (x < y) g = 4;
     t5 = t4 * z; u5 = u4 * z;
+    if (x < y) g = 5;
     t6 = t5 * z; u6 = u5 * z;
-    return t1 + u1 + t2 + u2 + t3 + u3 + t4 + u4 + t5 + u5 + t6 + u6;
+    return t1 + u1 + t2 + u2 + t3 + u3 + t4 + u4 + t5 + u5 + t6 + u6 + g;
 }
 )";
     for (rtl::MachineKind target :
@@ -399,10 +406,45 @@ int main(void) {
     // The code is still right, only less clean than it could be.
     auto res = wmsim::simulate(*compile(src).program);
     ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(res.returnValue, 2 * (7 + 35 + 175 + 875 + 4375 + 21875));
+    EXPECT_EQ(res.returnValue,
+              2 * (7 + 35 + 175 + 875 + 4375 + 21875) + 5);
 
     // A compile that converges carries no such remark.
     EXPECT_TRUE(compile("int main(void) { return 1; }")
                     .remarks.byReason("fixpoint-cap-hit")
                     .empty());
+}
+
+TEST(Remarks, StraightLineCseChainConverges)
+{
+    // The same chain in one block: each repeated level becomes a copy
+    // that the rest of the block reads through at once, so value
+    // propagation collapses the whole chain in one walk.
+    const std::string src = R"(
+int a = 3;
+int b = 4;
+int c = 5;
+int main(void) {
+    int x, y, z, t1, u1, t2, u2, t3, u3, t4, u4, t5, u5, t6, u6;
+    x = a; y = b; z = c;
+    t1 = x + y; u1 = x + y;
+    t2 = t1 * z; u2 = u1 * z;
+    t3 = t2 * z; u3 = u2 * z;
+    t4 = t3 * z; u4 = u3 * z;
+    t5 = t4 * z; u5 = u4 * z;
+    t6 = t5 * z; u6 = u5 * z;
+    return t1 + u1 + t2 + u2 + t3 + u3 + t4 + u4 + t5 + u5 + t6 + u6;
+}
+)";
+    for (rtl::MachineKind target :
+         {rtl::MachineKind::WM, rtl::MachineKind::Scalar}) {
+        driver::CompileOptions opts;
+        opts.target = target;
+        EXPECT_TRUE(compile(src, opts)
+                        .remarks.byReason("fixpoint-cap-hit")
+                        .empty());
+    }
+    auto res = wmsim::simulate(*compile(src).program);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.returnValue, 2 * (7 + 35 + 175 + 875 + 4375 + 21875));
 }
