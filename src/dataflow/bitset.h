@@ -139,6 +139,23 @@ bitsetForEach(size_t words, const BitsetWord *p, F f)
     }
 }
 
+/** Call @p f(index) for every bit set in both @p a and @p b, ascending. */
+template <typename F>
+inline void
+bitsetForEachAnd(size_t words, const BitsetWord *a, const BitsetWord *b,
+                 F f)
+{
+    for (size_t w = 0; w < words; ++w) {
+        BitsetWord bits = a[w] & b[w];
+        while (bits) {
+            unsigned tz =
+                static_cast<unsigned>(__builtin_ctzll(bits));
+            f(w * kBitsetWordBits + tz);
+            bits &= bits - 1;
+        }
+    }
+}
+
 } // namespace wmstream::dataflow
 
 #endif // WMSTREAM_DATAFLOW_BITSET_H

@@ -421,10 +421,11 @@ compile(const CompileRequest &req)
                 cleanupAfter("strength-cleanup");
         }
 
-        bool allocated = false;
+        opt::RegAllocResult ra;
         measure("regalloc",
-                [&] { allocated = opt::runRegAlloc(*fn, res.traits); });
-        if (!allocated) {
+                [&] { ra = opt::runRegAlloc(*fn, res.traits); });
+        prof.addCounter("regalloc", "regalloc_attempts", ra.attempts);
+        if (!ra.allocated) {
             res.remarks.add(
                 capHitRemark("regalloc", *fn, opt::kRegAllocAttemptCap));
             diag.error({}, strFormat("register allocation of '%s' did not "

@@ -316,14 +316,29 @@ printFunction(const rtl::Function &fn)
                         return regName(names, e);
                     };
                     // Two-address form: dst must equal the first
-                    // operand; emit a move when it does not.
-                    bool dstIsLhs =
-                        s->lhs()->isReg() &&
-                        regName(names, s->lhs()) == d;
+                    // operand; emit a move when it does not. When dst
+                    // is the second operand the move would clobber it:
+                    // a commutative op takes the first operand as its
+                    // source instead, and a - d becomes -d + a.
+                    auto isD = [&](const ExprPtr &e) {
+                        return e->isReg() && regName(names, e) == d;
+                    };
+                    bool dstIsLhs = isD(s->lhs());
+                    bool dstIsRhs = !dstIsLhs && isD(s->rhs());
+                    bool commutative =
+                        s->op() == Op::Add || s->op() == Op::Mul ||
+                        s->op() == Op::And || s->op() == Op::Or ||
+                        s->op() == Op::Xor;
                     if (s->op() == Op::Add && s->rhs()->isConst() &&
                             dstIsLhs && s->rhs()->ival() >= 1 &&
                             s->rhs()->ival() <= 8) {
                         line << "addql #" << s->rhs()->ival() << "," << d;
+                    } else if (dstIsRhs && commutative) {
+                        line << mn << " " << opnd(s->lhs()) << "," << d;
+                    } else if (dstIsRhs && s->op() == Op::Sub) {
+                        line << (flt ? "fnegx " : "negl ") << d << "; "
+                             << (flt ? "faddx " : "addl ")
+                             << opnd(s->lhs()) << "," << d;
                     } else {
                         if (!dstIsLhs)
                             line << (flt ? "fmovex " : "movl ")

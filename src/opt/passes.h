@@ -106,16 +106,27 @@ int runStrengthReduce(rtl::Function &fn, const rtl::MachineTraits &traits);
 int runBranchAnticipate(rtl::Function &fn,
                         const rtl::MachineTraits &traits);
 
+/** How a runRegAlloc call ended. */
+struct RegAllocResult
+{
+    int attempts = 0;       ///< colorings tried, the successful one included
+    bool allocated = false; ///< false: still uncolorable at the cap
+};
+
 /**
  * Register assignment: map virtual registers onto the architectural
  * files, inserting spill code when needed, and emit prologue/epilogue
  * (stack-pointer adjustment plus callee-saved save/restore). Each
- * attempt that cannot color spills one more virtual register.
- * @return false if coloring still failed after kRegAllocAttemptCap
- *         attempts; the function then still has virtual registers and
- *         must not be emitted.
+ * attempt solves liveness, builds the interference graph as one bit
+ * row per liveness key, and colors each file highest degree first
+ * from register masks; an attempt that cannot color spills the first
+ * node that found no register, and the next attempt starts over.
+ * @return the attempts made; `allocated` is false if coloring still
+ *         failed after kRegAllocAttemptCap attempts, and the function
+ *         then still has virtual registers and must not be emitted.
  */
-bool runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits);
+RegAllocResult runRegAlloc(rtl::Function &fn,
+                           const rtl::MachineTraits &traits);
 
 /** How a runCleanup call ended. */
 struct CleanupResult

@@ -1,15 +1,16 @@
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "cfg/liveness.h"
 #include "opt/passes.h"
+#include "support/diag.h"
 #include "support/str.h"
 
 namespace wmstream::opt {
 
 using cfg::RegKey;
-using cfg::RegKeyHash;
+using dataflow::BitsetWord;
 using rtl::DataType;
 using rtl::ExprPtr;
 using rtl::Inst;
@@ -18,74 +19,216 @@ using rtl::RegFile;
 
 namespace {
 
-/** Graph-coloring state for one virtual file (VInt or VFlt). */
-struct Allocator
-{
-    RegFile vfile;
-    RegFile pfile;
-    // adjacency: vreg index -> set of interfering vreg indexes
-    std::unordered_map<int, std::unordered_set<int>> adj;
-    // forbidden physical indexes per vreg
-    std::unordered_map<int, std::unordered_set<int>> forbidden;
-    std::unordered_set<int> nodes;
-};
+/** A set of register numbers of one file: bit r is register r. */
+using RegMask = uint64_t;
 
-void
-addInterference(Allocator &ia, Allocator &fa, const RegKey &def,
-                const RegKey &live)
+RegMask
+regBit(int r)
 {
-    auto classify = [&](const RegKey &k) -> Allocator * {
-        if (k.file == RegFile::VInt)
-            return &ia;
-        if (k.file == RegFile::VFlt)
-            return &fa;
-        return nullptr;
-    };
-    Allocator *da = classify(def);
-    Allocator *la = classify(live);
-    if (da && la && da == la && def.index != live.index) {
-        da->adj[def.index].insert(live.index);
-        da->adj[live.index].insert(def.index);
-        da->nodes.insert(def.index);
-        da->nodes.insert(live.index);
-    } else if (da && !la && live.file == da->pfile) {
-        da->forbidden[def.index].insert(live.index);
-        da->nodes.insert(def.index);
-    } else if (!da && la && def.file == la->pfile) {
-        la->forbidden[live.index].insert(def.index);
-        la->nodes.insert(live.index);
-    }
+    WS_ASSERT(r >= 0 && r < 64, "register number outside a RegMask");
+    return RegMask{1} << r;
 }
 
+/** The two allocated files: a virtual file and its physical file. */
+constexpr RegFile kVirtualFile[2] = {RegFile::VInt, RegFile::VFlt};
+constexpr RegFile kPhysicalFile[2] = {RegFile::Int, RegFile::Flt};
+
+/**
+ * The interference graph of one attempt, over the attempt's Liveness
+ * key numbering. Row k holds one bit per key: the keys live at a
+ * definition of key k, and the keys defined while key k is live. The
+ * matrix is symmetric and has no self bits. Of its pairs, one of two
+ * virtual keys of a file is an edge, one of a virtual key and a
+ * physical key of the matching file forbids that register, and all
+ * others are ignored. The buffers outlive an attempt, so a retry after
+ * a spill reuses them.
+ */
+class Interference
+{
+  public:
+    /** Build the graph of @p fn from @p live, solved on it. */
+    void build(const rtl::Function &fn, const cfg::Liveness &live,
+               const rtl::MachineTraits &traits)
+    {
+        live_ = &live;
+        words_ = live.bitsetWords();
+        size_t n = live.numKeys();
+        rows_.assign(n * words_, 0);
+        defined_.assign(words_, 0);
+        for (int f = 0; f < 2; ++f) {
+            virtual_[f].assign(words_, 0);
+            physical_[f].assign(words_, 0);
+        }
+        for (size_t k = 0; k < n; ++k)
+            for (int f = 0; f < 2; ++f) {
+                if (live.key(k).file == kVirtualFile[f])
+                    dataflow::bitsetSet(virtual_[f].data(), k);
+                if (live.key(k).file == kPhysicalFile[f])
+                    dataflow::bitsetSet(physical_[f].data(), k);
+            }
+
+        liveSet_.resize(words_);
+        BitsetWord *liveSet = liveSet_.data();
+        for (const auto &bp : fn.blocks()) {
+            const rtl::Block *b = bp.get();
+            dataflow::bitsetCopy(words_, liveSet, live.liveOutBits(b));
+            for (size_t i = b->insts.size(); i-- > 0;) {
+                const Inst &inst = b->insts[i];
+                cfg::forEachDef(inst, traits, [&](const RegKey &d) {
+                    size_t k = static_cast<size_t>(live.keyIndex(d));
+                    dataflow::bitsetOr(words_, row(k), liveSet);
+                    dataflow::bitsetSet(defined_.data(), k);
+                });
+                live.transferBack(inst, liveSet);
+            }
+        }
+        // Drop each key's own bit (a key live across its definition),
+        // then mirror every row into the rows of its keys.
+        for (size_t k = 0; k < n; ++k) {
+            dataflow::bitsetReset(row(k), k);
+            dataflow::bitsetForEach(words_, row(k), [&](size_t j) {
+                dataflow::bitsetSet(row(j), k);
+            });
+        }
+    }
+
+    /**
+     * Color the nodes of allocated file @p f (0 integer, 1 float) into
+     * @p color, indexed by key. A node is a virtual key of the file that
+     * is defined, has a neighbour or has a forbidden register; other
+     * keys keep their virtual register. Highest degree first, then
+     * lowest virtual register number; each node takes the lowest
+     * register of [@p first, @p last] that is neither forbidden to it
+     * nor the color of a colored neighbour.
+     * @return the key of the first node that cannot be colored, or -1.
+     */
+    int colorFile(int f, int first, int last, std::vector<int> &color)
+    {
+        const BitsetWord *virt = virtual_[f].data();
+        const BitsetWord *phys = physical_[f].data();
+        nodes_.clear();
+        dataflow::bitsetForEach(words_, virt, [&](size_t k) {
+            const BitsetWord *r = row(k);
+            size_t degree = 0;
+            BitsetWord forbidden = 0;
+            for (size_t w = 0; w < words_; ++w) {
+                degree += static_cast<size_t>(
+                    __builtin_popcountll(r[w] & virt[w]));
+                forbidden |= r[w] & phys[w];
+            }
+            if (degree || forbidden ||
+                    dataflow::bitsetTest(defined_.data(), k))
+                nodes_.push_back({degree, live_->key(k).index, k});
+        });
+        std::sort(nodes_.begin(), nodes_.end(),
+                  [](const Node &x, const Node &y) {
+                      if (x.degree != y.degree)
+                          return x.degree > y.degree;
+                      return x.reg < y.reg;
+                  });
+
+        // Caller-saved first, callee-saved as fallback.
+        RegMask allowed = 0;
+        for (int c = first; c <= last; ++c)
+            allowed |= regBit(c);
+        for (const Node &v : nodes_) {
+            RegMask avail = allowed & ~taken(f, v.key, color);
+            if (!avail)
+                return static_cast<int>(v.key);
+            color[v.key] = __builtin_ctzll(avail);
+        }
+        return -1;
+    }
+
+    /**
+     * Panic unless every colored key of file @p f has a register of
+     * [@p first, @p last] that is neither forbidden to it nor
+     * the color of a neighbour.
+     */
+    void checkColoring(int f, int first, int last,
+                       const std::vector<int> &color)
+    {
+        dataflow::bitsetForEach(words_, virtual_[f].data(), [&](size_t k) {
+            int c = color[k];
+            if (c < 0)
+                return;
+            const RegKey &key = live_->key(k);
+            if (c < first || c > last || (taken(f, k, color) & regBit(c)))
+                WS_PANIC(strFormat("register allocation gave %s%d "
+                                   "register %d, which interferes",
+                                   rtl::regFilePrefix(key.file),
+                                   key.index, c));
+        });
+    }
+
+  private:
+    struct Node
+    {
+        size_t degree;  ///< same-file virtual neighbours
+        int reg;        ///< virtual register number
+        size_t key;
+    };
+
+    BitsetWord *row(size_t k) { return rows_.data() + k * words_; }
+
+    /** The registers forbidden to key @p k of file @p f, plus the
+     *  colors of its colored neighbours. */
+    RegMask taken(int f, size_t k, const std::vector<int> &color)
+    {
+        RegMask used = 0;
+        dataflow::bitsetForEachAnd(words_, row(k), physical_[f].data(),
+                                   [&](size_t j) {
+            used |= regBit(live_->key(j).index);
+        });
+        dataflow::bitsetForEachAnd(words_, row(k), virtual_[f].data(),
+                                   [&](size_t j) {
+            if (color[j] >= 0)
+                used |= regBit(color[j]);
+        });
+        return used;
+    }
+
+    const cfg::Liveness *live_ = nullptr;
+    size_t words_ = 0;
+    std::vector<BitsetWord> rows_;    ///< numKeys() rows of words_ words
+    std::vector<BitsetWord> defined_; ///< keys some instruction writes
+    std::vector<BitsetWord> liveSet_; ///< the backward walk's live set
+    std::vector<BitsetWord> virtual_[2];  ///< keys of kVirtualFile[f]
+    std::vector<BitsetWord> physical_[2]; ///< keys of kPhysicalFile[f]
+    std::vector<Node> nodes_;
+};
+
+/** @p e with every colored virtual register replaced by its color;
+ *  @p color is indexed by @p live's keys. */
 ExprPtr
-substAllRegs(const ExprPtr &e,
-             const std::unordered_map<RegKey, int, RegKeyHash> &colors)
+substAllRegs(const ExprPtr &e, const cfg::Liveness &live,
+             const std::vector<int> &color)
 {
     if (!e)
         return e;
     switch (e->kind()) {
       case rtl::Expr::Kind::Reg: {
-        RegKey k{e->regFile(), e->regIndex()};
-        auto it = colors.find(k);
-        if (it == colors.end())
+        int k = live.keyIndex(RegKey{e->regFile(), e->regIndex()});
+        if (k < 0 || color[static_cast<size_t>(k)] < 0)
             return e;
-        RegFile pf = k.file == RegFile::VInt ? RegFile::Int : RegFile::Flt;
-        return rtl::makeReg(pf, it->second, e->type());
+        RegFile pf = e->regFile() == RegFile::VInt ? RegFile::Int
+                                                   : RegFile::Flt;
+        return rtl::makeReg(pf, color[static_cast<size_t>(k)], e->type());
       }
       case rtl::Expr::Kind::Bin: {
-        ExprPtr l = substAllRegs(e->lhs(), colors);
-        ExprPtr r = substAllRegs(e->rhs(), colors);
+        ExprPtr l = substAllRegs(e->lhs(), live, color);
+        ExprPtr r = substAllRegs(e->rhs(), live, color);
         if (l == e->lhs() && r == e->rhs())
             return e;
         return rtl::makeBinRaw(e->op(), l, r, e->type());
       }
       case rtl::Expr::Kind::Un: {
-        ExprPtr x = substAllRegs(e->lhs(), colors);
+        ExprPtr x = substAllRegs(e->lhs(), live, color);
         return x == e->lhs() ? e
                              : rtl::makeUnRaw(e->op(), x, e->type());
       }
       case rtl::Expr::Kind::Mem: {
-        ExprPtr a = substAllRegs(e->addr(), colors);
+        ExprPtr a = substAllRegs(e->addr(), live, color);
         return a == e->addr() ? e : rtl::makeMem(a, e->type());
       }
       default:
@@ -151,124 +294,69 @@ spillRegister(rtl::Function &fn, const RegKey &victim,
 
 } // anonymous namespace
 
-bool
+RegAllocResult
 runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits)
 {
-    for (int attempt = 0; attempt < kRegAllocAttemptCap; ++attempt) {
-        // ---- build interference ----
-        Allocator ia{RegFile::VInt, RegFile::Int, {}, {}, {}};
-        Allocator fa{RegFile::VFlt, RegFile::Flt, {}, {}, {}};
+    RegAllocResult res;
+    Interference graph;
+    std::vector<int> color;
+    const int lastAllocatable[2] = {traits.lastAllocatableInt,
+                                    traits.lastAllocatableFlt};
+    while (res.attempts < kRegAllocAttemptCap) {
+        ++res.attempts;
         cfg::Liveness live(fn, traits);
-        size_t words = live.bitsetWords();
-        std::vector<dataflow::BitsetWord> liveSet(words);
+        graph.build(fn, live, traits);
 
-        for (auto &bp : fn.blocks()) {
-            rtl::Block *b = bp.get();
-            dataflow::bitsetCopy(words, liveSet.data(), live.liveOutBits(b));
-            for (size_t n = b->insts.size(); n-- > 0;) {
-                const Inst &inst = b->insts[n];
-                cfg::forEachDef(inst, traits, [&](const RegKey &d) {
-                    dataflow::bitsetForEach(words, liveSet.data(),
-                                            [&](size_t li) {
-                        const RegKey &l = live.key(li);
-                        if (!(l == d))
-                            addInterference(ia, fa, d, l);
-                    });
-                    // Make sure every vreg is a node even if it never
-                    // interferes.
-                    if (d.file == RegFile::VInt)
-                        ia.nodes.insert(d.index);
-                    if (d.file == RegFile::VFlt)
-                        fa.nodes.insert(d.index);
-                });
-                live.transferBack(inst, liveSet.data());
-            }
-        }
-
-        // ---- color ----
-        std::unordered_map<RegKey, int, RegKeyHash> colors;
-        RegKey spillCandidate{RegFile::VInt, -1};
-        bool failed = false;
-
-        auto colorFile = [&](Allocator &a, int lastAllocatable) {
-            // Highest degree first.
-            std::vector<int> order(a.nodes.begin(), a.nodes.end());
-            std::sort(order.begin(), order.end(), [&](int x, int y) {
-                size_t dx = a.adj[x].size(), dy = a.adj[y].size();
-                if (dx != dy)
-                    return dx > dy;
-                return x < y;
-            });
-            for (int v : order) {
-                std::unordered_set<int> used = a.forbidden[v];
-                for (int w : a.adj[v]) {
-                    auto it = colors.find(RegKey{a.vfile, w});
-                    if (it != colors.end())
-                        used.insert(it->second);
-                }
-                int chosen = -1;
-                // Caller-saved first, callee-saved as fallback.
-                for (int c = traits.firstAllocatable;
-                         c <= lastAllocatable; ++c) {
-                    if (!used.count(c)) {
-                        chosen = c;
-                        break;
-                    }
-                }
-                if (chosen < 0) {
-                    failed = true;
-                    spillCandidate = RegKey{a.vfile, v};
-                    return;
-                }
-                colors[RegKey{a.vfile, v}] = chosen;
-            }
-        };
-
-        colorFile(ia, traits.lastAllocatableInt);
-        if (!failed)
-            colorFile(fa, traits.lastAllocatableFlt);
-
-        if (failed) {
-            spillRegister(fn, spillCandidate, traits);
+        // ---- color: integers, then floats ----
+        color.assign(live.numKeys(), -1);
+        int victim = -1;
+        for (int f = 0; f < 2 && victim < 0; ++f)
+            victim = graph.colorFile(f, traits.firstAllocatable,
+                                     lastAllocatable[f], color);
+        if (victim >= 0) {
+            spillRegister(fn, live.key(static_cast<size_t>(victim)),
+                          traits);
             continue;
         }
+#ifndef NDEBUG
+        for (int f = 0; f < 2; ++f)
+            graph.checkColoring(f, traits.firstAllocatable,
+                                lastAllocatable[f], color);
+#endif
 
         // ---- rewrite ----
-        std::unordered_set<int> usedCalleeInt, usedCalleeFlt;
-        for (const auto &[k, c] : colors) {
-            if (c >= traits.firstCalleeSaved) {
-                if (k.file == RegFile::VInt)
-                    usedCalleeInt.insert(c);
-                else
-                    usedCalleeFlt.insert(c);
-            }
-        }
+        RegMask usedCallee[2] = {0, 0};
+        for (size_t k = 0; k < color.size(); ++k)
+            if (color[k] >= traits.firstCalleeSaved)
+                usedCallee[live.key(k).file == RegFile::VInt ? 0 : 1] |=
+                    regBit(color[k]);
 
         for (auto &bp : fn.blocks()) {
             for (Inst &inst : bp->insts) {
-                inst.dst = substAllRegs(inst.dst, colors);
-                inst.src = substAllRegs(inst.src, colors);
-                inst.addr = substAllRegs(inst.addr, colors);
-                inst.count = substAllRegs(inst.count, colors);
-                inst.vecSrc2 = substAllRegs(inst.vecSrc2, colors);
+                inst.dst = substAllRegs(inst.dst, live, color);
+                inst.src = substAllRegs(inst.src, live, color);
+                inst.addr = substAllRegs(inst.addr, live, color);
+                inst.count = substAllRegs(inst.count, live, color);
+                inst.vecSrc2 = substAllRegs(inst.vecSrc2, live, color);
                 for (auto &e : inst.extraUses)
-                    e = substAllRegs(e, colors);
+                    e = substAllRegs(e, live, color);
             }
         }
 
         // ---- prologue / epilogue ----
-        std::vector<std::pair<RegFile, int>> saves;
-        for (int c : usedCalleeInt)
-            saves.emplace_back(RegFile::Int, c);
-        for (int c : usedCalleeFlt)
-            saves.emplace_back(RegFile::Flt, c);
-        std::sort(saves.begin(), saves.end());
-
-        std::unordered_map<int, int64_t> saveOffInt, saveOffFlt;
-        for (auto &[file, c] : saves) {
-            int64_t off = fn.allocFrameSlot(8, 8);
-            (file == RegFile::Int ? saveOffInt : saveOffFlt)[c] = off;
-        }
+        // One frame slot per used callee-saved register, in (file,
+        // register) order.
+        struct Save
+        {
+            RegFile file;
+            int reg;
+            int64_t off;
+        };
+        std::vector<Save> saves;
+        for (int f = 0; f < 2; ++f)
+            for (RegMask m = usedCallee[f]; m; m &= m - 1)
+                saves.push_back({kPhysicalFile[f], __builtin_ctzll(m),
+                                 fn.allocFrameSlot(8, 8)});
 
         int64_t frame = (fn.frameSize + 15) & ~int64_t{15};
         ExprPtr sp = rtl::makeReg(RegFile::Int, traits.spReg,
@@ -279,14 +367,13 @@ runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits)
             pro.push_back(rtl::makeAssign(
                 sp, rtl::makeBin(rtl::Op::Sub, sp, rtl::makeConst(frame)),
                 "prologue"));
-            for (auto &[file, c] : saves) {
-                int64_t off = (file == RegFile::Int ? saveOffInt
-                                                    : saveOffFlt)[c];
-                DataType dt = file == RegFile::Int ? DataType::I64
-                                                   : DataType::F64;
+            for (const Save &s : saves) {
+                DataType dt = s.file == RegFile::Int ? DataType::I64
+                                                     : DataType::F64;
                 pro.push_back(rtl::makeStore(
-                    rtl::makeBin(rtl::Op::Add, sp, rtl::makeConst(off)),
-                    rtl::makeReg(file, c, dt), dt, "save callee-saved"));
+                    rtl::makeBin(rtl::Op::Add, sp, rtl::makeConst(s.off)),
+                    rtl::makeReg(s.file, s.reg, dt), dt,
+                    "save callee-saved"));
             }
             rtl::Block *entry = fn.entry();
             entry->insts.insert(entry->insts.begin(), pro.begin(),
@@ -298,15 +385,14 @@ runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits)
                     if (b->insts[i].kind != InstKind::Return)
                         continue;
                     std::vector<Inst> epi;
-                    for (auto &[file, c] : saves) {
-                        int64_t off = (file == RegFile::Int ? saveOffInt
-                                                            : saveOffFlt)[c];
-                        DataType dt = file == RegFile::Int ? DataType::I64
-                                                           : DataType::F64;
+                    for (const Save &s : saves) {
+                        DataType dt = s.file == RegFile::Int
+                                          ? DataType::I64
+                                          : DataType::F64;
                         epi.push_back(rtl::makeLoad(
-                            rtl::makeReg(file, c, dt),
+                            rtl::makeReg(s.file, s.reg, dt),
                             rtl::makeBin(rtl::Op::Add, sp,
-                                         rtl::makeConst(off)),
+                                         rtl::makeConst(s.off)),
                             dt, "restore callee-saved"));
                     }
                     epi.push_back(rtl::makeAssign(
@@ -322,9 +408,10 @@ runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits)
         }
         fn.recomputeCfg();
         fn.renumber();
-        return true;
+        res.allocated = true;
+        return res;
     }
-    return false;
+    return res;
 }
 
 } // namespace wmstream::opt

@@ -9,7 +9,9 @@
  * and compiles one function with k streamable loops (stream_loops.h)
  * at k = 16 and k = 48. It pins
  * the number of allocations of the large compile and how fast that
- * number grows with k.
+ * number grows with k. It also pins the allocations of whetstone on
+ * WM, whose register allocation spills through 35 coloring attempts
+ * of one function: a per-attempt temporary is multiplied by those.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <string>
 
 #include "driver/compiler.h"
+#include "programs/programs.h"
 #include "stream_loops.h"
 
 namespace {
@@ -134,6 +137,19 @@ TEST(CompileAllocations, GrowthWithLoopCountNearLinear)
     // Measured 2.77 for 3x the loops; the ceiling is 1.1x that. It
     // was 7.5 while combine recounted the function after every fold.
     EXPECT_LT(ratio, 3.04) << l48 << " / " << l16;
+}
+
+TEST(CompileAllocations, SpillingCompileWithinBudget)
+{
+    compileAllocs(4);
+    const std::string &src = programs::programSource("whetstone");
+    uint64_t before = gAllocs.load();
+    driver::CompileResult cr = driver::compile({"whetstone", src, {}});
+    uint64_t n = gAllocs.load() - before;
+    ASSERT_TRUE(cr.ok) << cr.diagnostics;
+    // 13.0k when this was written; 304k while each attempt built its
+    // interference graph from hash sets.
+    EXPECT_LE(n, 30000u) << n;
 }
 
 } // anonymous namespace

@@ -16,6 +16,8 @@
  * under each cleanup label. Those are pinned exactly, on the same
  * function and summed over the nine Table II programs: a change that
  * makes the cleanup need more rounds, or fewer, has to say so here.
+ * Register allocation's coloring attempts (`regalloc_attempts`, one
+ * more per spilled register) are pinned the same way.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +39,7 @@ struct Work
     int64_t defUseBuilds = 0;
     int64_t defUseBlockRescans = 0;
     int64_t cleanupRounds = 0;
+    int64_t regallocAttempts = 0;
     int loopsStreamed = 0;
 };
 
@@ -60,6 +63,8 @@ compileWork(const std::string &source, rtl::MachineKind target)
                 w.defUseBlockRescans += value;
             else if (key == "cleanup_rounds")
                 w.cleanupRounds += value;
+            else if (key == "regalloc_attempts")
+                w.regallocAttempts += value;
         }
     }
     for (const auto &sr : cr.streamingReports)
@@ -107,6 +112,21 @@ TEST_P(LoopWork, CleanupRoundsAreExact)
     for (const programs::BenchmarkProgram &p : programs::tableIIPrograms())
         tableII += compileWork(p.source, GetParam()).cleanupRounds;
     EXPECT_EQ(tableII, wm ? 81 : 90);
+}
+
+TEST_P(LoopWork, RegAllocAttemptsAreExact)
+{
+    bool wm = GetParam() == rtl::MachineKind::WM;
+    // One function, colored at the first attempt at any loop count.
+    EXPECT_EQ(compileWork(16, GetParam()).regallocAttempts, 1);
+    EXPECT_EQ(compileWork(48, GetParam()).regallocAttempts, 1);
+
+    // Each spill costs one more attempt: whetstone alone takes 37 on
+    // WM and 3 (one per function) on 68020.
+    int64_t tableII = 0;
+    for (const programs::BenchmarkProgram &p : programs::tableIIPrograms())
+        tableII += compileWork(p.source, GetParam()).regallocAttempts;
+    EXPECT_EQ(tableII, wm ? 54 : 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Targets, LoopWork,

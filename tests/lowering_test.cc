@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "driver/compiler.h"
 #include "frontend/parser.h"
@@ -131,9 +133,10 @@ TEST(RegAlloc, AttemptCapFailsWithoutPanicking)
     b->insts.push_back(ret);
     fn.recomputeCfg();
 
-    bool converged = true;
-    EXPECT_NO_THROW(converged = opt::runRegAlloc(fn, traits));
-    EXPECT_FALSE(converged);
+    opt::RegAllocResult ra;
+    EXPECT_NO_THROW(ra = opt::runRegAlloc(fn, traits));
+    EXPECT_FALSE(ra.allocated);
+    EXPECT_EQ(ra.attempts, opt::kRegAllocAttemptCap);
 }
 
 TEST(Lowering, SplitsLoadsAndStores)
@@ -423,4 +426,38 @@ TEST(M68kPrinter, NoPlaceholderAddressModes)
         m68k::printFunction(*cr.program->findFunction("main"));
     EXPECT_EQ(listing.find('<'), std::string::npos)
         << "unlowered address mode in:\n" << listing;
+}
+
+TEST(M68kPrinter, TwoAddressFormKeepsTheSecondOperand)
+{
+    // d := a op d must read d before the two-address form overwrites
+    // it: a commutative op takes a as its source, and a - d becomes
+    // -d + a.
+    Function fn("f");
+    Block *b = fn.addBlock("entry");
+    ExprPtr d = makeReg(RegFile::Int, 2, DataType::I64);
+    ExprPtr a = makeReg(RegFile::Int, 1, DataType::I64);
+    ExprPtr fd = makeReg(RegFile::Flt, 2, DataType::F64);
+    ExprPtr fa = makeReg(RegFile::Flt, 1, DataType::F64);
+    for (Op op : {Op::Add, Op::Mul, Op::Sub, Op::And})
+        b->insts.push_back(
+            makeAssign(d, makeBinRaw(op, a, d, DataType::I64)));
+    for (Op op : {Op::Add, Op::Mul, Op::Sub})
+        b->insts.push_back(
+            makeAssign(fd, makeBinRaw(op, fa, fd, DataType::F64)));
+    b->insts.push_back(makeReturn());
+    fn.recomputeCfg();
+
+    std::istringstream in(m68k::printFunction(fn));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) {
+        line.erase(line.find_last_not_of(' ') + 1);
+        if (line.rfind("    ", 0) == 0)
+            lines.push_back(line.substr(4));
+    }
+    std::vector<std::string> expected = {
+        "addl d1,d0",  "mulsl d1,d0",  "negl d0; addl d1,d0",
+        "andl d1,d0",  "faddx fp1,fp0", "fmulx fp1,fp0",
+        "fnegx fp0; faddx fp1,fp0", "rts"};
+    EXPECT_EQ(lines, expected);
 }

@@ -574,8 +574,19 @@ wmcMain(int argc, char **argv)
     obs::PhaseTimer compileTimer;
     auto compiled = driver::compileSource(buf.str(), options);
     const double compileWallMs = compileTimer.elapsedMs();
+    auto printRemarks = [&] {
+        if (remarkFormat == RemarkFormat::Json) {
+            obs::JsonWriter w;
+            compiled.remarks.writeJson(w, file);
+            std::printf("%s\n", w.str().c_str());
+        } else if (remarkFormat == RemarkFormat::Text) {
+            std::printf("%s", compiled.remarks.text(file).c_str());
+        }
+    };
     if (!compiled.ok) {
+        // The remarks say why, e.g. a fixpoint that stopped at its cap.
         std::fprintf(stderr, "%s", compiled.diagnostics.c_str());
+        printRemarks();
         return 1;
     }
     if (!compiled.verifyClean()) {
@@ -635,13 +646,7 @@ wmcMain(int argc, char **argv)
                 std::printf("%s\n", dump.c_str());
     }
 
-    if (remarkFormat == RemarkFormat::Json) {
-        obs::JsonWriter w;
-        compiled.remarks.writeJson(w, file);
-        std::printf("%s\n", w.str().c_str());
-    } else if (remarkFormat == RemarkFormat::Text) {
-        std::printf("%s", compiled.remarks.text(file).c_str());
-    }
+    printRemarks();
 
     if (printAsm) {
         if (options.target == rtl::MachineKind::WM)
