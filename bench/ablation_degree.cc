@@ -34,7 +34,6 @@ printTable(wsbench::JsonReport &report)
             driver::CompileOptions opts;
             opts.recurrence = rec != 0;
             opts.streaming = false;
-            opts.maxRecurrenceDegree = 4; // the register budget
             auto cr = driver::compileSource(src, opts);
             if (!cr.ok)
                 std::abort();

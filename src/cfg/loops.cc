@@ -10,6 +10,19 @@ using rtl::Block;
 using rtl::Inst;
 using rtl::InstKind;
 
+SourcePos
+loopPos(const Loop &loop)
+{
+    for (const Inst &inst : loop.header->insts)
+        if (inst.pos.valid())
+            return inst.pos;
+    for (Block *b : loop.blocks)
+        for (const Inst &inst : b->insts)
+            if (inst.pos.valid())
+                return inst.pos;
+    return {};
+}
+
 LoopInfo::LoopInfo(rtl::Function &fn, const DominatorTree &dt)
 {
     // Find back edges and build the natural loop of each.

@@ -87,6 +87,12 @@ struct Loop
     }
 };
 
+/**
+ * Best source position for @p loop: the first stamped instruction of
+ * the header, else the first stamped instruction anywhere in the loop.
+ */
+SourcePos loopPos(const Loop &loop);
+
 /** All natural loops of a function, innermost first. */
 class LoopInfo
 {

@@ -77,6 +77,7 @@ totalWork(const rtl::Program &prog)
         w.cfgRecomputes += fp->work.cfgRecomputes;
         w.defUseBuilds += fp->work.defUseBuilds;
         w.defUseBlockRescans += fp->work.defUseBlockRescans;
+        w.renumbers += fp->work.renumbers;
     }
     return w;
 }
@@ -94,20 +95,7 @@ addWorkCounters(obs::PassProfiler &prof, const std::string &pass,
     add("defuse_builds", after.defUseBuilds - before.defUseBuilds);
     add("defuse_block_rescans",
         after.defUseBlockRescans - before.defUseBlockRescans);
-}
-
-/** First stamped source position in the loop (header first). */
-SourcePos
-loopPos(const cfg::Loop &loop)
-{
-    for (const rtl::Inst &inst : loop.header->insts)
-        if (inst.pos.valid())
-            return inst.pos;
-    for (rtl::Block *b : loop.blocks)
-        for (const rtl::Inst &inst : b->insts)
-            if (inst.pos.valid())
-                return inst.pos;
-    return {};
+    add("renumbers", after.renumbers - before.renumbers);
 }
 
 /**
@@ -129,7 +117,7 @@ resolveLoopId(obs::RemarkCollector &rc, const rtl::Function &fn,
             if (b->label() == l.header)
                 return l.id;
     }
-    return rc.loopId(fn.name(), loop.header->label(), loopPos(loop));
+    return rc.loopId(fn.name(), loop.header->label(), cfg::loopPos(loop));
 }
 
 /**
@@ -214,7 +202,7 @@ compile(const CompileRequest &req)
         "expand", [&] { return countInsts(*res.program); },
         [&] {
             expand::expandUnit(*unit, res.traits, *res.program,
-                               &res.remarks);
+                               res.remarks);
         });
     addWorkCounters(prof, "expand", {}, totalWork(*res.program));
     unit.reset(); // the passes read only the RTL
@@ -346,9 +334,8 @@ compile(const CompileRequest &req)
             measure("recurrence", [&] {
                 res.recurrenceReports.push_back(
                     recurrence::runRecurrenceOpt(
-                        *fn, res.traits, options.maxRecurrenceDegree,
-                        options.injectRecurrenceDistanceBug,
-                        &res.remarks));
+                        *fn, res.traits, res.remarks,
+                        options.injectRecurrenceDistanceBug));
             });
             const auto &rr = res.recurrenceReports.back();
             prof.addCounter("recurrence", "loops_examined",
@@ -365,7 +352,7 @@ compile(const CompileRequest &req)
             // the shape is unrecoverable later).
             if (options.verify != VerifyMode::Off)
                 recordVerify(verify::verifyRecurrenceChains(
-                    *fn, res.traits, rr.chains, "recurrence"));
+                    *fn, rr.chains, "recurrence"));
             // The paper: "after performing the recurrence
             // transformations, the optimizer invokes other phases" —
             // copy propagation removes the chain shift when possible.
@@ -376,8 +363,9 @@ compile(const CompileRequest &req)
         if (options.streaming && res.traits.hasStreams) {
             measure("streaming", [&] {
                 res.streamingReports.push_back(streaming::runStreaming(
-                    *fn, res.traits, options.minStreamTripCount,
-                    &res.remarks, options.injectStreamCountBug,
+                    *fn, res.traits, res.remarks,
+                    options.minStreamTripCount,
+                    options.injectStreamCountBug,
                     options.injectVerifierBug));
             });
             const auto &sr = res.streamingReports.back();
@@ -411,7 +399,7 @@ compile(const CompileRequest &req)
             verifyIfChanged(*fn, "branch-anticipate", moved > 0);
         }
 
-        if (options.strengthReduce && !res.traits.isWM()) {
+        if (!res.traits.isWM()) {
             int rewritten = 0;
             measure("strength-reduce", [&] {
                 rewritten = opt::runStrengthReduce(*fn, res.traits);
@@ -439,11 +427,16 @@ compile(const CompileRequest &req)
         verifyAfter(*fn, "regalloc", verify::Stage::PostRegalloc);
     }
 
-    if (res.traits.isWM() && options.lowerFifo) {
+    if (res.traits.isWM()) {
         rtl::WorkCounts before = totalWork(*res.program);
+        wm::LoweringReport lr;
         prof.measure(
             "lower-fifo", [&] { return countInsts(*res.program); },
-            [&] { wm::lowerProgram(*res.program, res.traits); });
+            [&] { lr = wm::lowerProgram(*res.program, res.traits); });
+        prof.addCounter("lower-fifo", "loads_lowered", lr.loadsLowered);
+        prof.addCounter("lower-fifo", "stores_lowered", lr.storesLowered);
+        prof.addCounter("lower-fifo", "dequeues_folded", lr.dequeuesFolded);
+        prof.addCounter("lower-fifo", "enqueues_folded", lr.enqueuesFolded);
         addWorkCounters(prof, "lower-fifo", before,
                         totalWork(*res.program));
         checkpoint();
@@ -453,9 +446,8 @@ compile(const CompileRequest &req)
     // one place data-FIFO depths are tracked (PostLower) in Each mode.
     if (options.verify != VerifyMode::Off) {
         verify::VerifyOptions vo;
-        vo.stage = res.traits.isWM() && options.lowerFifo
-                       ? verify::Stage::PostLower
-                       : verify::Stage::PostRegalloc;
+        vo.stage = res.traits.isWM() ? verify::Stage::PostLower
+                                     : verify::Stage::PostRegalloc;
         vo.pass = options.verify == VerifyMode::Each ? "lower-fifo"
                                                      : "final";
         recordVerify(
@@ -468,8 +460,7 @@ compile(const CompileRequest &req)
     // finding is a configuration error left to the caller, so it
     // stays out of verifyReports (wmc reports it against
     // --fifo-depth and exits 1, not 70).
-    if (options.inferFifoDepth && res.traits.isWM() &&
-            options.lowerFifo) {
+    if (options.inferFifoDepth && res.traits.isWM()) {
         prof.measure(
             "fifo-depth", [&] { return countInsts(*res.program); },
             [&] {

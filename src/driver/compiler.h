@@ -51,10 +51,7 @@ struct CompileOptions
     bool recurrence = true;      ///< recurrence detection/optimization
     bool streaming = true;       ///< streaming (WM only)
     bool vectorize = false;      ///< VEU vectorization of streamed loops
-    bool strengthReduce = true;  ///< address strength reduction (scalar)
-    bool lowerFifo = true;       ///< WM FIFO-form lowering
     int minStreamTripCount = 4;  ///< paper Step 1 threshold
-    int maxRecurrenceDegree = 4;
     /**
      * Record per-pass wall time, RTL instruction-count deltas, and
      * pass-specific counters into CompileResult::passProfiles.
@@ -94,7 +91,7 @@ struct CompileOptions
      * flow into verifyReports/remarks like any verifier violation,
      * while a fifo-depth-exceeded finding is a *configuration* error
      * the caller (wmc) reports against --fifo-depth. No effect on
-     * scalar targets or when lowerFifo is off.
+     * scalar targets.
      */
     bool inferFifoDepth = false;
     /**
@@ -193,8 +190,8 @@ struct CompileResult
     /**
      * Whole-program FIFO verdict (CompileOptions::inferFifoDepth):
      * deadlock-freedom and per-queue minimal depths. `analyzed` is
-     * false when the analysis did not run (option off, scalar
-     * target, or lowering disabled).
+     * false when the analysis did not run (option off or scalar
+     * target).
      */
     verify::FifoRequirements fifoRequirements;
 

@@ -61,7 +61,7 @@ class Expander
 {
   public:
     Expander(const TranslationUnit &unit, const rtl::MachineTraits &traits,
-             rtl::Program &out, obs::RemarkCollector *remarks)
+             rtl::Program &out, obs::RemarkCollector &remarks)
         : unit_(unit), traits_(traits), out_(out), remarks_(remarks)
     {
     }
@@ -161,7 +161,7 @@ class Expander
     const TranslationUnit &unit_;
     const rtl::MachineTraits traits_;
     rtl::Program &out_;
-    obs::RemarkCollector *remarks_;
+    obs::RemarkCollector &remarks_;
     std::unordered_map<uint64_t, std::string> floatPool_;
     int nextFloat_ = 0;
     /** Position of the construct being expanded; emit() stamps it. */
@@ -868,8 +868,7 @@ Expander::expandStmt(const Stmt &s)
         std::string headL = fn_->newLabel();
         std::string contL = fn_->newLabel();
         std::string exitL = fn_->newLabel();
-        if (remarks_)
-            remarks_->loopId(fn_->name(), headL, w.pos());
+        remarks_.loopId(fn_->name(), headL, w.pos());
         emitCondJump(*w.cond, exitL, false); // guard
         startBlock(headL);
         breakLabels_.push_back(exitL);
@@ -887,8 +886,7 @@ Expander::expandStmt(const Stmt &s)
         std::string headL = fn_->newLabel();
         std::string contL = fn_->newLabel();
         std::string exitL = fn_->newLabel();
-        if (remarks_)
-            remarks_->loopId(fn_->name(), headL, w.pos());
+        remarks_.loopId(fn_->name(), headL, w.pos());
         startBlock(headL);
         breakLabels_.push_back(exitL);
         continueLabels_.push_back(contL);
@@ -905,8 +903,7 @@ Expander::expandStmt(const Stmt &s)
         std::string headL = fn_->newLabel();
         std::string contL = fn_->newLabel();
         std::string exitL = fn_->newLabel();
-        if (remarks_)
-            remarks_->loopId(fn_->name(), headL, f.pos());
+        remarks_.loopId(fn_->name(), headL, f.pos());
         if (f.init)
             evalExpr(*f.init);
         if (f.cond)
@@ -964,7 +961,7 @@ Expander::expandStmt(const Stmt &s)
 
 void
 expandUnit(const TranslationUnit &unit, const rtl::MachineTraits &traits,
-           rtl::Program &out, obs::RemarkCollector *remarks)
+           rtl::Program &out, obs::RemarkCollector &remarks)
 {
     Expander e(unit, traits, out, remarks);
     e.run();

@@ -38,15 +38,15 @@ namespace wmstream::expand {
  * for floating literals. Call after Sema succeeded.
  *
  * Every emitted instruction is stamped with the source position of the
- * statement/expression it came from (Inst::pos). When @p remarks is
- * given, each source loop is registered in its loop-id registry (keyed
- * by function + header label) in source order, so optimization remarks
- * and per-loop cycle attribution share ids numbered the way a reader
- * of the source would number the loops.
+ * statement/expression it came from (Inst::pos). Each source loop is
+ * registered in the loop-id registry of @p remarks (keyed by function +
+ * header label) in source order, so optimization remarks and per-loop
+ * cycle attribution share ids numbered the way a reader of the source
+ * would number the loops.
  */
 void expandUnit(const frontend::TranslationUnit &unit,
                 const rtl::MachineTraits &traits, rtl::Program &out,
-                obs::RemarkCollector *remarks = nullptr);
+                obs::RemarkCollector &remarks);
 
 } // namespace wmstream::expand
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "support/diag.h"
 #include "support/str.h"
 
 namespace wmstream::m68k {
@@ -57,13 +58,12 @@ class RegNames
                                 intNames_[r] =
                                     strFormat("a%d", nextA++);
                             else
-                                intNames_[r] =
-                                    strFormat("d%d", nextD++ % 8);
+                                intNames_[r] = strFormat("d%d", nextD++);
                         } else if (n.regFile() == RegFile::Flt) {
                             int r = n.regIndex();
                             if (r == 31 || fltNames_.count(r))
                                 return;
-                            fltNames_[r] = strFormat("fp%d", nextF++ % 8);
+                            fltNames_[r] = strFormat("fp%d", nextF++);
                         }
                     });
                 };
@@ -83,7 +83,8 @@ class RegNames
         if (r == 31)
             return "#0";
         auto it = intNames_.find(r);
-        return it != intNames_.end() ? it->second : strFormat("d%d", r % 8);
+        WS_ASSERT(it != intNames_.end(), "register missed by the name scan");
+        return it->second;
     }
 
     std::string
@@ -92,8 +93,8 @@ class RegNames
         if (r == 31)
             return "#0.0";
         auto it = fltNames_.find(r);
-        return it != fltNames_.end() ? it->second
-                                     : strFormat("fp%d", r % 8);
+        WS_ASSERT(it != fltNames_.end(), "register missed by the name scan");
+        return it->second;
     }
 
   private:

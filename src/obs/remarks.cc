@@ -93,6 +93,38 @@ RemarkCollector::byReason(const std::string &reason) const
     return out;
 }
 
+LoopRemarkSite::LoopRemarkSite(RemarkCollector &remarks, const char *pass,
+                               const std::string &function,
+                               const std::string &header, SourcePos loc)
+    : remarks_(remarks), pass_(pass), function_(function),
+      loopId_(remarks.loopId(function, header, loc)),
+      loc_(remarks.findLoop(loopId_)->loc)
+{
+}
+
+Remark LoopRemarkSite::make(RemarkVerdict verdict, const char *reason,
+                            SourcePos at) const
+{
+    Remark r;
+    r.pass = pass_;
+    r.function = function_;
+    r.loopId = loopId_;
+    r.loc = at.valid() ? at : loc_;
+    r.verdict = verdict;
+    r.reason = reason;
+    return r;
+}
+
+Remark LoopRemarkSite::missed(const char *reason, SourcePos at) const
+{
+    return make(RemarkVerdict::Missed, reason, at);
+}
+
+Remark LoopRemarkSite::applied(const char *reason, SourcePos at) const
+{
+    return make(RemarkVerdict::Applied, reason, at);
+}
+
 void RemarkCollector::writeJson(JsonWriter &w,
                                 const std::string &sourceFile) const
 {

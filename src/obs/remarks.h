@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -119,6 +120,45 @@ class RemarkCollector
   private:
     std::vector<LoopRecord> loops_;
     std::vector<Remark> remarks_;
+};
+
+/**
+ * Where a loop pass reports on one loop: the one remark site of the
+ * recurrence and streaming passes. Construction gets or creates the
+ * loop's registry id from (function, header), upgrading the record
+ * with @p loc, and locates the loop at the registered position (the
+ * expander's loop statement, when it registered the loop). Every
+ * remark made here carries the pass, the function and that id, and
+ * sits at the given reference position, or at the loop when that is
+ * invalid.
+ *
+ * RemarkCollector::add() compares whole remarks, arguments included,
+ * so give a remark all of its arg()s before add().
+ */
+class LoopRemarkSite
+{
+  public:
+    LoopRemarkSite(RemarkCollector &remarks, const char *pass,
+                   const std::string &function, const std::string &header,
+                   SourcePos loc);
+
+    int loopId() const { return loopId_; }
+
+    Remark missed(const char *reason, SourcePos at = {}) const;
+    Remark applied(const char *reason, SourcePos at = {}) const;
+
+    /** Record @p r in the collector. */
+    void add(Remark r) const { remarks_.add(std::move(r)); }
+
+  private:
+    RemarkCollector &remarks_;
+    const char *pass_;
+    std::string function_;
+    int loopId_;
+    SourcePos loc_;
+
+    Remark make(RemarkVerdict verdict, const char *reason,
+                SourcePos at) const;
 };
 
 } // namespace wmstream::obs

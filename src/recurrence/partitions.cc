@@ -127,12 +127,8 @@ partitionKey(const MemRef &ref)
 } // anonymous namespace
 
 PartitionSet
-buildPartitions(rtl::Function &fn, cfg::Loop &loop,
-                const cfg::DominatorTree &dt, opt::IndVarAnalysis &ivs,
-                const rtl::MachineTraits &traits)
+buildPartitions(const cfg::Loop &loop, opt::IndVarAnalysis &ivs)
 {
-    (void)traits;
-    fn.renumber();
     PartitionSet set;
 
     auto addRef = [&](MemRef ref) {
@@ -235,7 +231,6 @@ buildPartitions(rtl::Function &fn, cfg::Loop &loop,
         }
     }
 
-    (void)dt;
     return set;
 }
 

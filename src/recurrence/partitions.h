@@ -27,10 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "cfg/dominators.h"
 #include "cfg/loops.h"
 #include "opt/indvars.h"
-#include "rtl/machine.h"
+#include "rtl/inst.h"
 
 namespace wmstream::recurrence {
 
@@ -47,6 +46,9 @@ struct MemRef
     int64_t roffset = 0;        ///< dee constant relative to the base
     rtl::DataType type = rtl::DataType::I64;
     bool analyzable = false;
+
+    /** Source position of the reference's instruction. */
+    SourcePos pos() const { return block->insts[index].pos; }
 
     /** Render as the paper does: "(14,r,r22+,8,_x-8,-8)". */
     std::string str() const;
@@ -79,13 +81,12 @@ struct PartitionSet
 /**
  * Build partitions for @p loop (Steps 1–3 of the paper's algorithm).
  *
- * @p ivs must be an analysis of the same loop. The function renumbers
- * @p fn first so MemRef::lno values are current.
+ * @p ivs must be an analysis of the same loop. MemRef::lno is the
+ * instruction's current id: renumber the function first when the
+ * partitions are to be printed.
  */
-PartitionSet buildPartitions(rtl::Function &fn, cfg::Loop &loop,
-                             const cfg::DominatorTree &dt,
-                             opt::IndVarAnalysis &ivs,
-                             const rtl::MachineTraits &traits);
+PartitionSet buildPartitions(const cfg::Loop &loop,
+                             opt::IndVarAnalysis &ivs);
 
 } // namespace wmstream::recurrence
 

@@ -90,56 +90,20 @@ struct PairInfo
     int distance; ///< iterations between write and read
 };
 
-/** Source position of a memory reference's instruction. */
-SourcePos
-refPos(const MemRef &ref)
-{
-    return ref.block->insts[ref.index].pos;
-}
-
-/** Remark factory bound to one pass/function/loop. */
-struct RemarkSite
-{
-    obs::RemarkCollector *remarks = nullptr;
-    std::string function;
-    int loopId = -1;
-    SourcePos loopLoc;
-
-    obs::Remark make(obs::RemarkVerdict v, const char *reason,
-                     SourcePos at = {}) const
-    {
-        obs::Remark r;
-        r.pass = "recurrence";
-        r.function = function;
-        r.loopId = loopId;
-        r.loc = at.valid() ? at : loopLoc;
-        r.verdict = v;
-        r.reason = reason;
-        return r;
-    }
-    void missed(const char *reason, SourcePos at = {},
-                const std::string &partition = "") const
-    {
-        if (!remarks)
-            return;
-        obs::Remark r = make(obs::RemarkVerdict::Missed, reason, at);
-        if (!partition.empty())
-            r.arg("partition", partition);
-        remarks->add(std::move(r));
-    }
-};
-
 bool
 optimizePartition(rtl::Function &fn, cfg::Loop &loop,
                   const cfg::DominatorTree &dt, const cfg::DefUseTable &du,
-                  Partition &part,
-                  int maxDegree, bool skipDistanceCheck,
-                  RecurrenceReport &report, const RemarkSite &site)
+                  Partition &part, bool skipDistanceCheck,
+                  RecurrenceReport &report,
+                  const obs::LoopRemarkSite &site)
 {
+    auto missed = [&](const char *reason, SourcePos at = {}) {
+        site.add(site.missed(reason, at).arg("partition", part.key));
+    };
     if (!part.hasWrite() || !part.hasRead())
         return false; // nothing to carry: not a recurrence candidate
     if (!part.safe) {
-        site.missed("partition-not-safe", {}, part.key);
+        missed("partition-not-safe");
         return false;
     }
 
@@ -150,7 +114,7 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
     for (MemRef &r : part.refs) {
         if (r.isWrite) {
             if (write) {
-                site.missed("multiple-writes", refPos(r), part.key);
+                missed("multiple-writes", r.pos());
                 return false; // multiple writes: skip
             }
             write = &r;
@@ -159,8 +123,7 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
         }
     }
     if (!write || !write->iv || write->cee == 0) {
-        site.missed("address-not-induction",
-                    write ? refPos(*write) : SourcePos{}, part.key);
+        missed("address-not-induction", write ? write->pos() : SourcePos{});
         return false;
     }
 
@@ -171,40 +134,37 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
     std::vector<PairInfo> pairs;
     for (MemRef *r : reads) {
         if (r->type != write->type) {
-            site.missed("mixed-element-types", refPos(*r), part.key);
+            missed("mixed-element-types", r->pos());
             return false;
         }
         int64_t delta = write->roffset - r->roffset;
         if (delta == 0 && !skipDistanceCheck) {
-            site.missed("same-cell-read-write", refPos(*r), part.key);
+            missed("same-cell-read-write", r->pos());
             return false; // same-cell read+write: ordering-sensitive
         }
         if (delta % stride != 0)
             continue; // interleaved, never the same cell
         int64_t dist = delta / stride;
         if (dist < 0) {
-            site.missed("read-ahead-of-write", refPos(*r), part.key);
+            missed("read-ahead-of-write", r->pos());
             return false; // read runs ahead of the write: a true
                           // dependence we must not break
         }
         pairs.push_back({r, static_cast<int>(dist)});
     }
     if (pairs.empty()) {
-        site.missed("no-recurrence-found", refPos(*write), part.key);
+        missed("no-recurrence-found", write->pos());
         return false;
     }
 
     int degree = 0;
     for (const PairInfo &p : pairs)
         degree = std::max(degree, p.distance);
-    if (degree > maxDegree) {
-        if (site.remarks)
-            site.remarks->add(
-                site.make(obs::RemarkVerdict::Missed,
-                          "degree-exceeds-registers", refPos(*write))
-                    .arg("partition", part.key)
-                    .arg("degree", degree)
-                    .arg("max_degree", maxDegree));
+    if (degree > kMaxDegree) {
+        site.add(site.missed("degree-exceeds-registers", write->pos())
+                     .arg("partition", part.key)
+                     .arg("degree", degree)
+                     .arg("max_degree", kMaxDegree));
         return false; // not enough registers (paper Step 2a remark)
     }
 
@@ -216,12 +176,12 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
         return true;
     };
     if (!everyIteration(*write)) {
-        site.missed("not-every-iteration", refPos(*write), part.key);
+        missed("not-every-iteration", write->pos());
         return false;
     }
     for (const PairInfo &p : pairs)
         if (!everyIteration(*p.read)) {
-            site.missed("not-every-iteration", refPos(*p.read), part.key);
+            missed("not-every-iteration", p.read->pos());
             return false;
         }
 
@@ -230,26 +190,21 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
     for (const PairInfo &p : pairs) {
         const Inst &load = p.read->block->insts[p.read->index];
         if (!rtl::isVirtualFile(load.dst->regFile())) {
-            site.missed("load-register-not-virtual", refPos(*p.read),
-                        part.key);
+            missed("load-register-not-virtual", p.read->pos());
             return false;
         }
     }
 
     // All checks passed; the rewrite below always completes. Record the
     // applied remark now, while block/index pairs are still valid.
-    if (site.remarks)
-        site.remarks->add(
-            site.make(obs::RemarkVerdict::Applied, "recurrence-optimized",
-                      refPos(*write))
-                .arg("partition", part.key)
-                .arg("degree", degree)
-                .arg("stride", stride)
-                .arg("loads_replaced",
-                     static_cast<int64_t>(pairs.size())));
+    site.add(site.applied("recurrence-optimized", write->pos())
+                 .arg("partition", part.key)
+                 .arg("degree", degree)
+                 .arg("stride", stride)
+                 .arg("loads_replaced", static_cast<int64_t>(pairs.size())));
 
     // ---- rewrite ----
-    SourcePos writePos = refPos(*write);
+    SourcePos writePos = write->pos();
     bool flt = rtl::isFloatType(write->type);
     DataType dt2 = flt ? DataType::F64 : DataType::I64;
     std::vector<ExprPtr> chain; // chain[k] holds the value of k iterations ago
@@ -355,7 +310,7 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
             // Priming lives in the preheader but belongs to the loop
             // for per-loop attribution.
             prime.pos = writePos;
-            prime.loopId = site.loopId;
+            prime.loopId = site.loopId();
             pre->insts.insert(
                 pre->insts.begin() + static_cast<ptrdiff_t>(at),
                 std::move(prime));
@@ -389,25 +344,9 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
 
 } // anonymous namespace
 
-/** Best source position for a loop: first stamped inst in the header,
- *  else first stamped inst anywhere in the loop. */
-static SourcePos
-loopPos(const cfg::Loop &loop)
-{
-    for (const Inst &inst : loop.header->insts)
-        if (inst.pos.valid())
-            return inst.pos;
-    for (rtl::Block *b : loop.blocks)
-        for (const Inst &inst : b->insts)
-            if (inst.pos.valid())
-                return inst.pos;
-    return {};
-}
-
 RecurrenceReport
 runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
-                 int maxDegree, bool skipDistanceCheck,
-                 obs::RemarkCollector *remarks)
+                 obs::RemarkCollector &remarks, bool skipDistanceCheck)
 {
     RecurrenceReport report;
     // Rewrite one partition per visit: the rewrite invalidates the
@@ -416,38 +355,31 @@ runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
                                            const cfg::DominatorTree &dt,
                                            const cfg::DefUseTable &du) {
         ++report.loopsExamined;
-
-        RemarkSite site;
-        site.remarks = remarks;
-        site.function = fn.name();
-        site.loopLoc = loopPos(loop);
-        if (remarks) {
-            site.loopId = remarks->loopId(fn.name(), loop.header->label(),
-                                          site.loopLoc);
-            if (const obs::LoopRecord *lr = remarks->findLoop(site.loopId);
-                    lr && lr->loc.valid())
-                site.loopLoc = lr->loc;
-        }
+        obs::LoopRemarkSite site(remarks, "recurrence", fn.name(),
+                                 loop.header->label(), cfg::loopPos(loop));
 
         opt::IndVarAnalysis ivs(fn, loop, dt, du, traits);
-        PartitionSet parts = buildPartitions(fn, loop, dt, ivs, traits);
+        // The dumps print each reference's instruction id (its lno).
+        fn.renumber();
+        PartitionSet parts = buildPartitions(loop, ivs);
         report.partitionDumps.push_back(parts.str());
 
         // The paper's aliasing caveat: an unknown write may alias any
         // partition, so no rewrite is safe.
         if (parts.unknownWriteExists()) {
-            site.missed("unknown-memory-write");
+            site.add(site.missed("unknown-memory-write"));
             return cfg::LoopVisit::Unchanged;
         }
         for (Partition &p : parts.parts) {
             // An unknown read may observe any write; rewriting a
             // write-carrying partition would change what it sees.
             if (parts.unknownReadExists() && p.hasWrite()) {
-                site.missed("unknown-memory-read", {}, p.key);
+                site.add(site.missed("unknown-memory-read")
+                             .arg("partition", p.key));
                 continue;
             }
-            if (optimizePartition(fn, loop, dt, du, p, maxDegree,
-                                  skipDistanceCheck, report, site))
+            if (optimizePartition(fn, loop, dt, du, p, skipDistanceCheck,
+                                  report, site))
                 return cfg::LoopVisit::Again;
         }
         return cfg::LoopVisit::Unchanged;

@@ -58,27 +58,30 @@ struct RecurrenceReport
 };
 
 /**
+ * The largest recurrence degree the pass rewrites: degree + 1
+ * registers are needed, and the paper notes recurrences may be skipped
+ * "because there may not be enough registers".
+ */
+inline constexpr int kMaxDegree = 4;
+
+/**
  * Run the recurrence optimization over all innermost loops of @p fn.
- * @p maxRegisters caps the recurrence degree (degree + 1 registers are
- * needed; the paper notes recurrences may be skipped "because there may
- * not be enough registers").
+ *
+ * Each partition-level accept/reject decision is recorded in
+ * @p remarks with a stable reason code (`recurrence-optimized`,
+ * `degree-exceeds-registers`, `read-ahead-of-write`, ...) at the
+ * source position of the responsible memory reference.
  *
  * @p skipDistanceCheck is fault injection for the differential fuzzer's
  * self-test ONLY: it disables the same-cell (distance-0) legality
  * check, deliberately miscompiling loops whose write is read back at
  * the same cell in the same iteration. wmfuzz must catch, deduplicate,
  * and minimize the resulting divergences; nothing else may set it.
- *
- * When @p remarks is given, each partition-level accept/reject decision
- * is recorded with a stable reason code (`recurrence-optimized`,
- * `degree-exceeds-registers`, `read-ahead-of-write`, ...) at the source
- * position of the responsible memory reference.
  */
 RecurrenceReport runRecurrenceOpt(rtl::Function &fn,
                                   const rtl::MachineTraits &traits,
-                                  int maxDegree = 4,
-                                  bool skipDistanceCheck = false,
-                                  obs::RemarkCollector *remarks = nullptr);
+                                  obs::RemarkCollector &remarks,
+                                  bool skipDistanceCheck = false);
 
 } // namespace wmstream::recurrence
 

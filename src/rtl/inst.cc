@@ -439,6 +439,7 @@ Function::removeUnreachable()
 void
 Function::renumber()
 {
+    ++work.renumbers;
     int id = 0;
     for (auto &b : blocks_)
         for (auto &inst : b->insts)

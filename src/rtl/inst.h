@@ -228,6 +228,7 @@ struct WorkCounts
     int64_t cfgRecomputes = 0;      ///< Function::recomputeCfg calls
     int64_t defUseBuilds = 0;       ///< whole-function def/use scans
     int64_t defUseBlockRescans = 0; ///< blocks re-scanned after edits
+    int64_t renumbers = 0;          ///< Function::renumber calls
 };
 
 /**

@@ -51,8 +51,7 @@ struct TripCount
  * +/-1 (wider steps fall back to infinite streams).
  */
 TripCount
-deriveTripCount(cfg::Loop &loop, const cfg::DominatorTree &dt,
-                opt::IndVarAnalysis &ivs)
+deriveTripCount(cfg::Loop &loop, opt::IndVarAnalysis &ivs)
 {
     TripCount tc;
     if (loop.latches.size() != 1)
@@ -160,32 +159,9 @@ deriveTripCount(cfg::Loop &loop, const cfg::DominatorTree &dt,
         tc.cmpIndex = cmpIdx;
         tc.jmpIndex = latch->insts.size() - 1;
         tc.kind = TripCount::Kind::Expr;
-        (void)dt;
         return tc;
     }
     return tc;
-}
-
-/** Source position of a memory reference's instruction. */
-SourcePos
-refPos(const MemRef &ref)
-{
-    return ref.block->insts[ref.index].pos;
-}
-
-/** Best source position for a loop: first stamped inst in the header,
- *  else first stamped inst anywhere in the loop. */
-SourcePos
-loopPos(const cfg::Loop &loop)
-{
-    for (const Inst &inst : loop.header->insts)
-        if (inst.pos.valid())
-            return inst.pos;
-    for (rtl::Block *b : loop.blocks)
-        for (const Inst &inst : b->insts)
-            if (inst.pos.valid())
-                return inst.pos;
-    return {};
 }
 
 /** One stream the pass decided to create. */
@@ -258,30 +234,11 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
            const cfg::DominatorTree &dt, const cfg::DefUseTable &du,
            const rtl::MachineTraits &traits,
            int minTripCount, StreamingReport &report,
-           obs::RemarkCollector *remarks, bool injectCountBug,
+           obs::RemarkCollector &remarks, bool injectCountBug,
            bool injectPopBug)
 {
-    // Remark plumbing: resolve the loop's registry id (get-or-create,
-    // upgrading the record with a position recovered from instruction
-    // provenance) and build remarks against it.
-    int loopId = -1;
-    SourcePos loopLoc = loopPos(loop);
-    if (remarks) {
-        loopId = remarks->loopId(fn.name(), loop.header->label(), loopLoc);
-        if (const obs::LoopRecord *lr = remarks->findLoop(loopId);
-            lr && lr->loc.valid())
-            loopLoc = lr->loc;
-    }
-    auto missed = [&](const char *reason, SourcePos at = {}) {
-        obs::Remark r;
-        r.pass = "streaming";
-        r.function = fn.name();
-        r.loopId = loopId;
-        r.loc = at.valid() ? at : loopLoc;
-        r.verdict = obs::RemarkVerdict::Missed;
-        r.reason = reason;
-        return r;
-    };
+    obs::LoopRemarkSite site(remarks, "streaming", fn.name(),
+                             loop.header->label(), cfg::loopPos(loop));
 
     // Loops containing calls cannot stream: the callee's own loads and
     // stores share the data FIFOs.
@@ -290,17 +247,16 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
             if (inst.kind == InstKind::Call ||
                     inst.kind == InstKind::StreamIn ||
                     inst.kind == InstKind::StreamOut) {
-                if (remarks && inst.kind == InstKind::Call)
-                    remarks->add(missed("contains-call", inst.pos)
-                                     .arg("callee", inst.target));
+                if (inst.kind == InstKind::Call)
+                    site.add(site.missed("contains-call", inst.pos)
+                                 .arg("callee", inst.target));
                 return false;
             }
 
     opt::IndVarAnalysis ivs(fn, loop, dt, du, traits);
-    PartitionSet parts =
-        recurrence::buildPartitions(fn, loop, dt, ivs, traits);
+    PartitionSet parts = recurrence::buildPartitions(loop, ivs);
 
-    TripCount tc = deriveTripCount(loop, dt, ivs);
+    TripCount tc = deriveTripCount(loop, ivs);
 
     // Step 1: a compile-time trip count of <= 3 is not worth streaming.
     if (tc.kind == TripCount::Kind::Expr && tc.iv &&
@@ -323,10 +279,9 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
         }
     }
     if (tc.kind == TripCount::Kind::Const && tc.constVal < minTripCount) {
-        if (remarks)
-            remarks->add(missed("trip-count-too-small")
-                             .arg("trip_count", tc.constVal)
-                             .arg("min_trip_count", minTripCount));
+        site.add(site.missed("trip-count-too-small")
+                     .arg("trip_count", tc.constVal)
+                     .arg("min_trip_count", minTripCount));
         return false;
     }
 
@@ -346,8 +301,7 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
 
     // ---- Step 2: pick streamable references ----
     if (parts.unknownWriteExists()) {
-        if (remarks)
-            remarks->add(missed("unknown-memory-write"));
+        site.add(site.missed("unknown-memory-write"));
         return false;
     }
 
@@ -391,43 +345,34 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
             }
         }
         if (recurrenceLeft) {
-            if (remarks)
-                remarks->add(missed("memory-recurrence-remains",
-                                    refPos(*recWrite))
-                                 .arg("partition", p.key));
+            site.add(site.missed("memory-recurrence-remains", recWrite->pos())
+                         .arg("partition", p.key));
             continue;
         }
         // Writes cannot stream if an unanalyzed read might observe the
         // buffered values.
         for (const MemRef &ref : p.refs) {
             if (!ref.analyzable || !ref.iv || ref.cee == 0) {
-                if (remarks)
-                    remarks->add(missed("address-not-induction",
-                                        refPos(ref))
-                                     .arg("partition", p.key));
+                site.add(site.missed("address-not-induction", ref.pos())
+                             .arg("partition", p.key));
                 continue;
             }
             if (ref.isWrite && parts.unknownReadExists()) {
-                if (remarks)
-                    remarks->add(missed("unknown-memory-read",
-                                        refPos(ref))
-                                     .arg("partition", p.key));
+                site.add(site.missed("unknown-memory-read", ref.pos())
+                             .arg("partition", p.key));
                 continue;
             }
             // Step 2b/2c: stride and every-iteration execution.
             int64_t stride = ref.cee * ref.iv->step;
             if (stride == 0) {
-                if (remarks)
-                    remarks->add(missed("zero-stride", refPos(ref))
-                                     .arg("partition", p.key));
+                site.add(site.missed("zero-stride", ref.pos())
+                             .arg("partition", p.key));
                 continue;
             }
             if (!everyIteration(ref)) {
-                if (remarks)
-                    remarks->add(missed("not-every-iteration",
-                                        refPos(ref))
-                                     .arg("partition", p.key)
-                                     .arg("stride", stride));
+                site.add(site.missed("not-every-iteration", ref.pos())
+                             .arg("partition", p.key)
+                             .arg("stride", stride));
                 continue;
             }
             // Step 2d: executed loop_count times. With the bottom-test
@@ -443,9 +388,8 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
                 // Load: its destination must be virtual with a single
                 // use executed once per iteration.
                 if (!rtl::isVirtualFile(inst.dst->regFile())) {
-                    if (remarks)
-                        remarks->add(missed("load-register-not-virtual",
-                                            refPos(ref)));
+                    site.add(site.missed("load-register-not-virtual",
+                                         ref.pos()));
                     continue;
                 }
                 cfg::Site use = du.uniqueUse(
@@ -453,15 +397,11 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
                 rtl::Block *ub = use.block;
                 size_t ui = use.index;
                 if (!ub) {
-                    if (remarks)
-                        remarks->add(missed("load-multiple-uses",
-                                            refPos(ref)));
+                    site.add(site.missed("load-multiple-uses", ref.pos()));
                     continue;
                 }
                 if (!loop.contains(ub)) {
-                    if (remarks)
-                        remarks->add(missed("use-outside-loop",
-                                            refPos(ref)));
+                    site.add(site.missed("use-outside-loop", ref.pos()));
                     continue;
                 }
                 bool dominatesLatches = true;
@@ -469,10 +409,8 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
                     if (!dt.dominates(ub, latch))
                         dominatesLatches = false;
                 if (!dominatesLatches) {
-                    if (remarks)
-                        remarks->add(missed("not-every-iteration",
-                                            refPos(ref))
-                                         .arg("what", "use"));
+                    site.add(site.missed("not-every-iteration", ref.pos())
+                                 .arg("what", "use"));
                     continue;
                 }
                 // The use must not sit between other dequeues in a way
@@ -483,9 +421,8 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
             } else {
                 // Store: its value must be a register (enqueue source).
                 if (!inst.src->isReg()) {
-                    if (remarks)
-                        remarks->add(missed("store-value-not-register",
-                                            refPos(ref)));
+                    site.add(site.missed("store-value-not-register",
+                                         ref.pos()));
                     continue;
                 }
             }
@@ -493,8 +430,7 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
         }
     }
     if (candidates.empty()) {
-        if (remarks)
-            remarks->add(missed("no-streamable-references"));
+        site.add(site.missed("no-streamable-references"));
         return false;
     }
 
@@ -531,12 +467,10 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
     bool droppedLoad[2] = {false, false};
     bool droppedStore[2] = {false, false};
     auto noFifo = [&](const PlannedStream &ps) {
-        if (remarks)
-            remarks->add(
-                missed("no-fifo-available", refPos(ps.ref))
-                    .arg("side", ps.side == UnitSide::Flt ? "float" : "int")
-                    .arg("direction", ps.ref.isWrite ? "out" : "in")
-                    .arg("stride", ps.stride));
+        site.add(site.missed("no-fifo-available", ps.ref.pos())
+                     .arg("side", ps.side == UnitSide::Flt ? "float" : "int")
+                     .arg("direction", ps.ref.isWrite ? "out" : "in")
+                     .arg("stride", ps.stride));
     };
     for (PlannedStream &ps : candidates) {
         int s = ps.side == UnitSide::Flt ? 1 : 0;
@@ -584,18 +518,15 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
     // Past this point the rewrite always completes: record the applied
     // per-stream remarks now, while MemRef block/index pairs are still
     // valid (the rewrite below erases streamed loads).
-    if (remarks) {
-        for (const PlannedStream &ps : chosen) {
-            obs::Remark r = missed("streamed", refPos(ps.ref));
-            r.verdict = obs::RemarkVerdict::Applied;
-            r.arg("side", ps.side == UnitSide::Flt ? "float" : "int")
-                .arg("fifo", ps.fifo)
-                .arg("stride", ps.stride)
-                .arg("direction", ps.ref.isWrite ? "out" : "in");
-            if (tc.kind == TripCount::Kind::Const)
-                r.arg("trip_count", tc.constVal);
-            remarks->add(std::move(r));
-        }
+    for (const PlannedStream &ps : chosen) {
+        obs::Remark r = site.applied("streamed", ps.ref.pos());
+        r.arg("side", ps.side == UnitSide::Flt ? "float" : "int")
+            .arg("fifo", ps.fifo)
+            .arg("stride", ps.stride)
+            .arg("direction", ps.ref.isWrite ? "out" : "in");
+        if (tc.kind == TripCount::Kind::Const)
+            r.arg("trip_count", tc.constVal);
+        site.add(std::move(r));
     }
 
     // ---- Steps f/g: preheader code ----
@@ -695,8 +626,8 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
             // Stream setup lives in the preheader but belongs to the
             // loop: carry the reference's provenance and loop id so
             // per-loop attribution charges it to the right loop.
-            stream.pos = refPos(ps.ref);
-            stream.loopId = loopId;
+            stream.pos = ps.ref.pos();
+            stream.loopId = site.loopId();
             insert(std::move(stream));
         }
     }
@@ -858,18 +789,15 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
     }
 
     ++report.loopsStreamed;
-    if (remarks) {
-        obs::Remark r = missed("loop-streamed");
-        r.verdict = obs::RemarkVerdict::Applied;
-        int nin = 0, nout = 0;
-        for (const PlannedStream &ps : chosen)
-            (ps.ref.isWrite ? nout : nin)++;
-        r.arg("streams_in", nin).arg("streams_out", nout);
-        if (tc.kind == TripCount::Kind::Const)
-            r.arg("trip_count", tc.constVal);
-        r.arg("finite", finite ? "true" : "false");
-        remarks->add(std::move(r));
-    }
+    obs::Remark r = site.applied("loop-streamed");
+    int nin = 0, nout = 0;
+    for (const PlannedStream &ps : chosen)
+        (ps.ref.isWrite ? nout : nin)++;
+    r.arg("streams_in", nin).arg("streams_out", nout);
+    if (tc.kind == TripCount::Kind::Const)
+        r.arg("trip_count", tc.constVal);
+    r.arg("finite", finite ? "true" : "false");
+    site.add(std::move(r));
     return true;
 }
 
@@ -877,7 +805,7 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
 
 StreamingReport
 runStreaming(rtl::Function &fn, const rtl::MachineTraits &traits,
-             int minTripCount, obs::RemarkCollector *remarks,
+             obs::RemarkCollector &remarks, int minTripCount,
              bool injectStreamCountBug, bool injectVerifierBug)
 {
     StreamingReport report;

@@ -46,14 +46,13 @@ struct StreamingReport
  * otherwise. @p minTripCount implements the paper's Step 1: loops with
  * a known trip count of three or fewer are not streamed.
  *
- * When @p remarks is given, every accept/reject decision is recorded:
- * an `applied` remark per created stream and per streamed loop, and a
- * `missed` remark with a stable reason code (`trip-count-too-small`,
+ * Every accept/reject decision is recorded in @p remarks: an `applied`
+ * remark per created stream and per streamed loop, and a `missed`
+ * remark with a stable reason code (`trip-count-too-small`,
  * `memory-recurrence-remains`, `not-every-iteration`,
  * `no-fifo-available`, ...) for each rejection, located at the source
  * position of the loop or memory reference that caused it.
- */
-/**
+ *
  * @p injectStreamCountBug is the deadlock watchdog's hidden self-test
  * (wmfuzz/wmc --inject-deadlock-bug): every input stream except the
  * loop-steering one is started one element short, a deliberate
@@ -70,8 +69,8 @@ struct StreamingReport
  */
 StreamingReport runStreaming(rtl::Function &fn,
                              const rtl::MachineTraits &traits,
+                             obs::RemarkCollector &remarks,
                              int minTripCount = 4,
-                             obs::RemarkCollector *remarks = nullptr,
                              bool injectStreamCountBug = false,
                              bool injectVerifierBug = false);
 

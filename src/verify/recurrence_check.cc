@@ -55,11 +55,9 @@ chainName(const RecurrenceChain &c)
 
 VerifyReport
 verifyRecurrenceChains(rtl::Function &fn,
-                       const rtl::MachineTraits &traits,
                        const std::vector<RecurrenceChain> &chains,
                        const std::string &pass)
 {
-    (void)traits;
     VerifyReport out;
     out.pass = pass;
     out.stage = Stage::PostOpt;

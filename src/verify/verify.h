@@ -192,7 +192,6 @@ analyzeFifoRequirements(rtl::Program &prog,
  */
 VerifyReport
 verifyRecurrenceChains(rtl::Function &fn,
-                       const rtl::MachineTraits &traits,
                        const std::vector<recurrence::RecurrenceChain> &chains,
                        const std::string &pass);
 

@@ -24,9 +24,10 @@ expandSrc(const std::string &src, MachineKind kind = MachineKind::WM)
     auto unit = frontend::parseAndCheck(src, diag);
     EXPECT_TRUE(unit != nullptr) << diag.str();
     auto prog = std::make_unique<Program>();
+    obs::RemarkCollector remarks;
     expand::expandUnit(*unit, kind == MachineKind::WM ? wmTraits()
                                                       : scalarTraits(),
-                       *prog);
+                       *prog, remarks);
     return prog;
 }
 

@@ -35,9 +35,10 @@ expandOnly(const std::string &src, MachineKind kind)
     auto unit = frontend::parseAndCheck(src, diag);
     EXPECT_TRUE(unit != nullptr) << diag.str();
     auto prog = std::make_unique<Program>();
+    obs::RemarkCollector remarks;
     expand::expandUnit(*unit, kind == MachineKind::WM ? wmTraits()
                                                       : scalarTraits(),
-                       *prog);
+                       *prog, remarks);
     return prog;
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -139,16 +141,33 @@ TEST(RegAlloc, AttemptCapFailsWithoutPanicking)
     EXPECT_EQ(ra.attempts, opt::kRegAllocAttemptCap);
 }
 
+namespace {
+
+/** Counter @p key of the driver's `lower-fifo` pass profile. */
+int64_t
+loweringCounter(const driver::CompileResult &cr, const std::string &key)
+{
+    for (const obs::PassProfile &p : cr.passProfiles)
+        if (p.name == "lower-fifo")
+            for (const auto &[k, value] : p.counters)
+                if (k == key)
+                    return value;
+    return -1;
+}
+
+} // namespace
+
 TEST(Lowering, SplitsLoadsAndStores)
 {
     driver::CompileOptions opts;
-    opts.lowerFifo = false; // get the pre-lowered program
+    opts.profilePasses = true;
     auto cr = driver::compileSource(programs::livermore5Source(32), opts);
     ASSERT_TRUE(cr.ok);
-    Function *fn = cr.program->findFunction("main");
-    auto report = wm::lowerToFifoForm(*fn, wmTraits());
-    EXPECT_GT(report.loadsLowered + report.storesLowered, 0);
+    EXPECT_GT(loweringCounter(cr, "loads_lowered") +
+                  loweringCounter(cr, "stores_lowered"),
+              0);
     // After lowering, every Load's dst and Store's src is a FIFO reg.
+    Function *fn = cr.program->findFunction("main");
     for (const auto &b : fn->blocks()) {
         for (const Inst &inst : b->insts) {
             if (inst.kind == InstKind::Load) {
@@ -164,16 +183,14 @@ TEST(Lowering, SplitsLoadsAndStores)
 TEST(Lowering, FoldsDequeuesAndEnqueues)
 {
     driver::CompileOptions opts;
-    opts.lowerFifo = false;
+    opts.profilePasses = true;
     opts.streaming = false;
     auto cr = driver::compileSource(programs::livermore5Source(32), opts);
     ASSERT_TRUE(cr.ok);
-    Function *fn = cr.program->findFunction("main");
-    auto report = wm::lowerToFifoForm(*fn, wmTraits());
     // The LL5 kernel folds at least one dequeue into the compute and
     // the store-data enqueue into the producing instruction.
-    EXPECT_GT(report.dequeuesFolded, 0);
-    EXPECT_GT(report.enqueuesFolded, 0);
+    EXPECT_GT(loweringCounter(cr, "dequeues_folded"), 0);
+    EXPECT_GT(loweringCounter(cr, "enqueues_folded"), 0);
 }
 
 /**
@@ -426,6 +443,41 @@ TEST(M68kPrinter, NoPlaceholderAddressModes)
         m68k::printFunction(*cr.program->findFunction("main"));
     EXPECT_EQ(listing.find('<'), std::string::npos)
         << "unlowered address mode in:\n" << listing;
+}
+
+TEST(M68kPrinter, EachFloatRegisterHasItsOwnName)
+{
+    // The 68020 traits allocate up to 30 registers per file, and
+    // whetstone's main uses more than eight float registers: the
+    // listing names each one apart, so no two print as one.
+    driver::CompileOptions opts;
+    opts.target = MachineKind::Scalar;
+    auto cr =
+        driver::compileSource(programs::programSource("whetstone"), opts);
+    ASSERT_TRUE(cr.ok);
+    const Function &fn = *cr.program->findFunction("main");
+    std::set<int> regs;
+    for (const auto &b : fn.blocks())
+        for (const Inst &inst : b->insts)
+            for (const ExprPtr &e : {inst.dst, inst.src, inst.addr})
+                forEachNode(e, [&](const Expr &n) {
+                    if (n.kind() == Expr::Kind::Reg &&
+                            n.regFile() == RegFile::Flt &&
+                            n.regIndex() != 31)
+                        regs.insert(n.regIndex());
+                });
+    std::string listing = m68k::printFunction(fn);
+    std::set<std::string> names;
+    for (size_t at = listing.find("fp"); at != std::string::npos;
+         at = listing.find("fp", at + 2)) {
+        size_t end = at + 2;
+        while (end < listing.size() && std::isdigit(listing[end]))
+            ++end;
+        if (end > at + 2)
+            names.insert(listing.substr(at, end - at));
+    }
+    EXPECT_GT(regs.size(), 8u);
+    EXPECT_EQ(names.size(), regs.size()) << listing;
 }
 
 TEST(M68kPrinter, TwoAddressFormKeepsTheSecondOperand)

@@ -32,7 +32,8 @@ prepare(const std::string &src, MachineKind kind = MachineKind::WM)
     EXPECT_TRUE(unit != nullptr) << diag.str();
     auto prog = std::make_unique<Program>();
     auto traits = kind == MachineKind::WM ? wmTraits() : scalarTraits();
-    expand::expandUnit(*unit, traits, *prog);
+    obs::RemarkCollector remarks;
+    expand::expandUnit(*unit, traits, *prog, remarks);
     for (auto &fn : prog->functions())
         opt::runCleanupPipeline(*fn, traits, prog.get());
     return prog;
@@ -78,7 +79,7 @@ TEST(Partitions, Livermore5HasThreePartitions)
 
     cfg::DefUseTable du(*fn, traits);
     opt::IndVarAnalysis ivs(*fn, *loop, dt, du, traits);
-    auto parts = recurrence::buildPartitions(*fn, *loop, dt, ivs, traits);
+    auto parts = recurrence::buildPartitions(*loop, ivs);
 
     const recurrence::Partition *px = nullptr, *py = nullptr,
                                 *pz = nullptr;
@@ -133,7 +134,8 @@ TEST(Recurrence, FiresOnLivermore5)
 {
     auto prog = prepare(programs::livermore5Source(64));
     Function *fn = prog->findFunction("main");
-    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits());
+    obs::RemarkCollector remarks;
+    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits(), remarks);
     EXPECT_GE(report.recurrencesOptimized, 1);
     EXPECT_GE(report.loadsDeleted, 1);
     EXPECT_EQ(report.maxDegree, 1); // x[i-1]: first-order recurrence
@@ -143,7 +145,8 @@ TEST(Recurrence, DegreeTwo)
 {
     auto prog = prepare(programs::recurrenceDegreeSource(64, 2));
     Function *fn = prog->findFunction("main");
-    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits());
+    obs::RemarkCollector remarks;
+    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits(), remarks);
     EXPECT_GE(report.recurrencesOptimized, 1);
     EXPECT_EQ(report.maxDegree, 2);
 }
@@ -152,8 +155,8 @@ TEST(Recurrence, RespectsRegisterBudget)
 {
     auto prog = prepare(programs::recurrenceDegreeSource(64, 5));
     Function *fn = prog->findFunction("main");
-    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits(),
-                                               /*maxDegree=*/4);
+    obs::RemarkCollector remarks;
+    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits(), remarks);
     EXPECT_EQ(report.recurrencesOptimized, 0);
 }
 
@@ -177,7 +180,8 @@ int main(void) {
 )";
     auto prog = prepare(src);
     Function *fn = prog->findFunction("main");
-    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits());
+    obs::RemarkCollector remarks;
+    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits(), remarks);
     EXPECT_EQ(report.recurrencesOptimized, 0);
 }
 
@@ -210,7 +214,8 @@ int main(void) {
     auto prog = prepare(src);
     Function *fn = prog->findFunction("kernel");
     ASSERT_TRUE(fn != nullptr);
-    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits());
+    obs::RemarkCollector remarks;
+    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits(), remarks);
     // The p[i] write resolves to an opaque register base: a distinct
     // region under the paper's model (pointer walks get their own
     // partitions), BUT here p's base register makes it a Reg-based
@@ -238,7 +243,8 @@ int main(void) {
 )";
     auto prog = prepare(src);
     Function *fn = prog->findFunction("main");
-    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits());
+    obs::RemarkCollector remarks;
+    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits(), remarks);
     EXPECT_EQ(report.recurrencesOptimized, 0);
 }
 
@@ -249,7 +255,8 @@ TEST(Recurrence, ScalarTargetAlsoOptimizes)
     auto prog = prepare(programs::livermore5Source(64),
                         MachineKind::Scalar);
     Function *fn = prog->findFunction("main");
-    auto report = recurrence::runRecurrenceOpt(*fn, scalarTraits());
+    obs::RemarkCollector remarks;
+    auto report = recurrence::runRecurrenceOpt(*fn, scalarTraits(), remarks);
     EXPECT_GE(report.recurrencesOptimized, 1);
 }
 
@@ -304,7 +311,7 @@ int main(void) {
     auto traits = wmTraits();
     cfg::DefUseTable du(*fn, traits);
     opt::IndVarAnalysis ivs(*fn, *loop, dt, du, traits);
-    auto parts = recurrence::buildPartitions(*fn, *loop, dt, ivs, traits);
+    auto parts = recurrence::buildPartitions(*loop, ivs);
     // Two walking pointers -> two "iv:" partitions, coefficient 1.
     int ivParts = 0;
     for (const auto &p : parts.parts) {
@@ -342,7 +349,7 @@ int main(void) { return sum(g); }
     auto traits = wmTraits();
     cfg::DefUseTable du(*fn, traits);
     opt::IndVarAnalysis ivs(*fn, *loop, dt, du, traits);
-    auto parts = recurrence::buildPartitions(*fn, *loop, dt, ivs, traits);
+    auto parts = recurrence::buildPartitions(*loop, ivs);
     bool regPart = false;
     for (const auto &p : parts.parts)
         if (p.key.rfind("reg:", 0) == 0)

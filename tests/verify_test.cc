@@ -235,8 +235,7 @@ TEST(Verify, BrokenRecurrenceShiftChain)
     chain.degree = 1;
     chain.chainRegs = {3, 4};
 
-    auto rep = verify::verifyRecurrenceChains(fn, wmTraits(), {chain},
-                                              "recurrence");
+    auto rep = verify::verifyRecurrenceChains(fn, {chain}, "recurrence");
     EXPECT_FALSE(rep.ok());
     EXPECT_TRUE(hasReason(rep, "recurrence-shift-mismatch"))
         << rep.str();
@@ -257,8 +256,7 @@ TEST(Verify, RecurrenceShiftCycle)
     chain.degree = 1;
     chain.chainRegs = {3, 3};
 
-    auto rep = verify::verifyRecurrenceChains(fn, wmTraits(), {chain},
-                                              "recurrence");
+    auto rep = verify::verifyRecurrenceChains(fn, {chain}, "recurrence");
     EXPECT_TRUE(hasReason(rep, "recurrence-shift-cycle")) << rep.str();
 }
 

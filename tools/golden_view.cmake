@@ -1,9 +1,10 @@
-# Golden-output test for one wmreport view, or for wmc's Chrome trace.
-# Runs wmc from inside the source's directory with a relative path (so
-# every source location in the output is path-independent), renders
-# the requested view, and byte-compares it against the checked-in
-# golden. VIEW=--trace-out compares the `wmc --run --trace-out` file
-# instead of a wmreport view.
+# Golden-output test for one wmreport view, for wmc's Chrome trace, or
+# for wmc's remark stream. Runs wmc from inside the source's directory
+# with a relative path (so every source location in the output is
+# path-independent), renders the requested view, and byte-compares it
+# against the checked-in golden. VIEW=--trace-out compares the
+# `wmc --run --trace-out` file instead of a wmreport view;
+# VIEW=--remarks=json compares the stdout of `wmc --remarks=json`.
 #
 # The simulator is deterministic, wmreport prints no wall-clock data,
 # and the relative-path trick keeps build-tree paths out — so the
@@ -11,9 +12,10 @@
 # output change with -DUPDATE=1, then review the diff like any other
 # source change.
 #
-# Arguments: WMC, WMREPORT (not needed for --trace-out), SOURCE
-# (absolute), VIEW (e.g. --timeline, or --trace-out), GOLDEN
-# (checked-in file), OUT_DIR, optional UPDATE.
+# Arguments: WMC, WMREPORT (not needed for --trace-out or
+# --remarks=json), SOURCE (absolute), VIEW (e.g. --timeline,
+# --trace-out or --remarks=json), GOLDEN (checked-in file), OUT_DIR,
+# optional UPDATE.
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(MANIFEST ${OUT_DIR}/manifest.json)
 set(TRACE ${OUT_DIR}/trace.json)
@@ -21,6 +23,8 @@ get_filename_component(src_dir ${SOURCE} DIRECTORY)
 get_filename_component(src_name ${SOURCE} NAME)
 if(VIEW STREQUAL "--trace-out")
     set(run_args --run --trace-out=${TRACE})
+elseif(VIEW STREQUAL "--remarks=json")
+    set(run_args --remarks=json)
 else()
     set(run_args --run --sample-window=64 --critpath --critpath-validate
                  --manifest=${MANIFEST})
@@ -38,6 +42,8 @@ endif()
 
 if(VIEW STREQUAL "--trace-out")
     file(READ ${TRACE} view_out)
+elseif(VIEW STREQUAL "--remarks=json")
+    set(view_out "${run_out}")
 else()
     execute_process(
         COMMAND ${WMREPORT} ${VIEW} ${MANIFEST}
