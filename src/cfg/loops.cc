@@ -191,6 +191,25 @@ ensurePreheader(rtl::Function &fn, Loop &loop)
     return pre;
 }
 
+void
+appendToPreheader(rtl::Block *pre, rtl::Inst inst)
+{
+    auto at = pre->insts.end();
+    if (pre->terminator())
+        --at;
+    pre->insts.insert(at, std::move(inst));
+}
+
+bool
+executesEveryIteration(const Loop &loop, const DominatorTree &dt,
+                       const rtl::Block *b)
+{
+    for (const Block *latch : loop.latches)
+        if (!dt.dominates(b, latch))
+            return false;
+    return true;
+}
+
 namespace {
 
 /** Re-scan the blocks a visit of @p loop may have edited. */

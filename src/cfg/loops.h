@@ -123,6 +123,16 @@ class LoopInfo
  */
 rtl::Block *ensurePreheader(rtl::Function &fn, Loop &loop);
 
+/** Append @p inst to the preheader @p pre, before its terminator. */
+void appendToPreheader(rtl::Block *pre, rtl::Inst inst);
+
+/**
+ * True if @p b runs once on every iteration of @p loop: it dominates
+ * every latch.
+ */
+bool executesEveryIteration(const Loop &loop, const DominatorTree &dt,
+                            const rtl::Block *b);
+
 /** What a loop visit did to the code. */
 enum class LoopVisit : uint8_t
 {

@@ -77,7 +77,6 @@ totalWork(const rtl::Program &prog)
         w.cfgRecomputes += fp->work.cfgRecomputes;
         w.defUseBuilds += fp->work.defUseBuilds;
         w.defUseBlockRescans += fp->work.defUseBlockRescans;
-        w.renumbers += fp->work.renumbers;
     }
     return w;
 }
@@ -95,7 +94,6 @@ addWorkCounters(obs::PassProfiler &prof, const std::string &pass,
     add("defuse_builds", after.defUseBuilds - before.defUseBuilds);
     add("defuse_block_rescans",
         after.defUseBlockRescans - before.defUseBlockRescans);
-    add("renumbers", after.renumbers - before.renumbers);
 }
 
 /**

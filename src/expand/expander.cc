@@ -296,7 +296,6 @@ Expander::expandFunction(const FuncDecl &fd)
 
     fn_->recomputeCfg();
     fn_->removeUnreachable();
-    fn_->renumber();
 }
 
 Expander::LVal

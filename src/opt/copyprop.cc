@@ -327,9 +327,7 @@ reuseAvailable(Inst &inst, const AvailTable &exprs,
             loads.find(rtl::makeMem(inst.addr, inst.memType));
         if (!reg)
             return 0;
-        Inst copy = rtl::makeAssign(inst.dst, *reg, inst.comment);
-        copy.id = inst.id;
-        inst = std::move(copy);
+        inst = rtl::makeAssign(inst.dst, *reg, inst.comment);
         return 1;
     }
     return 0;

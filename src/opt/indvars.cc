@@ -91,11 +91,7 @@ IndVarAnalysis::findBasicIVs()
         if (step == 0)
             continue;
         // Must execute exactly once per iteration.
-        bool dominatesLatches = true;
-        for (rtl::Block *latch : loop_.latches)
-            if (!dt_.dominates(site.block, latch))
-                dominatesLatches = false;
-        if (!dominatesLatches)
+        if (!cfg::executesEveryIteration(loop_, dt_, site.block))
             continue;
         BasicIV iv;
         iv.reg = inst.dst;

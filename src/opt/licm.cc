@@ -91,9 +91,6 @@ moveToPreheader(rtl::Function &fn, cfg::Loop &loop,
     if (order.empty())
         return 0;
     rtl::Block *pre = cfg::ensurePreheader(fn, loop);
-    size_t at = pre->insts.size();
-    if (pre->terminator())
-        --at;
     std::vector<Inst> moved;
     for (auto &[b, i] : order)
         moved.push_back(b->insts[i]);
@@ -107,8 +104,8 @@ moveToPreheader(rtl::Function &fn, cfg::Loop &loop,
     });
     for (auto &[b, i] : del)
         b->insts.erase(b->insts.begin() + static_cast<ptrdiff_t>(i));
-    pre->insts.insert(pre->insts.begin() + static_cast<ptrdiff_t>(at),
-                      moved.begin(), moved.end());
+    for (Inst &inst : moved)
+        cfg::appendToPreheader(pre, std::move(inst));
     return static_cast<int>(moved.size());
 }
 

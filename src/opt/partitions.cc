@@ -1,18 +1,17 @@
-#include "recurrence/partitions.h"
+#include "opt/partitions.h"
 
 #include <sstream>
 
-#include "support/str.h"
+namespace wmstream::opt {
 
-namespace wmstream::recurrence {
-
-using opt::BasicIV;
-using opt::LinForm;
+using rtl::DataType;
+using rtl::ExprPtr;
 using rtl::Inst;
 using rtl::InstKind;
+using rtl::Op;
 
 std::string
-MemRef::str() const
+MemRef::str(int lno) const
 {
     std::ostringstream os;
     os << "(" << lno << "," << (isWrite ? "w" : "r") << ",";
@@ -28,6 +27,57 @@ MemRef::str() const
     }
     os << "," << cee << "," << dee.deeStr() << "," << roffset << ")";
     return os.str();
+}
+
+namespace {
+
+/** The register that names @p ref's region: its base, or its walking IV. */
+const rtl::Expr *
+regionReg(const MemRef &ref)
+{
+    if (ref.dee.baseKind == LinForm::Base::Reg)
+        return ref.dee.baseReg.get();
+    if (ref.dee.baseKind == LinForm::Base::None && ref.iv)
+        return ref.iv->reg.get();
+    return nullptr;
+}
+
+} // anonymous namespace
+
+PartitionKey
+PartitionKey::of(const MemRef &ref)
+{
+    PartitionKey k;
+    k.kind = ref.dee.baseKind;
+    if (k.kind == LinForm::Base::Sym)
+        k.sym = ref.dee.sym;
+    if (const rtl::Expr *r = regionReg(ref)) {
+        k.file = r->regFile();
+        k.reg = r->regIndex();
+    }
+    return k;
+}
+
+bool
+PartitionKey::matches(const MemRef &ref) const
+{
+    if (ref.dee.baseKind != kind)
+        return false;
+    if (kind == LinForm::Base::Sym)
+        return ref.dee.sym == sym;
+    const rtl::Expr *r = regionReg(ref);
+    return r ? r->regFile() == file && r->regIndex() == reg : reg < 0;
+}
+
+std::string
+PartitionKey::str() const
+{
+    if (kind == LinForm::Base::Sym)
+        return "_" + sym;
+    if (reg < 0)
+        return "absolute";
+    return std::string(kind == LinForm::Base::Reg ? "reg:" : "iv:") +
+           rtl::regFilePrefix(file) + std::to_string(reg);
 }
 
 bool
@@ -49,32 +99,32 @@ Partition::hasRead() const
 }
 
 std::string
-Partition::str() const
+PartitionSet::str(const rtl::Function &fn) const
 {
-    std::ostringstream os;
-    os << key << (safe ? "" : " [unsafe]") << " = {";
-    for (size_t i = 0; i < refs.size(); ++i) {
-        if (i)
-            os << ", ";
-        os << refs[i].str();
+    // start[b] is the layout ordinal of block b's first instruction.
+    std::vector<int> start(static_cast<size_t>(fn.blockIdBound()), 0);
+    int n = 0;
+    for (const auto &b : fn.blocks()) {
+        start[static_cast<size_t>(b->id())] = n;
+        n += static_cast<int>(b->insts.size());
     }
-    os << "}";
-    return os.str();
-}
-
-std::string
-PartitionSet::str() const
-{
-    std::ostringstream os;
-    for (const Partition &p : parts)
-        os << p.str() << "\n";
-    if (!unknownRefs.empty()) {
-        os << "unknown = {";
-        for (size_t i = 0; i < unknownRefs.size(); ++i) {
+    auto refs = [&](std::ostringstream &os, const std::vector<MemRef> &v) {
+        for (size_t i = 0; i < v.size(); ++i) {
             if (i)
                 os << ", ";
-            os << unknownRefs[i].str();
+            os << v[i].str(start[static_cast<size_t>(v[i].block->id())] +
+                           static_cast<int>(v[i].index));
         }
+    };
+    std::ostringstream os;
+    for (const Partition &p : parts) {
+        os << p.key.str() << (p.safe ? "" : " [unsafe]") << " = {";
+        refs(os, p.refs);
+        os << "}\n";
+    }
+    if (!unknownRefs.empty()) {
+        os << "unknown = {";
+        refs(os, unknownRefs);
         os << "}\n";
     }
     return os.str();
@@ -98,36 +148,8 @@ PartitionSet::unknownReadExists() const
     return false;
 }
 
-namespace {
-
-/** Partition key for an analyzed reference. */
-std::string
-partitionKey(const MemRef &ref)
-{
-    switch (ref.dee.baseKind) {
-      case LinForm::Base::Sym:
-        return "_" + ref.dee.sym;
-      case LinForm::Base::Reg:
-        return std::string("reg:") +
-               rtl::regFilePrefix(ref.dee.baseReg->regFile()) +
-               std::to_string(ref.dee.baseReg->regIndex());
-      case LinForm::Base::None:
-        // A walking pointer: the region is identified by the IV itself.
-        if (ref.iv) {
-            return std::string("iv:") +
-                   rtl::regFilePrefix(ref.iv->reg->regFile()) +
-                   std::to_string(ref.iv->reg->regIndex());
-        }
-        return "absolute";
-      default:
-        return "?";
-    }
-}
-
-} // anonymous namespace
-
 PartitionSet
-buildPartitions(const cfg::Loop &loop, opt::IndVarAnalysis &ivs)
+buildPartitions(const cfg::Loop &loop, IndVarAnalysis &ivs)
 {
     PartitionSet set;
 
@@ -136,15 +158,14 @@ buildPartitions(const cfg::Loop &loop, opt::IndVarAnalysis &ivs)
             set.unknownRefs.push_back(std::move(ref));
             return;
         }
-        std::string key = partitionKey(ref);
         for (Partition &p : set.parts) {
-            if (p.key == key) {
+            if (p.key.matches(ref)) {
                 p.refs.push_back(std::move(ref));
                 return;
             }
         }
         Partition p;
-        p.key = std::move(key);
+        p.key = PartitionKey::of(ref);
         p.refs.push_back(std::move(ref));
         set.parts.push_back(std::move(p));
     };
@@ -156,7 +177,6 @@ buildPartitions(const cfg::Loop &loop, opt::IndVarAnalysis &ivs)
             if (inst.kind != InstKind::Load && inst.kind != InstKind::Store)
                 continue;
             MemRef ref;
-            ref.lno = inst.id;
             ref.isWrite = inst.kind == InstKind::Store;
             ref.block = b;
             ref.index = i;
@@ -234,4 +254,62 @@ buildPartitions(const cfg::Loop &loop, opt::IndVarAnalysis &ivs)
     return set;
 }
 
-} // namespace wmstream::recurrence
+ExprPtr
+scaleIV(rtl::Function &fn, rtl::Block *pre, const ExprPtr &iv, int64_t cee,
+        const char *comment)
+{
+    if (cee == 1)
+        return iv;
+    int sh = -1;
+    for (int k = 1; k < 32; ++k)
+        if (cee == (int64_t{1} << k))
+            sh = k;
+    ExprPtr t = fn.newVReg(DataType::I64);
+    cfg::appendToPreheader(
+        pre, rtl::makeAssign(
+                 t, sh > 0 ? rtl::makeBin(Op::Shl, iv, rtl::makeConst(sh))
+                           : rtl::makeBin(Op::Mul, iv, rtl::makeConst(cee)),
+                 comment));
+    return t;
+}
+
+ExprPtr
+materializeAddress(rtl::Function &fn, rtl::Block *pre, const ExprPtr &iv,
+                   int64_t cee, const LinForm &base, int64_t disp,
+                   const AddressComments &comments, ExprPtr dst)
+{
+    ExprPtr sum = cee ? scaleIV(fn, pre, iv, cee, comments.scale) : nullptr;
+    ExprPtr baseVal;
+    if (base.baseKind == LinForm::Base::Sym) {
+        baseVal = fn.newVReg(DataType::I64);
+        cfg::appendToPreheader(pre, rtl::makeAssign(baseVal,
+                                                    rtl::makeSym(base.sym),
+                                                    comments.symbol));
+    } else if (base.baseKind == LinForm::Base::Reg) {
+        baseVal = base.baseReg;
+    }
+    if (baseVal && sum) {
+        ExprPtr t = fn.newVReg(DataType::I64);
+        cfg::appendToPreheader(
+            pre, rtl::makeAssign(t, rtl::makeBin(Op::Add, sum, baseVal)));
+        sum = t;
+    } else if (baseVal) {
+        sum = baseVal;
+    }
+    if (!dst) {
+        if (!sum)
+            return rtl::makeConst(disp);
+        if (disp == 0)
+            return sum;
+        dst = fn.newVReg(DataType::I64);
+    }
+    cfg::appendToPreheader(
+        pre, rtl::makeAssign(dst,
+                             sum ? rtl::makeBin(Op::Add, sum,
+                                                rtl::makeConst(disp))
+                                 : rtl::makeConst(disp),
+                             comments.disp));
+    return dst;
+}
+
+} // namespace wmstream::opt

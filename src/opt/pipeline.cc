@@ -51,7 +51,6 @@ runCleanupPipeline(rtl::Function &fn, const rtl::MachineTraits &traits,
         res.rounds += again.rounds;
         res.converged &= again.converged;
     }
-    fn.renumber();
     return res;
 }
 

@@ -407,7 +407,6 @@ runRegAlloc(rtl::Function &fn, const rtl::MachineTraits &traits)
             }
         }
         fn.recomputeCfg();
-        fn.renumber();
         res.allocated = true;
         return res;
     }

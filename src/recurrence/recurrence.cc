@@ -2,87 +2,20 @@
 
 #include <algorithm>
 
+#include "opt/partitions.h"
 #include "support/diag.h"
 
 namespace wmstream::recurrence {
 
-using opt::BasicIV;
-using opt::LinForm;
+using opt::MemRef;
+using opt::Partition;
+using opt::PartitionSet;
 using rtl::DataType;
 using rtl::ExprPtr;
 using rtl::Inst;
 using rtl::InstKind;
-using rtl::Op;
 
 namespace {
-
-/** Materialize `cee*iv + base + disp` at the end of @p pre. */
-ExprPtr
-materializeAddress(rtl::Function &fn, rtl::Block *pre, const BasicIV &iv,
-                   int64_t cee, const LinForm &base, int64_t disp)
-{
-    size_t at = pre->insts.size();
-    if (pre->terminator())
-        --at;
-    auto insert = [&](Inst inst) {
-        pre->insts.insert(pre->insts.begin() + static_cast<ptrdiff_t>(at++),
-                          std::move(inst));
-    };
-
-    ExprPtr scaled;
-    if (cee == 0) {
-        scaled = nullptr;
-    } else if (cee == 1) {
-        scaled = iv.reg;
-    } else {
-        int sh = -1;
-        for (int k = 1; k < 32; ++k)
-            if (cee == (int64_t{1} << k))
-                sh = k;
-        ExprPtr t = fn.newVReg(DataType::I64);
-        insert(rtl::makeAssign(
-            t, sh > 0 ? rtl::makeBin(Op::Shl, iv.reg, rtl::makeConst(sh))
-                      : rtl::makeBin(Op::Mul, iv.reg, rtl::makeConst(cee)),
-            "recurrence initial address"));
-        scaled = t;
-    }
-
-    ExprPtr baseVal;
-    switch (base.baseKind) {
-      case LinForm::Base::Sym: {
-        ExprPtr t = fn.newVReg(DataType::I64);
-        insert(rtl::makeAssign(t, rtl::makeSym(base.sym),
-                               "address of recurrence array"));
-        baseVal = t;
-        break;
-      }
-      case LinForm::Base::Reg:
-        baseVal = base.baseReg;
-        break;
-      default:
-        baseVal = nullptr;
-        break;
-    }
-
-    ExprPtr sum = scaled;
-    if (baseVal) {
-        if (sum) {
-            ExprPtr t = fn.newVReg(DataType::I64);
-            insert(rtl::makeAssign(t, rtl::makeBin(Op::Add, sum, baseVal)));
-            sum = t;
-        } else {
-            sum = baseVal;
-        }
-    }
-    if (!sum)
-        return rtl::makeConst(disp);
-    if (disp == 0)
-        return sum;
-    ExprPtr t = fn.newVReg(DataType::I64);
-    insert(rtl::makeAssign(t, rtl::makeBin(Op::Add, sum,
-                                           rtl::makeConst(disp))));
-    return t;
-}
 
 struct PairInfo
 {
@@ -98,7 +31,7 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
                   const obs::LoopRemarkSite &site)
 {
     auto missed = [&](const char *reason, SourcePos at = {}) {
-        site.add(site.missed(reason, at).arg("partition", part.key));
+        site.add(site.missed(reason, at).arg("partition", part.key.str()));
     };
     if (!part.hasWrite() || !part.hasRead())
         return false; // nothing to carry: not a recurrence candidate
@@ -162,25 +95,19 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
         degree = std::max(degree, p.distance);
     if (degree > kMaxDegree) {
         site.add(site.missed("degree-exceeds-registers", write->pos())
-                     .arg("partition", part.key)
+                     .arg("partition", part.key.str())
                      .arg("degree", degree)
                      .arg("max_degree", kMaxDegree));
         return false; // not enough registers (paper Step 2a remark)
     }
 
     // Every participating reference must execute on every iteration.
-    auto everyIteration = [&](const MemRef &r) {
-        for (rtl::Block *latch : loop.latches)
-            if (!dt.dominates(r.block, latch))
-                return false;
-        return true;
-    };
-    if (!everyIteration(*write)) {
+    if (!cfg::executesEveryIteration(loop, dt, write->block)) {
         missed("not-every-iteration", write->pos());
         return false;
     }
     for (const PairInfo &p : pairs)
-        if (!everyIteration(*p.read)) {
+        if (!cfg::executesEveryIteration(loop, dt, p.read->block)) {
             missed("not-every-iteration", p.read->pos());
             return false;
         }
@@ -198,7 +125,7 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
     // All checks passed; the rewrite below always completes. Record the
     // applied remark now, while block/index pairs are still valid.
     site.add(site.applied("recurrence-optimized", write->pos())
-                 .arg("partition", part.key)
+                 .arg("partition", part.key.str())
                  .arg("degree", degree)
                  .arg("stride", stride)
                  .arg("loads_replaced", static_cast<int64_t>(pairs.size())));
@@ -271,10 +198,8 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
     for (PairInfo &p : pairs) {
         Inst &load = p.read->block->insts[p.read->index];
         WS_ASSERT(load.kind == InstKind::Load, "stale read index");
-        Inst copy = rtl::makeAssign(load.dst, chain[p.distance],
-                                    "recurrence value from register");
-        copy.id = load.id;
-        load = std::move(copy);
+        load = rtl::makeAssign(load.dst, chain[p.distance],
+                               "recurrence value from register");
         ++report.loadsDeleted;
     }
 
@@ -299,21 +224,18 @@ optimizePartition(rtl::Function &fn, cfg::Loop &loop,
         for (int k = 1; k <= degree; ++k) {
             // Address of the value written k iterations before the
             // first one: write address at iv0 minus k strides.
-            ExprPtr addr = materializeAddress(
-                fn, pre, *write->iv, write->cee, write->dee,
-                write->roffset - static_cast<int64_t>(k) * stride);
-            size_t at = pre->insts.size();
-            if (pre->terminator())
-                --at;
+            ExprPtr addr = opt::materializeAddress(
+                fn, pre, write->iv->reg, write->cee, write->dee,
+                write->roffset - static_cast<int64_t>(k) * stride,
+                {"recurrence initial address", "address of recurrence array",
+                 ""});
             Inst prime = rtl::makeLoad(chain[k - 1], addr, write->type,
                                        "prime recurrence chain");
             // Priming lives in the preheader but belongs to the loop
             // for per-loop attribution.
             prime.pos = writePos;
             prime.loopId = site.loopId();
-            pre->insts.insert(
-                pre->insts.begin() + static_cast<ptrdiff_t>(at),
-                std::move(prime));
+            cfg::appendToPreheader(pre, std::move(prime));
         }
 
         // Record the chain shape for the IR verifier, which checks it
@@ -359,10 +281,8 @@ runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
                                  loop.header->label(), cfg::loopPos(loop));
 
         opt::IndVarAnalysis ivs(fn, loop, dt, du, traits);
-        // The dumps print each reference's instruction id (its lno).
-        fn.renumber();
-        PartitionSet parts = buildPartitions(loop, ivs);
-        report.partitionDumps.push_back(parts.str());
+        PartitionSet parts = opt::buildPartitions(loop, ivs);
+        report.partitionDumps.push_back(parts.str(fn));
 
         // The paper's aliasing caveat: an unknown write may alias any
         // partition, so no rewrite is safe.
@@ -375,7 +295,7 @@ runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
             // write-carrying partition would change what it sees.
             if (parts.unknownReadExists() && p.hasWrite()) {
                 site.add(site.missed("unknown-memory-read")
-                             .arg("partition", p.key));
+                             .arg("partition", p.key.str()));
                 continue;
             }
             if (optimizePartition(fn, loop, dt, du, p, skipDistanceCheck,
@@ -385,7 +305,6 @@ runRecurrenceOpt(rtl::Function &fn, const rtl::MachineTraits &traits,
         return cfg::LoopVisit::Unchanged;
     });
     fn.recomputeCfg();
-    fn.renumber();
     return report;
 }
 

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "obs/remarks.h"
-#include "recurrence/partitions.h"
+#include "rtl/inst.h"
 #include "rtl/machine.h"
 
 namespace wmstream::recurrence {

@@ -436,16 +436,6 @@ Function::removeUnreachable()
     blocks_ = std::move(kept);
 }
 
-void
-Function::renumber()
-{
-    ++work.renumbers;
-    int id = 0;
-    for (auto &b : blocks_)
-        for (auto &inst : b->insts)
-            inst.id = id++;
-}
-
 int
 Function::instCount() const
 {

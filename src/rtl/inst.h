@@ -49,10 +49,11 @@ enum class UnitSide : uint8_t { Int = 0, Flt = 1 };
  * One RTL instruction.
  *
  * A plain aggregate: phases freely rewrite fields and rebuild
- * expression trees. The `id` is assigned by Function::renumber() and is
- * used as the paper's "lno" in memory-reference partition vectors. The
- * `comment` is carried into assembly listings (the paper's figures
- * annotate every line).
+ * expression trees. An instruction has no id: it is named by its block
+ * and its index there, and the paper's "lno" in a partition dump is
+ * its ordinal in the function's layout, worked out when the dump is
+ * printed. The `comment` is carried into assembly listings (the
+ * paper's figures annotate every line).
  */
 struct Inst
 {
@@ -82,7 +83,6 @@ struct Inst
 
     std::string target;     ///< Jump/CondJump/JumpStream label, Call name
 
-    int id = -1;            ///< stable id ("lno"), set by renumber()
     std::string comment;    ///< carried into listings
 
     /**
@@ -228,7 +228,6 @@ struct WorkCounts
     int64_t cfgRecomputes = 0;      ///< Function::recomputeCfg calls
     int64_t defUseBuilds = 0;       ///< whole-function def/use scans
     int64_t defUseBlockRescans = 0; ///< blocks re-scanned after edits
-    int64_t renumbers = 0;          ///< Function::renumber calls
 };
 
 /**
@@ -287,9 +286,6 @@ class Function
 
     /** Remove blocks unreachable from the entry. */
     void removeUnreachable();
-
-    /** Assign sequential ids to all instructions (the "lno" values). */
-    void renumber();
 
     /** Total instruction count across all blocks. */
     int instCount() const;

@@ -5,8 +5,7 @@
 #include <unordered_set>
 
 #include "cfg/liveness.h"
-#include "opt/indvars.h"
-#include "recurrence/partitions.h"
+#include "opt/partitions.h"
 #include "support/diag.h"
 #include "support/str.h"
 
@@ -15,9 +14,9 @@ namespace wmstream::streaming {
 using cfg::RegKey;
 using opt::BasicIV;
 using opt::LinForm;
-using recurrence::MemRef;
-using recurrence::Partition;
-using recurrence::PartitionSet;
+using opt::MemRef;
+using opt::Partition;
+using opt::PartitionSet;
 using rtl::DataType;
 using rtl::ExprPtr;
 using rtl::Inst;
@@ -189,36 +188,32 @@ ExprPtr
 materializeBase(rtl::Function &fn, rtl::Block *pre, const LinForm &base,
                 int64_t extra)
 {
-    size_t at = pre->insts.size();
-    if (pre->terminator())
-        --at;
-    auto insert = [&](Inst inst) {
-        pre->insts.insert(pre->insts.begin() + static_cast<ptrdiff_t>(at++),
-                          std::move(inst));
-    };
     switch (base.baseKind) {
       case LinForm::Base::Sym: {
         ExprPtr t = fn.newVReg(DataType::I64);
-        insert(rtl::makeAssign(t,
-                               rtl::makeSym(base.sym, base.offset + extra),
-                               "stream base address"));
+        cfg::appendToPreheader(
+            pre, rtl::makeAssign(t,
+                                 rtl::makeSym(base.sym, base.offset + extra),
+                                 "stream base address"));
         return t;
       }
       case LinForm::Base::Reg: {
         if (base.offset + extra == 0)
             return base.baseReg;
         ExprPtr t = fn.newVReg(DataType::I64);
-        insert(rtl::makeAssign(
-            t,
-            rtl::makeBin(Op::Add, base.baseReg,
-                         rtl::makeConst(base.offset + extra)),
-            "stream base address"));
+        cfg::appendToPreheader(
+            pre, rtl::makeAssign(t,
+                                 rtl::makeBin(Op::Add, base.baseReg,
+                                              rtl::makeConst(base.offset +
+                                                             extra)),
+                                 "stream base address"));
         return t;
       }
       default: {
         ExprPtr t = fn.newVReg(DataType::I64);
-        insert(rtl::makeAssign(t, rtl::makeConst(base.offset + extra),
-                               "stream base address"));
+        cfg::appendToPreheader(
+            pre, rtl::makeAssign(t, rtl::makeConst(base.offset + extra),
+                                 "stream base address"));
         return t;
       }
     }
@@ -254,7 +249,7 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
             }
 
     opt::IndVarAnalysis ivs(fn, loop, dt, du, traits);
-    PartitionSet parts = recurrence::buildPartitions(loop, ivs);
+    PartitionSet parts = opt::buildPartitions(loop, ivs);
 
     TripCount tc = deriveTripCount(loop, ivs);
 
@@ -305,13 +300,6 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
         return false;
     }
 
-    auto everyIteration = [&](const MemRef &r) {
-        for (rtl::Block *latch : loop.latches)
-            if (!dt.dominates(r.block, latch))
-                return false;
-        return true;
-    };
-
     std::vector<PlannedStream> candidates;
     for (Partition &p : parts.parts) {
         if (!p.safe)
@@ -346,7 +334,7 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
         }
         if (recurrenceLeft) {
             site.add(site.missed("memory-recurrence-remains", recWrite->pos())
-                         .arg("partition", p.key));
+                         .arg("partition", p.key.str()));
             continue;
         }
         // Writes cannot stream if an unanalyzed read might observe the
@@ -354,24 +342,24 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
         for (const MemRef &ref : p.refs) {
             if (!ref.analyzable || !ref.iv || ref.cee == 0) {
                 site.add(site.missed("address-not-induction", ref.pos())
-                             .arg("partition", p.key));
+                             .arg("partition", p.key.str()));
                 continue;
             }
             if (ref.isWrite && parts.unknownReadExists()) {
                 site.add(site.missed("unknown-memory-read", ref.pos())
-                             .arg("partition", p.key));
+                             .arg("partition", p.key.str()));
                 continue;
             }
             // Step 2b/2c: stride and every-iteration execution.
             int64_t stride = ref.cee * ref.iv->step;
             if (stride == 0) {
                 site.add(site.missed("zero-stride", ref.pos())
-                             .arg("partition", p.key));
+                             .arg("partition", p.key.str()));
                 continue;
             }
-            if (!everyIteration(ref)) {
+            if (!cfg::executesEveryIteration(loop, dt, ref.block)) {
                 site.add(site.missed("not-every-iteration", ref.pos())
-                             .arg("partition", p.key)
+                             .arg("partition", p.key.str())
                              .arg("stride", stride));
                 continue;
             }
@@ -404,11 +392,7 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
                     site.add(site.missed("use-outside-loop", ref.pos()));
                     continue;
                 }
-                bool dominatesLatches = true;
-                for (rtl::Block *latch : loop.latches)
-                    if (!dt.dominates(ub, latch))
-                        dominatesLatches = false;
-                if (!dominatesLatches) {
+                if (!cfg::executesEveryIteration(loop, dt, ub)) {
                     site.add(site.missed("not-every-iteration", ref.pos())
                                  .arg("what", "use"));
                     continue;
@@ -543,12 +527,8 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
                 : rtl::makeBin(Op::Sub, tc.iv->reg, boundVal);
         if (tc.addend)
             diff = rtl::makeBin(Op::Add, diff, rtl::makeConst(tc.addend));
-        size_t at = pre->insts.size();
-        if (pre->terminator())
-            --at;
-        pre->insts.insert(pre->insts.begin() + static_cast<ptrdiff_t>(at),
-                          rtl::makeAssign(t, diff,
-                                          "number of items to stream"));
+        cfg::appendToPreheader(
+            pre, rtl::makeAssign(t, diff, "number of items to stream"));
         countReg = t;
     }
 
@@ -566,34 +546,12 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
         ExprPtr base = materializeBase(fn, pre, ps.ref.dee, 0);
         // Add cee*iv0.
         {
-            size_t at = pre->insts.size();
-            if (pre->terminator())
-                --at;
-            auto insert = [&](Inst inst) {
-                pre->insts.insert(pre->insts.begin() +
-                                  static_cast<ptrdiff_t>(at++),
-                                  std::move(inst));
-            };
-            ExprPtr scaled;
-            if (ps.ref.cee == 1) {
-                scaled = ps.ref.iv->reg;
-            } else {
-                int sh = -1;
-                for (int k = 1; k < 32; ++k)
-                    if (ps.ref.cee == (int64_t{1} << k))
-                        sh = k;
-                ExprPtr t2 = fn.newVReg(DataType::I64);
-                insert(rtl::makeAssign(
-                    t2, sh > 0 ? rtl::makeBin(Op::Shl, ps.ref.iv->reg,
-                                              rtl::makeConst(sh))
-                               : rtl::makeBin(Op::Mul, ps.ref.iv->reg,
-                                              rtl::makeConst(ps.ref.cee)),
-                    "scale initial index"));
-                scaled = t2;
-            }
+            ExprPtr scaled = opt::scaleIV(fn, pre, ps.ref.iv->reg,
+                                          ps.ref.cee, "scale initial index");
             ExprPtr t3 = fn.newVReg(DataType::I64);
-            insert(rtl::makeAssign(t3, rtl::makeBin(Op::Add, scaled, base),
-                                   "first element address"));
+            cfg::appendToPreheader(
+                pre, rtl::makeAssign(t3, rtl::makeBin(Op::Add, scaled, base),
+                                     "first element address"));
             base = t3;
 
             // Hidden fault injection (--inject-deadlock-bug): give
@@ -607,10 +565,11 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
             if (injectCountBug && finite && !ps.ref.isWrite &&
                     &ps != &chosen.front()) {
                 ExprPtr t4 = fn.newVReg(DataType::I64);
-                insert(rtl::makeAssign(
-                    t4,
-                    rtl::makeBin(Op::Sub, countReg, rtl::makeConst(1)),
-                    "injected stream under-count"));
+                cfg::appendToPreheader(
+                    pre, rtl::makeAssign(t4,
+                                         rtl::makeBin(Op::Sub, countReg,
+                                                      rtl::makeConst(1)),
+                                         "injected stream under-count"));
                 cnt = t4;
             }
             Inst stream =
@@ -628,7 +587,7 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
             // per-loop attribution charges it to the right loop.
             stream.pos = ps.ref.pos();
             stream.loopId = site.loopId();
-            insert(std::move(stream));
+            cfg::appendToPreheader(pre, std::move(stream));
         }
     }
 
@@ -696,10 +655,8 @@ streamLoop(rtl::Function &fn, cfg::Loop &loop,
             ++report.streamsIn;
         } else {
             WS_ASSERT(inst.kind == InstKind::Store, "stale stream index");
-            Inst enq = rtl::makeAssign(fifoReg(ps->side, ps->fifo, flt),
-                                       inst.src, "enqueue stream value");
-            enq.id = inst.id;
-            inst = std::move(enq);
+            inst = rtl::makeAssign(fifoReg(ps->side, ps->fifo, flt),
+                                   inst.src, "enqueue stream value");
             ++report.streamsOut;
         }
         if (!finite)
@@ -823,7 +780,6 @@ runStreaming(rtl::Function &fn, const rtl::MachineTraits &traits,
                    : cfg::LoopVisit::Unchanged;
     });
     fn.recomputeCfg();
-    fn.renumber();
     return report;
 }
 

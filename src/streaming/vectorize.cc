@@ -148,7 +148,6 @@ runVectorize(rtl::Function &fn, const rtl::MachineTraits &traits)
 
     fn.recomputeCfg();
     fn.removeUnreachable();
-    fn.renumber();
     return report;
 }
 

@@ -59,6 +59,7 @@ using rtl::UnitSide;
 using rtl::isDataFifoReg;
 
 using detail::addViolation;
+using detail::locate;
 
 using namespace fifomodel;
 
@@ -234,9 +235,7 @@ depthTransfer(const rtl::Block *b, DepthState s, const WalkCtx &ctx,
     auto emit = [&](std::string reason, const Inst &inst,
                     int q) -> Violation & {
         Violation &v = addViolation(*out, std::move(reason), fn);
-        v.block = b->label();
-        v.instId = inst.id;
-        v.pos = inst.pos;
+        locate(v, *b, inst);
         v.invariant = queueName(q);
         return v;
     };
@@ -389,9 +388,7 @@ checkQueueDiscipline(rtl::Function &fn,
                     continue;
                 Violation &v =
                     addViolation(out, "ambiguous-pop-order", fn);
-                v.block = bp->label();
-                v.instId = inst.id;
-                v.pos = inst.pos;
+                locate(v, *bp, inst);
                 v.invariant = queueName(kv.first);
                 v.detail = strFormat(
                     "%d dequeues of %s in one instruction; their "
@@ -487,10 +484,8 @@ checkQueueDiscipline(rtl::Function &fn,
             } else {
                 Violation &v =
                     addViolation(out, "jumpstream-no-stream", fn);
-                v.block = l->label();
+                locate(v, *l, *t);
                 inLoop(v, r);
-                v.instId = t->id;
-                v.pos = t->pos;
                 v.invariant =
                     strFormat("%c%d", side ? 'f' : 'r', t->fifo);
                 v.detail = "jump-stream latch steered by a FIFO no "
@@ -565,9 +560,7 @@ checkQueueDiscipline(rtl::Function &fn,
                 continue;
             Violation &v =
                 addViolation(out, "jumpstream-no-stream", fn);
-            v.block = bp->label();
-            v.instId = inst.id;
-            v.pos = inst.pos;
+            locate(v, *bp, inst);
             v.invariant =
                 strFormat("%c%d",
                           inst.side == UnitSide::Flt ? 'f' : 'r',
@@ -618,9 +611,7 @@ checkQueueDiscipline(rtl::Function &fn,
                 if (!feed) {
                     Violation &v =
                         addViolation(out, "vec-no-stream", fn);
-                    v.block = b->label();
-                    v.instId = inst.id;
-                    v.pos = inst.pos;
+                    locate(v, *b, inst);
                     v.invariant = queueName(q);
                     v.detail = strFormat(
                         "vector operation %s %s but no stream feeds "
@@ -636,9 +627,7 @@ checkQueueDiscipline(rtl::Function &fn,
                 }
                 Violation &v =
                     addViolation(out, "stream-count-mismatch", fn);
-                v.block = b->label();
-                v.instId = inst.id;
-                v.pos = inst.pos;
+                locate(v, *b, inst);
                 v.invariant = queueName(q);
                 v.detail = strFormat(
                     "vector element count disagrees with the stream "

@@ -74,8 +74,8 @@ Violation::str() const
         s += '.';
         s += block;
     }
-    if (instId >= 0)
-        s += strFormat("#%d", instId);
+    if (instIndex >= 0)
+        s += strFormat("#%d", instIndex);
     s += ']';
     if (!invariant.empty()) {
         s += ' ';
@@ -125,6 +125,14 @@ addViolation(VerifyReport &out, std::string reason,
     return v;
 }
 
+void
+locate(Violation &v, const rtl::Block &b, const rtl::Inst &inst)
+{
+    v.block = b.label();
+    v.instIndex = static_cast<int>(&inst - b.insts.data());
+    v.pos = inst.pos;
+}
+
 } // namespace detail
 
 namespace {
@@ -137,21 +145,13 @@ using rtl::RegFile;
 using rtl::isDataFifoReg;
 
 using detail::addViolation;
+using detail::locate;
 
 std::string
 regName(const Expr &r)
 {
     return strFormat("%s%d", rtl::regFilePrefix(r.regFile()),
                      r.regIndex());
-}
-
-/** Stamp the common location fields of @p v from @p inst in @p b. */
-void
-locate(Violation &v, const rtl::Block &b, const Inst &inst)
-{
-    v.block = b.label();
-    v.instId = inst.id;
-    v.pos = inst.pos;
 }
 
 /** The operand fields an instruction kind is allowed to populate. */
@@ -414,11 +414,10 @@ checkStructure(rtl::Function &fn, const rtl::MachineTraits &traits,
         if (fallsThrough && bi + 1 == blocks.size()) {
             Violation &v =
                 addViolation(out, "fallthrough-off-end", fn);
-            v.block = b.label();
-            if (!b.insts.empty()) {
-                v.instId = b.insts.back().id;
-                v.pos = b.insts.back().pos;
-            }
+            if (b.insts.empty())
+                v.block = b.label();
+            else
+                locate(v, b, b.insts.back());
             v.detail = "last block of the function can fall through "
                        "off the end";
         }

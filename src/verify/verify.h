@@ -81,7 +81,7 @@ struct Violation
      */
     std::string invariant;
     std::string detail;     ///< human-readable explanation
-    int instId = -1;        ///< Inst::id when instruction-scoped
+    int instIndex = -1;     ///< index in `block` when instruction-scoped
     SourcePos pos;          ///< source provenance when stamped
 
     /** Dedup key: reason code + invariant identity. */
@@ -200,6 +200,12 @@ namespace detail {
 /** Append a violation; caller fills the remaining fields. */
 Violation &addViolation(VerifyReport &out, std::string reason,
                         const rtl::Function &fn);
+
+/**
+ * Stamp the location of @p v: block @p b, the index of @p inst (an
+ * instruction of @p b) there, and its source position.
+ */
+void locate(Violation &v, const rtl::Block &b, const rtl::Inst &inst);
 
 /**
  * Structural checks (verify.cc). Returns true when every branch

@@ -257,7 +257,6 @@ lowerToFifoForm(rtl::Function &fn, const rtl::MachineTraits &traits)
     foldDequeues(fn, traits, report);
     foldEnqueues(fn, traits, report);
     fn.recomputeCfg();
-    fn.renumber();
     return report;
 }
 

@@ -16,6 +16,7 @@
 #include "expand/expander.h"
 #include "frontend/parser.h"
 #include "interp/interp.h"
+#include "m68k/printer.h"
 #include "opt/indvars.h"
 #include "opt/legal.h"
 #include "opt/passes.h"
@@ -271,6 +272,93 @@ TEST(StrengthReduce, RewritesToPointerForm)
             }
         }
     }
+}
+
+TEST(StrengthReduce, TakesGroupsInBaseTextOrder)
+{
+    // p and q are pointers loaded from globals, so their partitions
+    // are keyed by the registers they were loaded into: reg:vr6 for p
+    // and reg:vr11 for q. Groups are rewritten in the order of their
+    // base text, so "vr11" (q) comes before "vr6" (p); in numeric
+    // order p's pointer would be set up first.
+    const char *src = R"(
+int n = 16;
+int ga[16];
+int gb[16];
+int *gp;
+int *gq;
+int fill(void) {
+    int i;
+    gp = ga;
+    gq = gb;
+    for (i = 0; i < n; i++) {
+        ga[i] = i;
+        gb[i] = 3 * i;
+    }
+    return 0;
+}
+int main(void) {
+    int *p;
+    int *q;
+    int i, s, t;
+    fill();
+    t = 0;
+    p = gp;
+    t = t + gp[1];
+    q = gq;
+    s = 0;
+    for (i = 0; i < n; i++)
+        s = s + q[i] - p[i];
+    return s + t;
+}
+)";
+    driver::CompileOptions opts;
+    opts.target = MachineKind::Scalar;
+    auto cr = driver::compileSource(src, opts);
+    ASSERT_TRUE(cr.ok) << cr.diagnostics;
+    std::string listing =
+        m68k::printFunction(*cr.program->findFunction("main"));
+    // The listing pads comments with spaces; compare without them.
+    std::string got;
+    size_t start = 0;
+    while (start < listing.size()) {
+        size_t end = listing.find('\n', start);
+        if (end == std::string::npos)
+            end = listing.size();
+        std::string line = listing.substr(start, end - start);
+        line.erase(line.find_last_not_of(' ') + 1);
+        got += line + "\n";
+        start = end + 1;
+    }
+    EXPECT_EQ(got, R"(| 68020 code for main
+main_entry:
+    jbsr _fill
+    movl (_gp),a0
+    movl a0@(8),d0
+    movl d0,d1
+    movl (_gq),a1
+    moveq #0,d2
+    moveq #0,d0
+    movl (_n),d3
+    cmpl d3,#0
+    jge L2
+L3:
+    movl (_n),d3
+    movl a1,a1                       | strength-reduce pointer
+    movl a0,a0                       | strength-reduce pointer
+L0:
+    movl a1@+,d4
+    addl d4,d2
+    movl a0@+,d4
+    subl d4,d2
+    addql #1,d0
+    cmpl d3,d0
+    jlt L0
+L4:
+L2:
+    movl d2,d0; addl d1,d0
+    rts
+)");
 }
 
 TEST(Anticipate, MovesCompareAboveIncrement)

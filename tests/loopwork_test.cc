@@ -10,10 +10,9 @@
  * `defuse_builds`, `defuse_block_rescans`). This test compiles one
  * function with k streamable loops (stream_loops.h) at k = 16 and
  * k = 48 and pins that the whole-function work is the same at both,
- * and that the re-scans grow no faster than the loops. Whole-function
- * renumbering (`renumbers`) is pinned exactly: once per streaming
- * pass, and once per recurrence visit, whose partition dumps print
- * instruction ids.
+ * and that the re-scans grow no faster than the loops. Instructions
+ * carry no ids, so no pass renumbers the function: recurrence's
+ * partition dumps work out each reference's lno when they print.
  *
  * The cleanup fixpoint reports the rounds it ran as `cleanup_rounds`
  * under each cleanup label. Those are pinned exactly, on the same
@@ -43,8 +42,6 @@ struct Work
     int64_t defUseBlockRescans = 0;
     int64_t cleanupRounds = 0;
     int64_t regallocAttempts = 0;
-    int64_t streamingRenumbers = 0;
-    int64_t recurrenceRenumbers = 0;
     int loopsStreamed = 0;
 };
 
@@ -70,10 +67,6 @@ compileWork(const std::string &source, rtl::MachineKind target)
                 w.cleanupRounds += value;
             else if (key == "regalloc_attempts")
                 w.regallocAttempts += value;
-            else if (key == "renumbers" && p.name == "streaming")
-                w.streamingRenumbers += value;
-            else if (key == "renumbers" && p.name == "recurrence")
-                w.recurrenceRenumbers += value;
         }
     }
     for (const auto &sr : cr.streamingReports)
@@ -98,15 +91,7 @@ TEST_P(LoopWork, WholeFunctionWorkIsFlatInTheLoopCount)
         // Every loop streamed: the passes did their per-loop work.
         EXPECT_EQ(w16.loopsStreamed, 17);
         EXPECT_EQ(w48.loopsStreamed, 49);
-        // Streaming renumbers the function once, at pass exit; its
-        // visits build partitions without printing them.
-        EXPECT_EQ(w16.streamingRenumbers, 1);
-        EXPECT_EQ(w48.streamingRenumbers, 1);
     }
-    // Recurrence renumbers once per visit, for its partition dumps:
-    // k + 1 innermost loops, none rewritten, plus once at pass exit.
-    EXPECT_EQ(w16.recurrenceRenumbers, 16 + 1 + 1);
-    EXPECT_EQ(w48.recurrenceRenumbers, 48 + 1 + 1);
     EXPECT_GT(w16.defUseBuilds, 0);
     EXPECT_EQ(w16.defUseBuilds, w48.defUseBuilds);
     EXPECT_GT(w16.cfgRecomputes, 0);

@@ -12,9 +12,9 @@
 #include "expand/expander.h"
 #include "frontend/parser.h"
 #include "opt/indvars.h"
+#include "opt/partitions.h"
 #include "opt/passes.h"
 #include "programs/programs.h"
-#include "recurrence/partitions.h"
 #include "recurrence/recurrence.h"
 #include "wmsim/sim.h"
 
@@ -79,24 +79,23 @@ TEST(Partitions, Livermore5HasThreePartitions)
 
     cfg::DefUseTable du(*fn, traits);
     opt::IndVarAnalysis ivs(*fn, *loop, dt, du, traits);
-    auto parts = recurrence::buildPartitions(*loop, ivs);
+    auto parts = opt::buildPartitions(*loop, ivs);
 
-    const recurrence::Partition *px = nullptr, *py = nullptr,
-                                *pz = nullptr;
+    const opt::Partition *px = nullptr, *py = nullptr, *pz = nullptr;
     for (const auto &p : parts.parts) {
-        if (p.key == "_x")
+        if (p.key.str() == "_x")
             px = &p;
-        if (p.key == "_y")
+        if (p.key.str() == "_y")
             py = &p;
-        if (p.key == "_z")
+        if (p.key.str() == "_z")
             pz = &p;
     }
-    ASSERT_TRUE(px && py && pz) << parts.str();
+    ASSERT_TRUE(px && py && pz) << parts.str(*fn);
 
     // X: one read at relative offset -8 and one write at 0, cee 8.
-    ASSERT_EQ(px->refs.size(), 2u) << px->str();
+    ASSERT_EQ(px->refs.size(), 2u) << parts.str(*fn);
     EXPECT_TRUE(px->safe);
-    const recurrence::MemRef *read = nullptr, *write = nullptr;
+    const opt::MemRef *read = nullptr, *write = nullptr;
     for (const auto &r : px->refs)
         (r.isWrite ? write : read) = &r;
     ASSERT_TRUE(read && write);
@@ -113,8 +112,7 @@ TEST(Partitions, Livermore5HasThreePartitions)
 
 TEST(Partitions, PaperNotationRendering)
 {
-    recurrence::MemRef ref;
-    ref.lno = 14;
+    opt::MemRef ref;
     ref.isWrite = false;
     ref.analyzable = true;
     ref.cee = 8;
@@ -127,7 +125,70 @@ TEST(Partitions, PaperNotationRendering)
     ref.dee.baseKind = opt::LinForm::Base::Sym;
     ref.dee.sym = std::string(1, 'x');
     ref.dee.offset = -8;
-    EXPECT_EQ(ref.str(), "(14,r,r22+,8,_x-8,-8)");
+    EXPECT_EQ(ref.str(14), "(14,r,r22+,8,_x-8,-8)");
+}
+
+TEST(Partitions, DumpLnoIsTheLayoutOrdinalAfterAnEarlierRewrite)
+{
+    // The first loop carries a recurrence: its rewrite inserts priming
+    // code in its preheader, laid out before the second loop, so every
+    // instruction of the second loop moves down. The second loop's
+    // dump is printed after that rewrite and must name the ordinals
+    // its references have then. It changes nothing itself, so those
+    // are still its ordinals when the pass ends.
+    const char *src = R"(
+int n = 16;
+double x[16];
+double y[16];
+double z[16];
+int main(void) {
+    int i;
+    for (i = 1; i < n; i++)
+        x[i] = x[i - 1] + y[i];
+    for (i = 0; i < n; i++)
+        z[i] = y[i] * 2.0;
+    return 0;
+}
+)";
+    auto prog = prepare(src);
+    Function *fn = prog->findFunction("main");
+    obs::RemarkCollector remarks;
+    auto report = recurrence::runRecurrenceOpt(*fn, wmTraits(), remarks);
+    ASSERT_EQ(report.recurrencesOptimized, 1);
+    ASSERT_GE(report.partitionDumps.size(), 2u);
+
+    // The layout ordinals of the loads and stores of the loop laid out
+    // last.
+    fn->recomputeCfg();
+    cfg::DominatorTree dt(*fn);
+    cfg::LoopInfo li(*fn, dt);
+    ASSERT_EQ(li.loops().size(), 2u);
+    const cfg::Loop *second = &li.loops()[0];
+    for (const cfg::Loop &l : li.loops())
+        if (l.header->id() > second->header->id())
+            second = &l;
+    std::vector<int> want;
+    int ordinal = 0;
+    for (const auto &b : fn->blocks())
+        for (const Inst &inst : b->insts) {
+            if (second->contains(b.get()) &&
+                    (inst.kind == InstKind::Load ||
+                     inst.kind == InstKind::Store))
+                want.push_back(ordinal);
+            ++ordinal;
+        }
+    ASSERT_EQ(want.size(), 2u);
+
+    // The last dump is the second loop's; its vectors open "(lno,".
+    const std::string &dump = report.partitionDumps.back();
+    std::vector<int> got;
+    for (size_t at = dump.find('('); at != std::string::npos;
+         at = dump.find('(', at + 1))
+        got.push_back(std::stoi(dump.substr(at + 1)));
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << dump;
+    // The first loop's preheader code moved the second loop down.
+    EXPECT_GT(want[0], 16) << dump;
 }
 
 TEST(Recurrence, FiresOnLivermore5)
@@ -311,17 +372,17 @@ int main(void) {
     auto traits = wmTraits();
     cfg::DefUseTable du(*fn, traits);
     opt::IndVarAnalysis ivs(*fn, *loop, dt, du, traits);
-    auto parts = recurrence::buildPartitions(*loop, ivs);
+    auto parts = opt::buildPartitions(*loop, ivs);
     // Two walking pointers -> two "iv:" partitions, coefficient 1.
     int ivParts = 0;
     for (const auto &p : parts.parts) {
-        if (p.key.rfind("iv:", 0) == 0) {
+        if (p.key.str().rfind("iv:", 0) == 0) {
             ++ivParts;
             for (const auto &r : p.refs)
-                EXPECT_EQ(r.cee, 1) << p.str();
+                EXPECT_EQ(r.cee, 1) << parts.str(*fn);
         }
     }
-    EXPECT_GE(ivParts, 2) << parts.str();
+    EXPECT_GE(ivParts, 2) << parts.str(*fn);
 }
 
 TEST(Partitions, PointerParameterGetsRegPartition)
@@ -349,10 +410,10 @@ int main(void) { return sum(g); }
     auto traits = wmTraits();
     cfg::DefUseTable du(*fn, traits);
     opt::IndVarAnalysis ivs(*fn, *loop, dt, du, traits);
-    auto parts = recurrence::buildPartitions(*loop, ivs);
+    auto parts = opt::buildPartitions(*loop, ivs);
     bool regPart = false;
     for (const auto &p : parts.parts)
-        if (p.key.rfind("reg:", 0) == 0)
+        if (p.key.str().rfind("reg:", 0) == 0)
             regPart = true;
-    EXPECT_TRUE(regPart) << parts.str();
+    EXPECT_TRUE(regPart) << parts.str(*fn);
 }

@@ -211,18 +211,6 @@ TEST(RtlFunction, RemoveUnreachable)
     EXPECT_EQ(fn.blocks().size(), 1u);
 }
 
-TEST(RtlFunction, RenumberAssignsSequentialIds)
-{
-    Function fn("f");
-    Block *b0 = fn.addBlock();
-    b0->insts.push_back(makeAssign(fn.newVReg(DataType::I64),
-                                   makeConst(1)));
-    b0->insts.push_back(makeReturn());
-    fn.renumber();
-    EXPECT_EQ(b0->insts[0].id, 0);
-    EXPECT_EQ(b0->insts[1].id, 1);
-}
-
 TEST(RtlProgram, LayoutAssignsAlignedAddresses)
 {
     Program prog;

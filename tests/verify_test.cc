@@ -332,6 +332,46 @@ TEST(VerifyDriver, CleanCompileUnderVerifyEach)
     EXPECT_GE(cr.verifySkipped, 1);
 }
 
+TEST(VerifyDriver, ViolationNamesItsInstructionByBlockIndex)
+{
+    // "[fn.block#k]": k is the instruction's index in the block, so a
+    // report names the right instruction even after passes that insert
+    // or delete code. Break one instruction of a compiled function
+    // that is neither first in its block nor in the entry block, where
+    // the index and the function-wide ordinal differ.
+    // --inject-verifier-bug's findings are loop- and function-scoped
+    // and print no "#k", so the test breaks the instruction itself.
+    auto cr = driver::compileSource(kDotProduct, {});
+    ASSERT_TRUE(cr.ok);
+    Function *fn = cr.program->findFunction("main");
+    Block *target = nullptr;
+    for (auto &b : fn->blocks())
+        if (b.get() != fn->entry() && b->insts.size() >= 3)
+            target = b.get();
+    ASSERT_TRUE(target != nullptr);
+    size_t k = target->insts.size() - 2;
+    Inst broken;
+    broken.kind = InstKind::Assign; // no dst, no src
+    target->insts[k] = std::move(broken);
+
+    auto rep = check(*fn, verify::Stage::PostLower);
+    std::string where = "[main." + target->label() + "#";
+    const verify::Violation *v = nullptr;
+    for (const verify::Violation &x : rep.violations)
+        if (x.reason == "bad-operand")
+            v = &x;
+    ASSERT_TRUE(v != nullptr) << rep.str();
+    std::string line = v->str();
+    size_t at = line.find(where);
+    ASSERT_NE(at, std::string::npos) << line;
+    size_t named = std::stoul(line.substr(at + where.size()));
+    ASSERT_LT(named, target->insts.size()) << line;
+    EXPECT_EQ(named, k) << line;
+    EXPECT_TRUE(target->insts[named].kind == InstKind::Assign &&
+                !target->insts[named].dst)
+        << line;
+}
+
 TEST(VerifyDriver, FinalModeRunsOneProgramCheckpoint)
 {
     driver::CompileOptions opts;

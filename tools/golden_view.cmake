@@ -1,10 +1,11 @@
 # Golden-output test for one wmreport view, for wmc's Chrome trace, or
-# for wmc's remark stream. Runs wmc from inside the source's directory
-# with a relative path (so every source location in the output is
-# path-independent), renders the requested view, and byte-compares it
-# against the checked-in golden. VIEW=--trace-out compares the
-# `wmc --run --trace-out` file instead of a wmreport view;
-# VIEW=--remarks=json compares the stdout of `wmc --remarks=json`.
+# for one of wmc's printed outputs. Runs wmc from inside the source's
+# directory with a relative path (so every source location in the
+# output is path-independent), renders the requested view, and
+# byte-compares it against the checked-in golden. VIEW=--trace-out
+# compares the `wmc --run --trace-out` file instead of a wmreport
+# view; VIEW=--remarks=json, --trace-partitions or --print-asm compares
+# the stdout of `wmc VIEW`, compiled for TARGET when it is given.
 #
 # The simulator is deterministic, wmreport prints no wall-clock data,
 # and the relative-path trick keeps build-tree paths out — so the
@@ -12,22 +13,26 @@
 # output change with -DUPDATE=1, then review the diff like any other
 # source change.
 #
-# Arguments: WMC, WMREPORT (not needed for --trace-out or
-# --remarks=json), SOURCE (absolute), VIEW (e.g. --timeline,
-# --trace-out or --remarks=json), GOLDEN (checked-in file), OUT_DIR,
-# optional UPDATE.
+# Arguments: WMC, WMREPORT (only for wmreport views), SOURCE
+# (absolute), VIEW (e.g. --timeline, --trace-out or --print-asm),
+# GOLDEN (checked-in file), OUT_DIR, optional TARGET (wmc --target)
+# and UPDATE.
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(MANIFEST ${OUT_DIR}/manifest.json)
 set(TRACE ${OUT_DIR}/trace.json)
 get_filename_component(src_dir ${SOURCE} DIRECTORY)
 get_filename_component(src_name ${SOURCE} NAME)
+set(stdout_views "^--(remarks=json|trace-partitions|print-asm)$")
 if(VIEW STREQUAL "--trace-out")
     set(run_args --run --trace-out=${TRACE})
-elseif(VIEW STREQUAL "--remarks=json")
-    set(run_args --remarks=json)
+elseif(VIEW MATCHES "${stdout_views}")
+    set(run_args ${VIEW})
 else()
     set(run_args --run --sample-window=64 --critpath --critpath-validate
                  --manifest=${MANIFEST})
+endif()
+if(TARGET)
+    list(PREPEND run_args --target=${TARGET})
 endif()
 execute_process(
     COMMAND ${WMC} ${run_args} ${src_name}
@@ -42,7 +47,7 @@ endif()
 
 if(VIEW STREQUAL "--trace-out")
     file(READ ${TRACE} view_out)
-elseif(VIEW STREQUAL "--remarks=json")
+elseif(VIEW MATCHES "${stdout_views}")
     set(view_out "${run_out}")
 else()
     execute_process(

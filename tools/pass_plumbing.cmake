@@ -1,9 +1,14 @@
 # Plumbing guard for the loop passes: one loop-position helper, one
-# memory-reference position, and a remark collector the passes are
-# given rather than one they must test for null.
+# memory-reference position, one set of preheader helpers, one
+# memory-reference analysis, instructions without ids, and a remark
+# collector the passes are given rather than one they must test for
+# null.
 #
-# Fails if the sources under SRC_DIR define loopPos or refPos more
-# than once, or if a file under src/streaming, src/recurrence or
+# Fails if the sources under SRC_DIR define loopPos, refPos, scaleIV,
+# materializeAddress, executesEveryIteration or appendToPreheader more
+# than once; if they mention renumber; if rtl::Inst declares an id; if
+# strength reduction linearizes addresses itself instead of reading
+# the partitions; or if a file under src/streaming, src/recurrence or
 # src/expand holds a remark collector by pointer or tests one for
 # null.
 #
@@ -11,7 +16,8 @@
 file(GLOB_RECURSE sources ${SRC_DIR}/*.cc ${SRC_DIR}/*.h)
 
 # A definition is the name, its parameter list, then the body's brace.
-foreach(name loopPos refPos)
+foreach(name loopPos refPos scaleIV materializeAddress
+             executesEveryIteration appendToPreheader)
     set(defs "")
     foreach(f ${sources})
         file(READ ${f} text)
@@ -29,6 +35,33 @@ foreach(name loopPos refPos)
                             "keep the one definition and call it")
     endif()
 endforeach()
+
+foreach(f ${sources})
+    file(READ ${f} text)
+    string(REGEX MATCH "renumber" hit "${text}")
+    if(hit)
+        message(FATAL_ERROR "${f} mentions renumber: instructions have "
+                            "no ids to renumber")
+    endif()
+endforeach()
+
+file(READ ${SRC_DIR}/rtl/inst.h text)
+string(REGEX MATCH "\nstruct Inst\n{[^}]*}" inst "${text}")
+if(NOT inst)
+    message(FATAL_ERROR "struct Inst not found in rtl/inst.h")
+endif()
+string(REGEX MATCH "[ \t]id[ \t]*[;={]" hit "${inst}")
+if(hit)
+    message(FATAL_ERROR "rtl::Inst declares an id: name an instruction "
+                        "by its block and index")
+endif()
+
+file(READ ${SRC_DIR}/opt/strength.cc text)
+string(REGEX MATCH "linearize[ \t]*\\(" hit "${text}")
+if(hit)
+    message(FATAL_ERROR "opt/strength.cc calls linearize: group the "
+                        "references of buildPartitions instead")
+endif()
 
 set(null_checks
     "RemarkCollector[ \t]*\\*"
@@ -49,5 +82,6 @@ foreach(dir streaming recurrence expand)
         endforeach()
     endforeach()
 endforeach()
-message(STATUS "plumbing ok: one loopPos, no refPos copy, no nullable "
-               "remark collector in the loop passes")
+message(STATUS "plumbing ok: one copy of each loop helper, no "
+               "instruction ids, one reference walk, no nullable remark "
+               "collector in the loop passes")
